@@ -20,6 +20,7 @@ from .numerics import RandomStream
 
 FILE_MAGIC = "MLNL"
 FILE_VERSION = "v1"
+_WRITE_CHUNK_ROWS = 4096  # dataset text is formatted and written this many rows at a time
 
 
 @dataclass(eq=False)
@@ -101,6 +102,10 @@ class GenConfig:
             raise ValueError("feature_noise_sigma must be > 0")
         if self.imbalance_exponent < 0:
             raise ValueError("imbalance_exponent must be >= 0")
+        zero = np.flatnonzero(~(_base_weights(self.k, self.imbalance_exponent) > 0.0))
+        if zero.size:
+            raise ValueError(f"imbalance_exponent {self.imbalance_exponent!r} underflows the "
+                             f"weight of class {int(zero[0])} to 0")
         if not 0.0 <= self.correlation_strength <= 1.0:
             raise ValueError("correlation_strength must be in [0, 1]")
 
@@ -111,14 +116,10 @@ class SplitSpec:
 
     trusted_fraction: float
     seed: int = 0
-    single_label_limit_per_class: int | None = None  # None = unlimited
 
     def validate(self):
         if not 0.0 < self.trusted_fraction < 1.0:
             raise ValueError("trusted_fraction must be in (0, 1)")
-        lim = self.single_label_limit_per_class
-        if lim is not None and lim < 1:
-            raise ValueError("single_label_limit_per_class must be >= 1 or None")
 
 
 def _cardinality_support(k: int) -> int:
@@ -149,6 +150,61 @@ def _solve_cardinality_rate(target_mean: float, k: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def _base_weights(k: int, imbalance_exponent: float) -> np.ndarray:
+    """Power-law class weights (c+1)^-imbalance_exponent, normalised to sum 1."""
+    w = np.arange(1, k + 1, dtype=np.float64) ** (-imbalance_exponent)
+    return w / w.sum()
+
+
+def _row_means(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Per-row mean of the entries of `a` where `valid`, each summed as
+    ``a[i][valid[i]].mean()`` sums it: rows are grouped by their count of valid
+    entries and compacted into contiguous rows, which keeps numpy's pairwise
+    summation order."""
+    counts = valid.sum(axis=1)
+    means = np.empty(a.shape[0])
+    for c in np.unique(counts):
+        rows = counts == c
+        means[rows] = a[rows][valid[rows]].reshape(-1, c).mean(axis=1)
+    return means
+
+
+def _sample_labels(cards: np.ndarray, base_w: np.ndarray, aff: np.ndarray, rho: float,
+                   stream: RandomStream) -> np.ndarray:
+    """Draw `cards[i]` distinct labels for every sample i, in rounds.
+
+    Round j picks the j-th label of every sample with more than j labels: the
+    base weights with the chosen classes zeroed and, for rho > 0, re-weighted
+    by the chosen classes' mean affinity relative to its mean over the
+    unchosen classes, then inverted at a uniform draw. Sample i's j-th uniform
+    is draw ``offsets[i] + j`` of the stream, and each float operation keeps
+    the order of a per-sample loop (affinity rows summed in the order chosen,
+    then divided by j; cumulative weights counted against the draw), so a
+    sample's labels do not depend on which other samples share its rounds.
+    """
+    n, k = cards.shape[0], base_w.shape[0]
+    uniforms = stream.uniform(int(cards.sum()))
+    offsets = np.cumsum(cards) - cards
+    labels = np.zeros((n, k), dtype=np.uint8)
+    aff_sum = np.zeros((n, k))
+    for j in range(int(cards.max(initial=0))):
+        rows = np.flatnonzero(cards > j)
+        chosen = labels[rows].astype(bool)
+        w = np.where(chosen, 0.0, base_w)
+        if j and rho > 0.0:
+            a = np.where(chosen, 0.0, aff_sum[rows] / j)
+            mean_a = _row_means(a, w > 0.0)
+            rel = np.ones_like(a)
+            pos = mean_a > 0.0
+            rel[pos] = a[pos] / mean_a[pos, None]
+            w = w * ((1.0 - rho) + rho * rel)
+        u = uniforms[offsets[rows] + j] * w.sum(axis=1)
+        c = np.minimum((np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1), k - 1)
+        labels[rows, c] = 1
+        aff_sum[rows] += aff[c]
+    return labels
+
+
 def generate(config: GenConfig) -> Dataset:
     """Generate a clean synthetic dataset; a pure function of the config."""
     config.validate()
@@ -172,36 +228,9 @@ def generate(config: GenConfig) -> Dataset:
     cards = 1 + np.searchsorted(cdf, card_stream.uniform(n), side="right")
     cards = np.minimum(cards, _cardinality_support(k))
 
-    base_w = (np.arange(1, k + 1, dtype=np.float64)) ** (-config.imbalance_exponent)
-    base_w /= base_w.sum()
-    rho = config.correlation_strength
-
-    label_stream = root.derive("labels")
-    labels = np.zeros((n, k), dtype=np.uint8)
-    for i in range(n):
-        chosen: list[int] = []
-        for _ in range(int(cards[i])):
-            w = base_w.copy()
-            if chosen:
-                w[chosen] = 0.0
-                if rho > 0.0:
-                    a = aff[chosen].mean(axis=0)
-                    a[chosen] = 0.0
-                    valid = w > 0.0
-                    mean_a = a[valid].mean()
-                    rel = a / mean_a if mean_a > 0 else np.ones_like(a)
-                    w = w * ((1.0 - rho) + rho * rel)
-            total = w.sum()
-            if total <= 0.0:
-                # isolated affinity row at rho=1; fall back to base weights
-                w = base_w.copy()
-                w[chosen] = 0.0
-                total = w.sum()
-            u = label_stream.uniform() * total
-            c = int(np.searchsorted(np.cumsum(w), u, side="right"))
-            c = min(c, k - 1)
-            chosen.append(c)
-        labels[i, chosen] = 1
+    base_w = _base_weights(k, config.imbalance_exponent)
+    labels = _sample_labels(cards, base_w, aff, config.correlation_strength,
+                            root.derive("labels"))
 
     noise = root.derive("features").normal(n * d).reshape(n, d)
     features = labels.astype(np.float64) @ prototypes + config.feature_noise_sigma * noise
@@ -262,84 +291,112 @@ def build_single_label_pool(singles: Dataset, limit_per_class: int | None,
 
 
 def write_dataset(ds: Dataset, path) -> None:
-    """Write the text dataset format (header `MLNL v1 <N> <d> <K>`)."""
-    lines = [f"# tag={ds.tag}",
-             f"{FILE_MAGIC} {FILE_VERSION} {ds.n} {ds.num_features} {ds.num_classes}"]
-    for i in range(ds.n):
-        feats = " ".join("%.17g" % v for v in ds.features[i])
-        pos = " ".join(str(j) for j in np.flatnonzero(ds.labels[i]))
-        lines.append(f"{feats} | {pos}")
+    """Write the text dataset format: `# tag=<tag>`, the header
+    `MLNL v1 <N> <d> <K>`, then one line per sample with its d features as
+    `%.17g` separated by single spaces, ` | `, and its positive label indices
+    in ascending order separated by single spaces."""
+    row_format = " ".join(["%.17g"] * ds.num_features) + " | %s\n"
+    k = ds.num_classes
+    label_rows = ds.labels.tobytes()
+    label_text: dict[bytes, str] = {}  # each distinct label row is formatted once
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# tag={ds.tag}\n{FILE_MAGIC} {FILE_VERSION} {ds.n} {ds.num_features} {k}\n")
+        for start in range(0, ds.n, _WRITE_CHUNK_ROWS):
+            lines = []
+            for i, feats in enumerate(ds.features[start:start + _WRITE_CHUNK_ROWS].tolist(), start):
+                key = label_rows[i * k:(i + 1) * k]
+                text = label_text.get(key)
+                if text is None:
+                    text = label_text[key] = " ".join(str(j) for j, on in enumerate(key) if on)
+                lines.append(row_format % (*feats, text))
+            fh.write("".join(lines))
+
+
+def _parse_label_indices(label_part: str, k: int, where: str) -> list[int]:
+    """Strictly ascending label indices in [0, k); errors cite `where`."""
+    label_tokens = label_part.split()
+    if not label_tokens:
+        raise ValueError(f"{where}: sample has no positive labels")
+    indices: list[int] = []
+    prev = -1
+    for t in label_tokens:
+        try:
+            j = int(t)
+        except ValueError:
+            raise ValueError(f"{where}: unparsable label index {t!r}") from None
+        if j <= prev:
+            raise ValueError(f"{where}: label indices must be strictly ascending")
+        if j < 0 or j >= k:
+            raise ValueError(f"{where}: label index {j} out of range [0, {k})")
+        indices.append(j)
+        prev = j
+    return indices
 
 
 def read_dataset(path) -> Dataset:
     """Read the text dataset format; errors cite the offending line number."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    tag = "clean"
-    lineno = 0
-    header = None
-    for lineno, line in enumerate(raw, start=1):
-        s = line.strip()
-        if not s:
-            continue
-        if s.startswith("#"):
-            body = s[1:].strip()
-            if body.startswith("tag="):
-                tag = body[4:].strip()
-            continue
-        header = s
-        break
-    if header is None:
-        raise ValueError(f"{path}: no header line found")
-    parts = header.split()
-    if len(parts) != 5 or parts[0] != FILE_MAGIC or parts[1] != FILE_VERSION:
-        raise ValueError(f"{path}:{lineno}: malformed header {header!r}")
-    try:
-        n, d, k = int(parts[2]), int(parts[3]), int(parts[4])
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: header counts must be integers") from None
-    if min(n, d, k) < 0 or d == 0 or k == 0:
-        raise ValueError(f"{path}:{lineno}: invalid header dimensions")
-
-    features = np.empty((n, d), dtype=np.float64)
-    labels = np.zeros((n, k), dtype=np.uint8)
-    row = 0
-    for lno in range(lineno + 1, len(raw) + 1):
-        s = raw[lno - 1].strip()
-        if not s:
-            continue
-        if s.startswith("#"):
-            raise ValueError(f"{path}:{lno}: comments are only allowed before the header")
-        if row >= n:
-            raise ValueError(f"{path}:{lno}: more than {n} data rows")
-        if "|" not in s:
-            raise ValueError(f"{path}:{lno}: missing '|' separator")
-        feat_part, label_part = s.split("|", 1)
-        feat_tokens = feat_part.split()
-        if len(feat_tokens) != d:
-            raise ValueError(f"{path}:{lno}: expected {d} features, got {len(feat_tokens)}")
+        # numbered as str.splitlines numbers the whole text
+        lines = enumerate((s for physical in fh for s in physical.splitlines()), start=1)
+        tag = "clean"
+        lineno = 0
+        header = None
+        for lineno, line in lines:
+            s = line.strip()
+            if not s:
+                continue
+            if s.startswith("#"):
+                body = s[1:].strip()
+                if body.startswith("tag="):
+                    tag = body[4:].strip()
+                continue
+            header = s
+            break
+        if header is None:
+            raise ValueError(f"{path}: no header line found")
+        parts = header.split()
+        if len(parts) != 5 or parts[0] != FILE_MAGIC or parts[1] != FILE_VERSION:
+            raise ValueError(f"{path}:{lineno}: malformed header {header!r}")
         try:
-            features[row] = [float(t) for t in feat_tokens]
+            n, d, k = int(parts[2]), int(parts[3]), int(parts[4])
         except ValueError:
-            raise ValueError(f"{path}:{lno}: unparsable feature value") from None
-        label_tokens = label_part.split()
-        if not label_tokens:
-            raise ValueError(f"{path}:{lno}: sample has no positive labels")
-        prev = -1
-        for t in label_tokens:
+            raise ValueError(f"{path}:{lineno}: header counts must be integers") from None
+        if min(n, d, k) < 0 or d == 0 or k == 0:
+            raise ValueError(f"{path}:{lineno}: invalid header dimensions")
+
+        features = np.empty((n, d), dtype=np.float64)
+        pattern_ids: dict[str, int] = {}  # each distinct label text is checked once
+        patterns: list[list[int]] = []
+        pattern_of_row: list[int] = []
+        row = 0
+        for lno, line in lines:
+            s = line.strip()
+            if not s:
+                continue
+            if s.startswith("#"):
+                raise ValueError(f"{path}:{lno}: comments are only allowed before the header")
+            if row >= n:
+                raise ValueError(f"{path}:{lno}: more than {n} data rows")
+            if "|" not in s:
+                raise ValueError(f"{path}:{lno}: missing '|' separator")
+            feat_part, label_part = s.split("|", 1)
+            feat_tokens = feat_part.split()
+            if len(feat_tokens) != d:
+                raise ValueError(f"{path}:{lno}: expected {d} features, got {len(feat_tokens)}")
             try:
-                j = int(t)
+                features[row] = list(map(float, feat_tokens))
             except ValueError:
-                raise ValueError(f"{path}:{lno}: unparsable label index {t!r}") from None
-            if j <= prev:
-                raise ValueError(f"{path}:{lno}: label indices must be strictly ascending")
-            if j < 0 or j >= k:
-                raise ValueError(f"{path}:{lno}: label index {j} out of range [0, {k})")
-            labels[row, j] = 1
-            prev = j
-        row += 1
+                raise ValueError(f"{path}:{lno}: unparsable feature value") from None
+            pid = pattern_ids.get(label_part)
+            if pid is None:
+                patterns.append(_parse_label_indices(label_part, k, f"{path}:{lno}"))
+                pid = pattern_ids[label_part] = len(patterns) - 1
+            pattern_of_row.append(pid)
+            row += 1
     if row != n:
         raise ValueError(f"{path}: expected {n} data rows, found {row}")
+    pattern_labels = np.zeros((len(patterns), k), dtype=np.uint8)
+    for pid, indices in enumerate(patterns):
+        pattern_labels[pid, indices] = 1
+    labels = pattern_labels[np.array(pattern_of_row, dtype=np.intp)]
     return Dataset(features, labels, tag=tag)

@@ -249,7 +249,6 @@ class SplitArtifacts:
     singles_pool: Dataset
     test: Dataset
     full: Dataset
-    singles_all: Dataset
 
 
 @dataclass
@@ -286,13 +285,12 @@ def prepare_data(cfg: ExperimentConfig) -> SplitArtifacts:
     multi_train, singles_train = datagen.strip_single_label(train_all)
     multi_test, _ = datagen.strip_single_label(test_all)
 
-    split = SplitSpec(cfg.trusted_fraction, seed=root.derive_seed("gold-split"),
-                      single_label_limit_per_class=cfg.single_label_limit)
+    split = SplitSpec(cfg.trusted_fraction, seed=root.derive_seed("gold-split"))
     gold, silver_clean = datagen.split_gold_silver(multi_train, split)
     pool = datagen.build_single_label_pool(singles_train, cfg.single_label_limit,
                                            seed=root.derive_seed("single-pool"))
     return SplitArtifacts(gold=gold, silver_clean=silver_clean, singles_pool=pool,
-                          test=multi_test, full=full, singles_all=singles_train)
+                          test=multi_test, full=full)
 
 
 def training_matrix(report: estimator.EstimationReport, form: str) -> CorruptionMatrix:

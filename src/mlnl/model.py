@@ -449,24 +449,47 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a `save_model` checkpoint; malformed, truncated or overlong files
+    raise ValueError citing `path:line`."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(lno, ln) for lno, ln in enumerate(fh.read().splitlines(), start=1)
+                 if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty checkpoint")
-    head = lines[0].split()
+    head_lno, head_line = lines[0]
+    head = head_line.split()
     if len(head) < 5 or head[0] != "MLPM" or head[1] != "v1":
-        raise ValueError(f"{path}: malformed checkpoint header")
+        raise ValueError(f"{path}:{head_lno}: malformed checkpoint header")
     activation = head[-1]
-    sizes = [int(t) for t in head[2:-1]]
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"{path}:{head_lno}: unknown activation {activation!r}")
+    try:
+        sizes = [int(t) for t in head[2:-1]]
+    except ValueError:
+        raise ValueError(f"{path}:{head_lno}: layer sizes must be integers") from None
+    if min(sizes) < 1:
+        raise ValueError(f"{path}:{head_lno}: layer sizes must be >= 1")
+
+    rows = iter(lines[1:])
+    end_lno = lines[-1][0] + 1
+
+    def parameter_row(width: int) -> list[float]:
+        lno, text = next(rows, (end_lno, None))
+        if text is None:
+            raise ValueError(f"{path}:{lno}: checkpoint ends before its last bias line")
+        try:
+            values = [float(t) for t in text.split()]
+        except ValueError:
+            raise ValueError(f"{path}:{lno}: unparsable parameter value") from None
+        if len(values) != width:
+            raise ValueError(f"{path}:{lno}: expected {width} values, got {len(values)}")
+        return values
+
     weights, biases = [], []
-    ptr = 1
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.array([[float(t) for t in lines[ptr + r].split()] for r in range(fan_out)])
-        ptr += fan_out
-        b = np.array([float(t) for t in lines[ptr].split()])
-        ptr += 1
-        if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
-            raise ValueError(f"{path}: parameter block shape mismatch")
-        weights.append(w)
-        biases.append(b)
+        weights.append(np.array([parameter_row(fan_in) for _ in range(fan_out)]))
+        biases.append(np.array(parameter_row(fan_out)))
+    extra = next(rows, None)
+    if extra is not None:
+        raise ValueError(f"{path}:{extra[0]}: data after the last bias line")
     return MlpModel(weights, biases, activation)

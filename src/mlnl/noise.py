@@ -22,6 +22,7 @@ KIND_TRUE = "true_row_stochastic"
 KIND_RAW = "estimated_raw"
 KIND_SCALED = "estimated_scaled"
 _KINDS = (KIND_TRUE, KIND_RAW, KIND_SCALED)
+_MASK_BYTES = 1 << 22
 
 
 @dataclass(eq=False)
@@ -177,15 +178,16 @@ def empirical_matrix(clean: Dataset, noisy: Dataset) -> tuple[CorruptionMatrix, 
 
     departures = (c == 1) & (z == 0)
     arrivals = (z == 1) & (c == 0)
-    touched = np.flatnonzero(departures.any(axis=1))
-    for i in touched:
-        dep = np.flatnonzero(departures[i])
-        arr = np.flatnonzero(arrivals[i])
-        if arr.size == 0:
-            continue
-        share = 1.0 / arr.size
-        for s in dep:
-            counts[s, arr] += share
+    touched = np.flatnonzero(departures.any(axis=1) & arrivals.any(axis=1))
+    share = 1.0 / arrivals[touched].sum(axis=1)
+    # (sample, departed, arrived) triples in sample order; np.add.at adds them
+    # in that order, so each cell sums its shares sample by sample. Samples go
+    # in blocks so the departures x arrivals mask stays near _MASK_BYTES.
+    step = max(1, _MASK_BYTES // (k * k))
+    for lo in range(0, touched.size, step):
+        block = touched[lo:lo + step]
+        i, s, a = np.nonzero(departures[block, :, None] & arrivals[block, None, :])
+        np.add.at(counts, (s, a), share[lo + i])
 
     missing = [i for i in range(k) if clean.labels[:, i].sum() == 0]
     rows = np.zeros_like(counts)
@@ -234,24 +236,34 @@ def write_matrix(cm: CorruptionMatrix, path) -> None:
 
 
 def read_matrix(path) -> CorruptionMatrix:
+    """Read the CSV form; malformed files raise ValueError citing `path:line`."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(lno, ln.strip()) for lno, ln in enumerate(fh.read().splitlines(), start=1)
+                 if ln.strip()]
     kind = KIND_RAW
     eta = None
-    if raw and raw[0].startswith("#"):
-        for token in raw[0][1:].split():
+    if lines and lines[0][1].startswith("#"):
+        head_lno, head = lines.pop(0)
+        for token in head[1:].split():
             if token.startswith("kind="):
                 kind = token[5:]
             elif token.startswith("eta="):
-                eta = float(token[4:])
-        raw = raw[1:]
+                try:
+                    eta = float(token[4:])
+                except ValueError:
+                    raise ValueError(f"{path}:{head_lno}: unparsable eta {token[4:]!r}") from None
     rows = []
-    for lno, line in enumerate(raw, start=1):
+    for lno, line in lines:
         try:
             rows.append([float(t) for t in line.split(",")])
         except ValueError:
-            raise ValueError(f"{path}: unparsable matrix row {lno}") from None
+            raise ValueError(f"{path}:{lno}: unparsable matrix row") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{path}:{lno}: expected {len(rows[0])} values, got {len(rows[-1])}")
     m = np.asarray(rows, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{path}: matrix is not square ({m.shape})")
-    return CorruptionMatrix(m, kind, eta=eta)
+    try:
+        return CorruptionMatrix(m, kind, eta=eta)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

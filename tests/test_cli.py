@@ -3,6 +3,7 @@ import pytest
 
 from mlnl.cli import main
 from mlnl.datagen import read_dataset
+from mlnl.model import init_model, save_model
 from mlnl.noise import read_matrix
 
 
@@ -138,6 +139,20 @@ class TestErrors:
     def test_missing_file_reported(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "train-silver"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        ckpt = out / "model.mlpm"
+        save_model(init_model([10, 12, 5], "tanh", 1.0, seed=1), ckpt)
+        ckpt.write_text("\n".join(ckpt.read_text().splitlines()[:3]) + "\n")
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), "evaluate",
+                     "--model", str(ckpt), "--data", str(out / "test.mlnl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "model.mlpm:4: checkpoint ends" in err
+        assert "Traceback" not in err
 
 
 class TestAblateCommand:

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlnl.datagen import (Dataset, GenConfig, SplitSpec, build_single_label_pool,
-                          datasets_equal, generate, read_dataset, split_gold_silver,
-                          strip_single_label, write_dataset)
+from mlnl.datagen import (Dataset, GenConfig, SplitSpec, _base_weights, _row_means,
+                          _sample_labels, build_single_label_pool, datasets_equal, generate,
+                          read_dataset, split_gold_silver, strip_single_label, write_dataset)
+from mlnl.numerics import RandomStream
 
 
 def small_dataset(n=20, k=5, d=3, seed=0, cards=None):
@@ -59,6 +60,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="exceeds class count"):
             generate(GenConfig(n=10, d=2, k=3, mean_labels_per_sample=4.0)).n
 
+    def test_rejects_class_weight_underflow(self):
+        # 20^-400 underflows to 0: that class could only be reached by clamping
+        with pytest.raises(ValueError, match="underflows the weight of class"):
+            generate(GenConfig(n=10, d=2, k=20, mean_labels_per_sample=3.0,
+                               imbalance_exponent=400.0))
+        GenConfig(n=10, d=2, k=20, mean_labels_per_sample=3.0, imbalance_exponent=200.0).validate()
+
     def test_imbalance_orders_frequencies(self):
         ds = generate(GenConfig(n=6000, d=4, k=8, mean_labels_per_sample=2.0,
                                 imbalance_exponent=2.0, seed=5))
@@ -68,6 +76,56 @@ class TestGenerate:
     def test_every_sample_keeps_a_negative(self):
         ds = generate(GenConfig(n=3000, d=4, k=8, mean_labels_per_sample=2.9, seed=9))
         assert ds.cardinalities().max() < 8
+
+
+def reference_labels(cards, base_w, aff, rho, stream):
+    """Per-sample, per-label loop that `_sample_labels` computes in rounds."""
+    n, k = len(cards), len(base_w)
+    labels = np.zeros((n, k), dtype=np.uint8)
+    for i in range(n):
+        chosen = []
+        for _ in range(int(cards[i])):
+            w = base_w.copy()
+            if chosen:
+                w[chosen] = 0.0
+                if rho > 0.0:
+                    a = aff[chosen].mean(axis=0)
+                    a[chosen] = 0.0
+                    mean_a = a[w > 0.0].mean()
+                    rel = a / mean_a if mean_a > 0 else np.ones_like(a)
+                    w = w * ((1.0 - rho) + rho * rel)
+            u = stream.uniform() * w.sum()
+            chosen.append(min(int(np.searchsorted(np.cumsum(w), u, side="right")), k - 1))
+        labels[i, chosen] = 1
+    return labels
+
+
+class TestSampleLabelsOracle:
+    def test_row_means_keep_per_row_summation_order(self):
+        # a zero-filled row sum groups numpy's pairwise sum differently and
+        # misses these bits on about a third of the rows
+        rng = np.random.default_rng(0)
+        a = rng.uniform(size=(500, 20)) ** 4
+        valid = rng.uniform(size=(500, 20)) < 0.7
+        valid[:, 0] = True
+        want = np.array([row[keep].mean() for row, keep in zip(a, valid)])
+        assert _row_means(a, valid).tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=2 ** 32),
+           st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.floats(min_value=0.0, max_value=3.0),
+           st.booleans())
+    def test_rounds_match_per_sample_loop(self, k, seed, rho, exponent, flat_affinity):
+        rng = np.random.default_rng(seed)
+        cards = rng.integers(1, (k - 1 if k >= 3 else k) + 1, size=150)
+        aff = np.zeros((k, k))
+        if not flat_affinity:  # all-zero affinity takes the rel = 1 branch
+            aff[np.triu_indices(k, 1)] = rng.uniform(size=k * (k - 1) // 2) ** 4
+            aff = aff + aff.T
+        base_w = _base_weights(k, exponent)
+        got = _sample_labels(cards, base_w, aff, rho, RandomStream(seed))
+        want = reference_labels(cards, base_w, aff, rho, RandomStream(seed))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestStripSingleLabel:

@@ -320,3 +320,33 @@ class TestCheckpoint:
         path.write_text("NOPE v1 2 2 tanh\n")
         with pytest.raises(ValueError):
             load_model(path)
+
+    def saved_lines(self, tmp_path):
+        path = tmp_path / "m.mlpm"
+        save_model(rand_model(sizes=(3, 4, 2), seed=22), path)
+        return path, path.read_text().splitlines()
+
+    def test_truncated_checkpoint_cites_end_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:-2]) + "\n")
+        with pytest.raises(ValueError, match=rf"m\.mlpm:{len(lines) - 1}: checkpoint ends"):
+            load_model(path)
+
+    def test_non_integer_layer_size_cites_line_one(self, tmp_path):
+        path = tmp_path / "bad.mlpm"
+        path.write_text("MLPM v1 3 four 2 tanh\n")
+        with pytest.raises(ValueError, match=r"bad\.mlpm:1: layer sizes must be integers"):
+            load_model(path)
+
+    def test_trailing_data_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(lines + ["0.5 0.5"]) + "\n")
+        with pytest.raises(ValueError, match=rf"m\.mlpm:{len(lines) + 1}: data after the last"):
+            load_model(path)
+
+    def test_short_weight_row_cites_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines[2] = lines[2].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"m\.mlpm:3: expected 3 values, got 2"):
+            load_model(path)

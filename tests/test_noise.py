@@ -180,6 +180,12 @@ class TestMatrixFile:
         with pytest.raises(ValueError, match="square"):
             read_matrix(path)
 
+    def test_ragged_row_cites_line(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("# kind=estimated_raw K=2\n0.5,0.5\n0.25\n")
+        with pytest.raises(ValueError, match=r"ragged\.csv:3: expected 2 values, got 1"):
+            read_matrix(path)
+
 
 class TestRowNormalized:
     def test_rows_sum_to_one(self):
