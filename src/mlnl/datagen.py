@@ -368,6 +368,7 @@ def read_dataset(path) -> Dataset:
         pattern_ids: dict[str, int] = {}  # each distinct label text is checked once
         patterns: list[list[int]] = []
         pattern_of_row: list[int] = []
+        line_of_row: list[int] = []
         row = 0
         for lno, line in lines:
             s = line.strip()
@@ -392,9 +393,13 @@ def read_dataset(path) -> Dataset:
                 patterns.append(_parse_label_indices(label_part, k, f"{path}:{lno}"))
                 pid = pattern_ids[label_part] = len(patterns) - 1
             pattern_of_row.append(pid)
+            line_of_row.append(lno)
             row += 1
     if row != n:
         raise ValueError(f"{path}: expected {n} data rows, found {row}")
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{line_of_row[int(np.argmin(finite))]}: features must be finite")
     pattern_labels = np.zeros((len(patterns), k), dtype=np.uint8)
     for pid, indices in enumerate(patterns):
         pattern_labels[pid, indices] = 1

@@ -32,7 +32,12 @@ def average_precision(scores, relevance) -> float:
     r = int(rel.sum())
     if r == 0:
         raise ValueError("average_precision is undefined without relevant items")
-    order = np.argsort(-scores, kind="stable")
+    keys = -scores
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if not (ranked[1:] > ranked[:-1]).all():
+        # ties or NaN: only the stable order breaks them by original index
+        order = np.argsort(keys, kind="stable")
     hits = rel[order]
     cum_hits = np.cumsum(hits)
     ranks = np.arange(1, len(scores) + 1)

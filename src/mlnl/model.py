@@ -12,11 +12,19 @@ The per-sample loss sums coordinates; batches are averaged. The margin kink
 at p == margin uses the zero branch, so the gradient there is exactly 0.
 The corrected variant evaluates the same loss on q = M^T p for a fixed
 correction matrix M, backpropagating through the linear map.
+
+Training keeps every parameter in one flat float64 buffer (the layers are
+views into it), runs one fused loss-and-gradient pass per batch and one
+Adam update over the whole buffer. Every element goes through the same
+float operations in the same order as a per-layer, per-term formulation,
+so results are bit-reproducible across refactors (tests pin the bytes).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,9 +145,27 @@ class EpochStats:
 
 @dataclass
 class ForwardResult:
+    """Logits and the sigmoid readout; the softmax readout is computed on first read."""
+
     logits: np.ndarray
     p_sig: np.ndarray
-    p_soft: np.ndarray
+
+    @cached_property
+    def p_soft(self) -> np.ndarray:
+        return softmax(self.logits, axis=-1)
+
+
+def _layers(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The batch `x` followed by each hidden layer's output, and the logits."""
+    acts = [x]
+    tanh = model.activation == "tanh"
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = acts[-1] @ w.T
+        z += b
+        acts.append(np.tanh(z, out=z) if tanh else np.maximum(z, 0.0, out=z))
+    logits = acts[-1] @ model.weights[-1].T
+    logits += model.biases[-1]
+    return acts, logits
 
 
 def forward(model: MlpModel, x) -> ForwardResult:
@@ -147,68 +173,91 @@ def forward(model: MlpModel, x) -> ForwardResult:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     a = x[None, :] if single else x
-    if a.shape[1] != model.layer_sizes[0]:
-        raise ValueError(f"expected {model.layer_sizes[0]} features, got {a.shape[1]}")
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = a @ w.T + b
-        a = np.tanh(z) if model.activation == "tanh" else np.maximum(z, 0.0)
-    logits = a @ model.weights[-1].T + model.biases[-1]
-    p_sig = sigmoid(logits)
-    p_soft = softmax(logits, axis=-1)
+    if a.shape[1] != model.weights[0].shape[1]:
+        raise ValueError(f"expected {model.weights[0].shape[1]} features, got {a.shape[1]}")
+    logits = _layers(model, a)[1]
     if single:
-        return ForwardResult(logits[0], p_sig[0], p_soft[0])
-    return ForwardResult(logits, p_sig, p_soft)
+        logits = logits[0]
+    return ForwardResult(logits, sigmoid(logits))
 
 
-def _clip(p: np.ndarray, eps: float) -> np.ndarray:
-    return np.clip(p, eps, 1.0 - eps)
+def _asl_terms_and_slopes(eff: np.ndarray, y: np.ndarray, params: AslParams,
+                          slopes: bool = True):
+    """Per-coordinate asymmetric loss of the probabilities `eff` against the
+    boolean labels `y`, and (when `slopes`) its derivative w.r.t. `eff`,
+    which is 0 where the clamp to [eps, 1-eps] is active.
+
+    Loss and derivative share the clamp, log(p), p_m, log(1 - p_m) and
+    pow(p_m, g_minus). Every coordinate gets the same bits as the per-term
+    forms `y*pos + (1-y)*neg` and `y*dpos + (1-y)*dneg` on y in {0, 1}:
+    pos > 0 and neg, dneg >= +0.0, so the term multiplied by 0 drops out
+    exactly; only dpos < 0 can underflow to -0.0 (when g_plus > 0), which
+    the form's `+ 0*dneg` turns into +0.0.
+    """
+    gp, gm, margin, eps = params.gamma_plus, params.gamma_minus, params.margin, params.clamp_eps
+    hi = 1.0 - eps
+    pc = np.maximum(eff, eps)
+    np.minimum(pc, hi, out=pc)
+    log_pc = np.log(pc)
+    if gp == 0.0:
+        pos = log_pc  # -pow(1 - p, 0) * log(p), negated below
+    else:
+        one_m_p = 1.0 - pc
+        w_pos = np.power(one_m_p, gp)
+        pos = w_pos * log_pc
+    pm = pc - margin  # below 1 - eps already, so the upper clamp is a no-op
+    np.maximum(pm, 0.0, out=pm)
+    pw = np.power(pm, gm)  # 0**0 == 1 covers gamma_minus = 0
+    l1p = np.log1p(np.negative(pm))
+    terms = np.where(y, pos, pw * l1p)
+    np.negative(terms, out=terms)
+    if not slopes:
+        return terms, None
+
+    if gp == 0.0:
+        dpos = np.divide(-1.0, pc)
+    else:
+        dpos = np.negative(w_pos) / pc
+        dpos += gp * np.power(one_m_p, gp - 1.0) * log_pc
+        dpos += 0.0  # -0.0 -> +0.0, as y*dpos + (1-y)*dneg gives
+    dneg = pw / (1.0 - pm)  # +0 below the margin when gamma_minus > 0
+    if gm == 0.0:
+        dneg = np.where(pc > margin, dneg, 0.0)
+    else:
+        # the 0.5 placeholder keeps pow(0, g_minus - 1) finite for g_minus < 1;
+        # below the margin the subtracted term is -0.0 either way
+        base = pm if gm >= 1.0 else np.where(pc > margin, pm, 0.5)
+        dneg -= gm * np.power(base, gm - 1.0) * l1p
+    d = np.where(y, dpos, dneg)
+    unclamped = eff > eps
+    unclamped &= eff < hi
+    np.multiply(d, unclamped, out=d)
+    return terms, d
 
 
-def _asl_terms(pc: np.ndarray, y: np.ndarray, params: AslParams) -> np.ndarray:
-    """Per-coordinate loss on already-clipped probabilities."""
-    gp, gm, m, eps = params.gamma_plus, params.gamma_minus, params.margin, params.clamp_eps
-    pos = -np.power(1.0 - pc, gp) * np.log(pc)
-    pm = np.minimum(np.maximum(pc - m, 0.0), 1.0 - eps)
-    neg = -np.power(pm, gm) * np.log1p(-pm)  # 0**0 == 1 covers gamma_minus = 0
-    return y * pos + (1.0 - y) * neg
-
-
-def _asl_dloss_dpc(pc: np.ndarray, y: np.ndarray, params: AslParams) -> np.ndarray:
-    """d(loss)/d(clipped probability), with the zero branch below the margin."""
-    gp, gm, m = params.gamma_plus, params.gamma_minus, params.margin
-    one_m_p = 1.0 - pc
-    dpos = -np.power(one_m_p, gp) / pc
-    if gp != 0.0:
-        dpos = dpos + gp * np.power(one_m_p, gp - 1.0) * np.log(pc)
-    pm = np.maximum(pc - m, 0.0)
-    active = pc > m
-    safe_pm = np.where(active, pm, 0.5)  # placeholder where masked out
-    dneg = np.where(active, np.power(safe_pm, gm) / (1.0 - safe_pm), 0.0)
-    if gm != 0.0:
-        dneg = dneg - np.where(
-            active, gm * np.power(safe_pm, gm - 1.0) * np.log1p(-safe_pm), 0.0)
-    return y * dpos + (1.0 - y) * dneg
+def _binary(y) -> np.ndarray:
+    yv = np.asarray(y)
+    yb = yv.astype(bool)
+    if not np.array_equal(yb, yv):
+        raise ValueError("labels must be 0 or 1")
+    return yb
 
 
 def asl_loss(p_sig, y, params: AslParams):
     """Asymmetric loss summed over classes; batched input returns per-row sums."""
     params.validate()
     p = np.asarray(p_sig, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    pc = _clip(p, params.clamp_eps)
-    per = _asl_terms(pc, yv, params).sum(axis=-1)
+    terms, _ = _asl_terms_and_slopes(p, _binary(y), params, slopes=False)
+    per = terms.sum(axis=-1)
     return float(per) if per.ndim == 0 else per
 
 
 def asl_grad(logits, y, params: AslParams):
     """Analytic gradient of asl_loss(sigmoid(logits), y) w.r.t. the logits."""
     params.validate()
-    z = np.asarray(logits, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    p = sigmoid(z)
-    pc = _clip(p, params.clamp_eps)
-    mask = (p > params.clamp_eps) & (p < 1.0 - params.clamp_eps)
-    return _asl_dloss_dpc(pc, yv, params) * mask * p * (1.0 - p)
+    p = sigmoid(np.asarray(logits, dtype=np.float64))
+    _, d = _asl_terms_and_slopes(p, _binary(y), params)
+    return d * p * (1.0 - p)
 
 
 def corrected_loss(c_hat, logits, y_noisy, params: AslParams,
@@ -220,117 +269,101 @@ def corrected_loss(c_hat, logits, y_noisy, params: AslParams,
     """
     params.validate()
     z = np.asarray(logits, dtype=np.float64)
-    yv = np.asarray(y_noisy, dtype=np.float64)
+    yv = _binary(y_noisy)
     single = z.ndim == 1
     zb = z[None, :] if single else z
     yb = yv[None, :] if single else yv
-    k = zb.shape[1]
-    mode = CorrectedMode(c_hat, normalize=normalize)
-    m = mode.effective_matrix(k)
+    m = CorrectedMode(c_hat, normalize=normalize).effective_matrix(zb.shape[1])
 
     p = sigmoid(zb)
-    q_raw = p @ m
-    qc = _clip(q_raw, params.clamp_eps)
-    loss = _asl_terms(qc, yb, params).sum(axis=-1)
-    mask = (q_raw > params.clamp_eps) & (q_raw < 1.0 - params.clamp_eps)
-    dq = _asl_dloss_dpc(qc, yb, params) * mask
+    terms, dq = _asl_terms_and_slopes(p @ m, yb, params)
+    loss = terms.sum(axis=-1)
     grad = (dq @ m.T) * p * (1.0 - p)
     if single:
         return float(loss[0]), grad[0]
     return loss, grad
 
 
-def _hidden_forward(model: MlpModel, x: np.ndarray):
-    acts = [x]
-    pre = []
-    a = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = a @ w.T + b
-        pre.append(z)
-        a = np.tanh(z) if model.activation == "tanh" else np.maximum(z, 0.0)
-        acts.append(a)
-    logits = a @ model.weights[-1].T + model.biases[-1]
-    return acts, pre, logits
+def _split(buf: np.ndarray, model: MlpModel) -> tuple[list, list]:
+    """Views of `buf` shaped like the model's weights, then its biases."""
+    views, off = [], 0
+    for t in model.weights + model.biases:
+        views.append(buf[off:off + t.size].reshape(t.shape))
+        off += t.size
+    n = len(model.weights)
+    return views[:n], views[n:]
 
 
-def _loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray,
-                    params: AslParams, mode) -> tuple[float, list, list]:
-    """Mean batch loss plus parameter gradients; `mode` is "asl" or CorrectedMode."""
-    acts, pre, logits = _hidden_forward(model, x)
-    p = sigmoid(logits)
-    n = x.shape[0]
+class _Objective:
+    """Mean batch loss of a model, plain or corrected, and its gradient.
 
-    if isinstance(mode, CorrectedMode):
-        m = mode.effective_matrix(logits.shape[1])
-        gold = (np.zeros(n, dtype=bool) if mode.gold_mask is None
-                else np.asarray(mode.gold_mask, dtype=bool))
-        eff = p.copy()
-        silver = ~gold
-        if silver.any():
-            eff[silver] = p[silver] @ m
-    else:
-        eff = p
+    The parameters live in one flat buffer `theta` (weights, then biases);
+    `model` is made of views into it and `grad` has the same layout. This
+    one forward-and-loss pass serves the trainer, which also fills `grad`,
+    and the finite-difference checker, which perturbs `theta` in place.
+    """
 
-    effc = _clip(eff, params.clamp_eps)
-    loss_rows = _asl_terms(effc, y, params).sum(axis=-1)
-    mask = (eff > params.clamp_eps) & (eff < 1.0 - params.clamp_eps)
-    d_eff = _asl_dloss_dpc(effc, y, params) * mask
-    if isinstance(mode, CorrectedMode):
-        dp = d_eff.copy()
-        if silver.any():
-            dp[silver] = d_eff[silver] @ m.T
-    else:
-        dp = d_eff
-    delta = dp * p * (1.0 - p) / n
+    def __init__(self, model: MlpModel, params: AslParams, mode):
+        self.theta = np.concatenate([t.ravel() for t in model.weights + model.biases])
+        self.model = MlpModel(*_split(self.theta, model), model.activation)
+        self.grad = np.empty_like(self.theta)
+        self.grad_w, self.grad_b = _split(self.grad, model)
+        self.tanh = model.activation == "tanh"
+        self.params = params
+        self.m = None
+        if isinstance(mode, CorrectedMode):
+            self.m = mode.effective_matrix(model.num_classes)
+            self.mt = self.m.T
 
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    grads_w[-1] = delta.T @ acts[-1]
-    grads_b[-1] = delta.sum(axis=0)
-    back = delta
-    for l in range(len(model.weights) - 2, -1, -1):
-        back = back @ model.weights[l + 1]
-        if model.activation == "tanh":
-            back = back * (1.0 - np.tanh(pre[l]) ** 2)
+    def loss(self, x: np.ndarray, y: np.ndarray, silver: np.ndarray | None = None,
+             backward: bool = True) -> float:
+        """Mean loss of the batch (`y` boolean). In corrected mode the rows
+        indexed by `silver` fit M^T p and the others, the gold rows, fit
+        their own labels; `silver=None` makes every row silver. With
+        `backward`, also fills `grad`."""
+        acts, logits = _layers(self.model, x)
+        p = sigmoid(logits)
+
+        m = self.m
+        if m is None:
+            eff = p
+        elif silver is None:
+            eff = p @ m
         else:
-            back = back * (pre[l] > 0)
-        grads_w[l] = back.T @ acts[l]
-        grads_b[l] = back.sum(axis=0)
-    return float(loss_rows.mean()), grads_w, grads_b
+            # the silver rows alone: BLAS may round a row of a smaller product differently
+            eff = p.copy()
+            if silver.size:
+                eff[silver] = p[silver] @ m
+        terms, d_eff = _asl_terms_and_slopes(eff, y, self.params, backward)
+        n = x.shape[0]
+        loss = float(np.add.reduce(np.add.reduce(terms, axis=1))) / n
+        if not backward:
+            return loss
 
-
-def _batch_loss(model: MlpModel, x: np.ndarray, y: np.ndarray,
-                params: AslParams, mode) -> float:
-    _, _, logits = _hidden_forward(model, x)
-    p = sigmoid(logits)
-    if isinstance(mode, CorrectedMode):
-        m = mode.effective_matrix(logits.shape[1])
-        gold = (np.zeros(x.shape[0], dtype=bool) if mode.gold_mask is None
-                else np.asarray(mode.gold_mask, dtype=bool))
-        eff = p.copy()
-        if (~gold).any():
-            eff[~gold] = p[~gold] @ m
-    else:
-        eff = p
-    return float(_asl_terms(_clip(eff, params.clamp_eps), y, params).sum(axis=-1).mean())
-
-
-class _Adam:
-    def __init__(self, shapes, lr):
-        self.lr = lr
-        self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-
-    def step(self, tensors, grads):
-        self.t += 1
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for i, (th, g) in enumerate(zip(tensors, grads)):
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            th -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + eps)
+        if m is None:
+            dp = d_eff
+        elif silver is None:
+            dp = d_eff @ self.mt
+        else:
+            dp = d_eff.copy()
+            if silver.size:
+                dp[silver] = d_eff[silver] @ self.mt
+        back = dp * p
+        back *= 1.0 - p
+        back /= n
+        for l in range(len(acts) - 1, -1, -1):
+            np.matmul(back.T, acts[l], out=self.grad_w[l])
+            np.add.reduce(back, axis=0, out=self.grad_b[l])
+            if l:
+                back = back @ self.model.weights[l]
+                a = acts[l]
+                if self.tanh:
+                    slope = a * a
+                    np.subtract(1.0, slope, out=slope)
+                    back *= slope
+                else:
+                    back *= a > 0
+        return loss
 
 
 def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
@@ -341,27 +374,31 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
     `loss_mode` is "asl" or a CorrectedMode whose gold_mask marks trusted
     samples (trained with plain asymmetric loss against their own labels).
     Always returns the last-epoch model; per-epoch reports are computed on
-    `eval_data` when given, otherwise on the training data.
+    `eval_data` when given, otherwise on the training data. A non-finite
+    batch loss, or non-finite parameters or evaluation scores after an
+    epoch, raise ValueError.
     """
     cfg.validate()
     params = params or AslParams()
     params.validate()
-    model = model.copy()
     x = data.features
-    y = data.labels.astype(np.float64)
+    y = data.labels.astype(bool)
     n = x.shape[0]
     shuffle_stream = RandomStream(cfg.seed).derive("shuffle")
-
-    opt = None
-    if cfg.optimizer == "adam":
-        shapes = [w.shape for w in model.weights] + [b.shape for b in model.biases]
-        opt = _Adam(shapes, cfg.lr)
 
     gold_mask = None
     if isinstance(loss_mode, CorrectedMode) and loss_mode.gold_mask is not None:
         gold_mask = np.asarray(loss_mode.gold_mask, dtype=bool)
         if gold_mask.shape != (n,):
             raise ValueError("gold_mask must have one entry per training sample")
+    objective = _Objective(model, params, loss_mode)
+    theta, grad = objective.theta, objective.grad
+    adam = cfg.optimizer == "adam"
+    if adam:
+        b1, b2, adam_eps = 0.9, 0.999, 1e-8
+        mom, vel = np.zeros_like(theta), np.zeros_like(theta)
+        tmp, den = np.empty_like(theta), np.empty_like(theta)
+        t = 0
 
     history: list[EpochStats] = []
     ev_x = eval_data.features if eval_data is not None else x
@@ -369,68 +406,73 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
 
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_stream.permutation(n)
+        xs, ys = x[perm], y[perm]
+        gs = gold_mask[perm] if gold_mask is not None else None
         total = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            if isinstance(loss_mode, CorrectedMode):
-                batch_mode = CorrectedMode(loss_mode.matrix,
-                                           gold_mask[idx] if gold_mask is not None else None,
-                                           loss_mode.normalize)
-            else:
-                batch_mode = "asl"
-            loss, gw, gb = _loss_and_grads(model, x[idx], y[idx], params, batch_mode)
-            if not np.isfinite(loss):
+            stop = min(start + cfg.batch_size, n)
+            silver = None if gs is None else (~gs[start:stop]).nonzero()[0]
+            loss = objective.loss(xs[start:stop], ys[start:stop], silver)
+            if not math.isfinite(loss):
                 raise ValueError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size + 1}")
-            total += loss * len(idx)
-            if opt is not None:
-                opt.step(model.weights + model.biases, gw + gb)
+            total += loss * (stop - start)
+            if adam:
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+                # theta -= lr (m / c1) / (sqrt(v / c2) + eps), element by element
+                t += 1
+                c1 = 1.0 - b1 ** t
+                c2 = 1.0 - b2 ** t
+                mom *= b1
+                mom += np.multiply(grad, 1 - b1, out=tmp)
+                vel *= b2
+                np.multiply(grad, 1 - b2, out=tmp)
+                tmp *= grad
+                vel += tmp
+                np.divide(vel, c2, out=den)
+                np.sqrt(den, out=den)
+                den += adam_eps
+                np.divide(mom, c1, out=tmp)
+                tmp *= cfg.lr
+                tmp /= den
+                theta -= tmp
             else:
-                for w, g in zip(model.weights, gw):
-                    w -= cfg.lr * g
-                for b, g in zip(model.biases, gb):
-                    b -= cfg.lr * g
-        scores = forward(model, ev_x).p_sig
+                theta -= cfg.lr * grad
+        if not np.isfinite(theta).all():
+            raise ValueError(f"non-finite parameters after epoch {epoch}")
+        scores = forward(objective.model, ev_x).p_sig
+        if not np.isfinite(scores).all():
+            raise ValueError(f"non-finite evaluation scores after epoch {epoch}")
         report = evaluate(scores, ev_y)
         history.append(EpochStats(epoch=epoch, loss=total / n, report=report))
-    return model, history
-
-
-def _flatten_params(model: MlpModel) -> np.ndarray:
-    return np.concatenate([t.ravel() for t in model.weights + model.biases])
-
-
-def _unflatten_into(model: MlpModel, vec: np.ndarray) -> None:
-    off = 0
-    for t in model.weights + model.biases:
-        t[...] = vec[off:off + t.size].reshape(t.shape)
-        off += t.size
+    return objective.model.copy(), history
 
 
 def gradient_check(model: MlpModel, features, labels, params: AslParams,
                    mode="asl", h: float = 1e-5) -> float:
     """Max guarded relative error of analytic vs central-difference gradients.
 
-    Perturbs every parameter of the model; the batch is capped at 32 samples.
+    Perturbs every parameter of the model; the batch (and a corrected mode's
+    gold mask) is capped at 32 samples.
     """
     x = np.asarray(features, dtype=np.float64)[:32]
-    y = np.asarray(labels, dtype=np.float64)[:32]
-    _, gw, gb = _loss_and_grads(model, x, y, params, mode)
-    analytic = np.concatenate([g.ravel() for g in gw + gb])
+    y = _binary(labels)[:32]
+    silver = None
+    if isinstance(mode, CorrectedMode) and mode.gold_mask is not None:
+        silver = np.flatnonzero(~np.asarray(mode.gold_mask, dtype=bool)[:32])
+    objective = _Objective(model, params, mode)
+    objective.loss(x, y, silver)
+    analytic = objective.grad.copy()
 
-    probe = model.copy()
-    theta = _flatten_params(probe)
+    theta = objective.theta
     fd = np.empty_like(analytic)
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + h
-        _unflatten_into(probe, theta)
-        lp = _batch_loss(probe, x, y, params, mode)
+        lp = objective.loss(x, y, silver, backward=False)
         theta[i] = orig - h
-        _unflatten_into(probe, theta)
-        lm = _batch_loss(probe, x, y, params, mode)
+        lm = objective.loss(x, y, silver, backward=False)
         theta[i] = orig
         fd[i] = (lp - lm) / (2.0 * h)
-    _unflatten_into(probe, theta)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
     return float(np.max(np.abs(analytic - fd) / denom))
 

@@ -25,6 +25,26 @@ _KINDS = (KIND_TRUE, KIND_RAW, KIND_SCALED)
 _MASK_BYTES = 1 << 22
 
 
+def _invalid_row(m: np.ndarray, kind: str) -> tuple[int, str] | None:
+    """(row, reason) for the first row of the square `m` that breaks the entry
+    rules of `kind`, checking finiteness, then range, then row sums; else None."""
+    bad = ~np.isfinite(m).all(axis=1)
+    if bad.any():
+        return int(np.argmax(bad)), "corruption matrix entries must be finite"
+    if kind == KIND_TRUE:
+        bad = ((m < 0) | (m > 1)).any(axis=1)
+        if bad.any():
+            return int(np.argmax(bad)), "row-stochastic matrix entries must lie in [0, 1]"
+        for i in range(m.shape[0]):
+            if abs(math.fsum(m[i].tolist()) - 1.0) > 1e-12:
+                return i, f"row {i} does not sum to 1"
+    elif kind == KIND_SCALED:
+        bad = ((m <= 0) | (m >= 1)).any(axis=1)
+        if bad.any():
+            return int(np.argmax(bad)), "sigmoid-scaled entries must lie strictly in (0, 1)"
+    return None
+
+
 @dataclass(eq=False)
 class CorruptionMatrix:
     """K x K table of per-class label flip probabilities (or estimates thereof)."""
@@ -39,17 +59,9 @@ class CorruptionMatrix:
             raise ValueError("corruption matrix must be square")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("corruption matrix entries must be finite")
-        if self.kind == KIND_TRUE:
-            if np.any(self.matrix < 0) or np.any(self.matrix > 1):
-                raise ValueError("row-stochastic matrix entries must lie in [0, 1]")
-            for i in range(self.k):
-                if abs(math.fsum(self.matrix[i].tolist()) - 1.0) > 1e-12:
-                    raise ValueError(f"row {i} does not sum to 1")
-        elif self.kind == KIND_SCALED:
-            if np.any(self.matrix <= 0) or np.any(self.matrix >= 1):
-                raise ValueError("sigmoid-scaled entries must lie strictly in (0, 1)")
+        problem = _invalid_row(self.matrix, self.kind)
+        if problem is not None:
+            raise ValueError(problem[1])
 
     @property
     def k(self) -> int:
@@ -263,6 +275,10 @@ def read_matrix(path) -> CorruptionMatrix:
     m = np.asarray(rows, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{path}: matrix is not square ({m.shape})")
+    if kind in _KINDS:
+        problem = _invalid_row(m, kind)
+        if problem is not None:
+            raise ValueError(f"{path}:{lines[problem[0]][0]}: {problem[1]}")
     try:
         return CorruptionMatrix(m, kind, eta=eta)
     except ValueError as e:

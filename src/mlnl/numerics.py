@@ -121,11 +121,11 @@ class RandomStream:
 def sigmoid(x):
     """Numerically stable logistic function, safe for |x| up to ~700."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) otherwise (NaN too);
+    # min(x, -x) rather than -|x| keeps the sign bit of a NaN input
+    e = np.exp(np.minimum(x, np.negative(x)))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     if out.ndim == 0:
         return float(out)
     return out

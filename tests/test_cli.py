@@ -154,6 +154,55 @@ class TestErrors:
         assert "model.mlpm:4: checkpoint ends" in err
         assert "Traceback" not in err
 
+    def test_non_finite_feature_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        data = out / "test.mlnl"
+        lines = data.read_text().splitlines()
+        row = next(i for i, ln in enumerate(lines) if "|" in ln)
+        lines[row] = "nan " + lines[row].split(" ", 1)[1]
+        data.write_text("\n".join(lines) + "\n")
+        ckpt = out / "model.mlpm"
+        save_model(init_model([10, 12, 5], "tanh", 1.0, seed=1), ckpt)
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), "evaluate",
+                     "--model", str(ckpt), "--data", str(data)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"test.mlnl:{row + 1}: features must be finite" in err
+        assert "Traceback" not in err
+
+    def test_bad_matrix_row_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
+        bad = out / "bad.csv"
+        rows = ["1.0,0.0,0.0,0.0,0.0"] * 5
+        rows[3] = "0.9,0.2,0.0,0.0,0.0"
+        bad.write_text("# kind=true_row_stochastic K=5\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), "train-gold",
+                     "--correction", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bad.csv:5: row 3 does not sum to 1" in err
+        assert "Traceback" not in err
+
+    def test_diverging_training_exits_one(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(cfg_file.read_text() + "silver.optimizer = sgd\nsilver.lr = inf\n"
+                       "silver.batch_size = 100000\n")
+        run(["--config", cfg, "--out", out, "gen-data"])
+        run(["--config", cfg, "--out", out, "inject-noise", "--eta", 0.3])
+        capsys.readouterr()
+        code = main(["--config", str(cfg), "--out", str(out), "train-silver"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: non-finite parameters after epoch 1" in err
+        assert "Traceback" not in err
+        assert not (out / "silver_model.mlpm").exists()
+
 
 class TestAblateCommand:
     def test_limit_axis(self, tmp_path, cfg_file):

@@ -263,6 +263,13 @@ class TestDatasetFile:
         with pytest.raises(ValueError, match="ascending"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("token", ["nan", "1e999", "-inf"])
+    def test_non_finite_feature_cites_line(self, tmp_path, token):
+        path = tmp_path / "nonfinite.mlnl"
+        path.write_text(f"# tag=clean\nMLNL v1 3 2 2\n0.5 1.0 | 0\n\n0.5 {token} | 1\n1.0 1.0 | 0\n")
+        with pytest.raises(ValueError, match=r"nonfinite\.mlnl:5: features must be finite"):
+            read_dataset(path)
+
     def test_comment_after_header_rejected(self, tmp_path):
         path = tmp_path / "bad5.mlnl"
         path.write_text("MLNL v1 1 1 2\n# late comment\n0.0 | 0\n")

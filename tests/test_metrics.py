@@ -18,6 +18,17 @@ def ap_bruteforce(scores, relevance):
     return total / hits
 
 
+def ap_stable_reference(scores, rel):
+    """Average precision ranked by a stable argsort of -scores, the order the
+    fast path must reproduce."""
+    order = np.argsort(-scores, kind="stable")
+    hits = rel[order]
+    cum_hits = np.cumsum(hits)
+    ranks = np.arange(1, len(scores) + 1)
+    precisions = cum_hits[hits] / ranks[hits]
+    return float(precisions.sum() / int(rel.sum()))
+
+
 class TestAveragePrecision:
     def test_perfect_ranking(self):
         assert average_precision([0.9, 0.8, 0.3, 0.1], [1, 1, 0, 0]) == 1.0
@@ -45,6 +56,20 @@ class TestAveragePrecision:
         # indices 0 and 1 share a score; index 0 is ranked first
         assert average_precision([0.5, 0.5], [1, 0]) == 1.0
         assert average_precision([0.5, 0.5], [0, 1]) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan, np.inf]),
+                              st.booleans()), min_size=1, max_size=60),
+           st.integers(min_value=0, max_value=3))
+    def test_equals_stable_argsort_reference(self, items, extra_distinct):
+        # few distinct values (ties, signed zeros, NaN): the default-sort fast
+        # path must fall back to exactly the stable order
+        scores = np.array([t[0] for t in items], dtype=float)
+        scores[:extra_distinct] += np.arange(1, extra_distinct + 1)[:len(scores)] * 1e-3
+        rel = np.array([t[1] for t in items], dtype=bool)
+        if not rel.any():
+            rel[-1] = True
+        assert repr(average_precision(scores, rel)) == repr(ap_stable_reference(scores, rel))
 
     @settings(max_examples=40)
     @given(st.lists(st.tuples(st.integers(min_value=-1000, max_value=1000),

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlnl.datagen import Dataset
-from mlnl.model import (AslParams, CorrectedMode, MlpModel, TrainConfig, asl_grad,
-                        asl_loss, corrected_loss, forward, gradient_check, init_model,
-                        load_model, save_model, train)
+from mlnl.model import (AslParams, CorrectedMode, MlpModel, TrainConfig, _Objective,
+                        asl_grad, asl_loss, corrected_loss, forward, gradient_check,
+                        init_model, load_model, save_model, train)
 from mlnl.numerics import sigmoid
 
 BCE = AslParams(gamma_plus=0.0, gamma_minus=0.0, margin=0.0, clamp_eps=1e-7)
@@ -296,6 +300,34 @@ class TestTrain:
             train(init_model([4, 8, 3], "tanh", 1.0, seed=16), ds, mode,
                   TrainConfig(epochs=1, batch_size=32, lr=1e-3, seed=17))
 
+    def test_no_float_warning_below_the_margin(self):
+        # an output bias of -8 keeps every probability below the margin, where
+        # pow(p_m, gamma_minus - 1) would divide by zero without a placeholder
+        ds = toy_dataset(seed=18)
+        m0 = init_model([4, 8, 3], "tanh", 1.0, seed=19)
+        m0.biases[-1][:] = -8.0
+        params = AslParams(gamma_plus=0.0, gamma_minus=0.5, margin=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, hist = train(m0, ds, "asl", TrainConfig(epochs=2, batch_size=32, seed=20), params)
+        assert all(np.isfinite(h.loss) for h in hist)
+
+    def test_non_finite_parameters_name_the_epoch(self):
+        ds = toy_dataset(seed=21)
+        cfg = TrainConfig(epochs=2, batch_size=ds.n, lr=float("inf"), optimizer="sgd", seed=22)
+        with pytest.raises(ValueError, match="non-finite parameters after epoch 1"):
+            train(init_model([4, 8, 3], "tanh", 1.0, seed=23), ds, "asl", cfg)
+
+    def test_non_finite_evaluation_scores_name_the_epoch(self):
+        # each product overflows to +-inf, so every logit sums to inf - inf
+        ds = toy_dataset(seed=24)
+        model = MlpModel([np.full((3, 4), 2.0)], [np.zeros(3)], "tanh")
+        probe = Dataset(np.array([[1e308, 1e308, -1e308, -1e308]]), np.array([[1, 0, 0]]))
+        cfg = TrainConfig(epochs=2, batch_size=32, lr=0.0, optimizer="sgd", seed=25)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite evaluation scores after epoch 1"):
+                train(model, ds, "asl", cfg, eval_data=probe)
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
@@ -350,3 +382,121 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"m\.mlpm:3: expected 3 values, got 2"):
             load_model(path)
+
+
+# Reference: the per-batch training step that the fused `_Objective` replaced,
+# kept verbatim as an oracle (per-layer lists, y*pos + (1-y)*neg on float
+# labels, tanh recomputed in the backward pass).
+
+def _ref_clip(p, eps):
+    return np.clip(p, eps, 1.0 - eps)
+
+
+def _ref_asl_terms(pc, y, params):
+    gp, gm, m, eps = params.gamma_plus, params.gamma_minus, params.margin, params.clamp_eps
+    pos = -np.power(1.0 - pc, gp) * np.log(pc)
+    pm = np.minimum(np.maximum(pc - m, 0.0), 1.0 - eps)
+    neg = -np.power(pm, gm) * np.log1p(-pm)
+    return y * pos + (1.0 - y) * neg
+
+
+def _ref_asl_dloss_dpc(pc, y, params):
+    gp, gm, m = params.gamma_plus, params.gamma_minus, params.margin
+    one_m_p = 1.0 - pc
+    dpos = -np.power(one_m_p, gp) / pc
+    if gp != 0.0:
+        dpos = dpos + gp * np.power(one_m_p, gp - 1.0) * np.log(pc)
+    pm = np.maximum(pc - m, 0.0)
+    active = pc > m
+    safe_pm = np.where(active, pm, 0.5)
+    dneg = np.where(active, np.power(safe_pm, gm) / (1.0 - safe_pm), 0.0)
+    if gm != 0.0:
+        dneg = dneg - np.where(
+            active, gm * np.power(safe_pm, gm - 1.0) * np.log1p(-safe_pm), 0.0)
+    return y * dpos + (1.0 - y) * dneg
+
+
+def _ref_loss_and_grads(model, x, y, params, mode):
+    acts, pre = [x], []
+    a = x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = a @ w.T + b
+        pre.append(z)
+        a = np.tanh(z) if model.activation == "tanh" else np.maximum(z, 0.0)
+        acts.append(a)
+    logits = a @ model.weights[-1].T + model.biases[-1]
+    p = sigmoid(logits)
+    n = x.shape[0]
+    if isinstance(mode, CorrectedMode):
+        m = mode.effective_matrix(logits.shape[1])
+        gold = (np.zeros(n, dtype=bool) if mode.gold_mask is None
+                else np.asarray(mode.gold_mask, dtype=bool))
+        eff = p.copy()
+        silver = ~gold
+        if silver.any():
+            eff[silver] = p[silver] @ m
+    else:
+        eff = p
+    effc = _ref_clip(eff, params.clamp_eps)
+    loss_rows = _ref_asl_terms(effc, y, params).sum(axis=-1)
+    mask = (eff > params.clamp_eps) & (eff < 1.0 - params.clamp_eps)
+    d_eff = _ref_asl_dloss_dpc(effc, y, params) * mask
+    if isinstance(mode, CorrectedMode):
+        dp = d_eff.copy()
+        if silver.any():
+            dp[silver] = d_eff[silver] @ m.T
+    else:
+        dp = d_eff
+    delta = dp * p * (1.0 - p) / n
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    grads_w[-1] = delta.T @ acts[-1]
+    grads_b[-1] = delta.sum(axis=0)
+    back = delta
+    for l in range(len(model.weights) - 2, -1, -1):
+        back = back @ model.weights[l + 1]
+        if model.activation == "tanh":
+            back = back * (1.0 - np.tanh(pre[l]) ** 2)
+        else:
+            back = back * (pre[l] > 0)
+        grads_w[l] = back.T @ acts[l]
+        grads_b[l] = back.sum(axis=0)
+    return float(loss_rows.mean()), grads_w, grads_b
+
+
+class TestStepOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=8),
+           st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=2),
+           st.sampled_from(["tanh", "relu"]), st.integers(min_value=1, max_value=40),
+           st.sampled_from(["asl", "corrected", "all-silver"]),
+           st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.sampled_from([0.0, 0.5, 1.0, 4.0]),
+           st.sampled_from([0.0, 0.05, 0.2]), st.integers(min_value=0, max_value=2 ** 32))
+    def test_fused_step_matches_per_batch_step(self, k, d, hidden, activation, n, mode_kind,
+                                               gp, gm, margin, seed):
+        rng = np.random.default_rng(seed)
+        model = init_model([d, *hidden, k], activation, float(rng.uniform(0.5, 3.0)),
+                           seed=seed % 1000)
+        x = rng.normal(scale=2.0, size=(n, d))
+        y = (rng.uniform(size=(n, k)) < 0.4).astype(np.float64)
+        params = AslParams(gp, gm, margin, 1e-7)
+        silver = None
+        if mode_kind == "asl":
+            mode = batch_mode = "asl"
+        else:
+            c = rng.uniform(0.0, 1.0, size=(k, k)) + np.eye(k) * rng.uniform(0, 3)
+            normalize = bool(rng.integers(0, 2))
+            gold = None
+            if mode_kind == "corrected":
+                gold = rng.uniform(size=n) < rng.uniform(0.0, 1.0)
+                silver = np.flatnonzero(~gold)
+            mode = CorrectedMode(c, None, normalize)
+            batch_mode = CorrectedMode(c, gold, normalize)
+        ref_loss, ref_gw, ref_gb = _ref_loss_and_grads(model, x, y, params, batch_mode)
+
+        objective = _Objective(model, params, mode)
+        loss = objective.loss(x, y.astype(bool), silver)
+        assert repr(loss) == repr(ref_loss)
+        ref_grad = np.concatenate([g.ravel() for g in ref_gw + ref_gb])
+        assert objective.grad.tobytes() == ref_grad.tobytes()
+        assert objective.loss(x, y.astype(bool), silver, backward=False) == loss

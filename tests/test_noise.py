@@ -186,6 +186,22 @@ class TestMatrixFile:
         with pytest.raises(ValueError, match=r"ragged\.csv:3: expected 2 values, got 1"):
             read_matrix(path)
 
+    def test_row_sum_error_cites_line(self, tmp_path):
+        path = tmp_path / "sum.csv"
+        path.write_text("# kind=true_row_stochastic K=3\n1.0,0.0,0.0\n\n0.5,0.25,0.25\n"
+                        "0.5,0.5,0.25\n")
+        with pytest.raises(ValueError, match=r"sum\.csv:5: row 2 does not sum to 1"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("kind,bad", [("true_row_stochastic", "1.5"),
+                                          ("estimated_scaled", "0.0"),
+                                          ("estimated_raw", "nan")])
+    def test_range_error_cites_first_offending_line(self, tmp_path, kind, bad):
+        path = tmp_path / "range.csv"
+        path.write_text(f"# kind={kind} K=3\n0.5,0.25,0.25\n0.25,{bad},0.25\n{bad},0.25,0.25\n")
+        with pytest.raises(ValueError, match=r"range\.csv:3: (corruption|row-stochastic|sigmoid)"):
+            read_matrix(path)
+
 
 class TestRowNormalized:
     def test_rows_sum_to_one(self):
