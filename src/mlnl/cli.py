@@ -9,18 +9,15 @@ matrix CSVs. sweep and ablate orchestrate full experiment grids.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import datagen, estimator, harness, noise, svgplot
+from . import datagen, harness, noise, svgplot
 from .harness import ExperimentConfig, parse_config
 from .metrics import evaluate
-from .model import CorrectedMode, forward, init_model, load_model, save_model, train
-from .noise import NoiseSpec
-from .numerics import RandomStream
+# `train` is not called here; it stays bound in this module because
+# perfbench/test_tracer.py checks that the tracer wraps every binding of it.
+from .model import forward, load_model, save_model, train  # noqa: F401
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -60,9 +57,7 @@ def _cmd_inject_noise(args) -> int:
     out = _outdir(cfg)
     eta = args.eta if args.eta is not None else cfg.etas[0]
     silver = datagen.read_dataset(out / "silver_clean.mlnl")
-    root = RandomStream(cfg.seed)
-    spec = NoiseSpec(eta, seed=root.derive_seed("noise"), mode=cfg.noise_mode)
-    noisy, log = noise.inject(silver, spec)
+    noisy, log = harness.inject_noise(cfg, silver, eta)
     datagen.write_dataset(noisy, out / "silver_noisy.mlnl")
     true_c = noise.symmetric_matrix(silver.num_classes, eta)
     noise.write_matrix(true_c, out / "true_matrix.csv")
@@ -76,59 +71,49 @@ def _cmd_inject_noise(args) -> int:
     return 0
 
 
+def _read_test(out: Path):
+    """The held-out test split if gen-data wrote one; metrics then say "test"."""
+    path = out / "test.mlnl"
+    test = datagen.read_dataset(path) if path.exists() else None
+    return test, "test" if test is not None else "train"
+
+
 def _cmd_train_silver(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
     noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
-    test_path = out / "test.mlnl"
-    test = datagen.read_dataset(test_path) if test_path.exists() else None
-    root = RandomStream(cfg.seed)
-    layer_sizes = [noisy.num_features, *cfg.hidden, noisy.num_classes]
-    f0 = init_model(layer_sizes, cfg.activation, cfg.silver.init_scale,
-                    seed=root.derive_seed("silver-init"))
-    train_cfg = dataclasses.replace(cfg.silver, seed=root.derive_seed("silver-train"))
-    f, hist = train(f0, noisy, "asl", train_cfg, cfg.asl, eval_data=test)
+    test, split = _read_test(out)
+    f, hist = harness.train_silver(cfg, noisy, test)
     save_model(f, out / "silver_model.mlpm")
-    harness.write_metrics_csv(out / "silver_metrics.csv", hist,
-                               "test" if test is not None else "train")
-    last = hist[-1].report
-    print(f"silver model: {cfg.silver.epochs} epochs, final mAP={last.map:.4f} -> {out}")
+    harness.write_metrics_csv(out / "silver_metrics.csv", hist, split)
+    print(f"silver model: {cfg.silver.epochs} epochs, final mAP={hist[-1].report.map:.4f} -> {out}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
-    method = args.method.replace("-", "_")
+    method = "true_matrix" if args.method == "true" else args.method.replace("-", "_")
     if args.estimation_set:
         cfg.estimation_set = args.estimation_set
-    if method == "true":
-        eta = args.eta if args.eta is not None else cfg.etas[0]
-        gold = datagen.read_dataset(out / "gold.mlnl")
-        true_c = noise.symmetric_matrix(gold.num_classes, eta)
-        noise.write_matrix(true_c, out / "chat.csv")
-        print(f"true matrix for eta={eta!r} -> {out / 'chat.csv'}")
-        return 0
-
-    f = load_model(out / "silver_model.mlpm")
+    if args.no_final_sigmoid:
+        cfg.correction_form = "raw"
+    eta = args.eta if args.eta is not None else cfg.etas[0]
+    f = pool = noisy = None
+    if method != "true_matrix":
+        f = load_model(out / "silver_model.mlpm")
     gold = datagen.read_dataset(out / "gold.mlnl")
     if method == "galc_slr":
         pool = datagen.read_dataset(out / "singles_pool.mlnl")
-        regs = estimator.compute_regulators(f, pool)
-        est_set = gold if cfg.estimation_set == "gold" \
-            else datagen.read_dataset(out / "silver_noisy.mlnl")
-        report = estimator.estimate_galc_slr(f, est_set, regs)
-        final_form = "raw" if args.no_final_sigmoid else cfg.correction_form
-    elif method == "glc":
-        report = estimator.estimate_glc(f, gold, cfg.glc_readout)
-        final_form = "raw" if args.no_final_sigmoid else cfg.correction_form
+        if cfg.estimation_set == "silver":
+            noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
+    matrix, report = harness.estimate_correction(cfg, method, eta, gold, f, pool, noisy)
+    harness.write_correction(out, matrix, report)
+    if report is None:
+        print(f"true matrix for eta={eta!r} -> {out / 'chat.csv'}")
     else:
-        raise SystemExit(f"unknown estimation method {args.method!r}")
-    estimator.write_report(report, out / "chat")
-    final = harness.training_matrix(report, final_form)
-    noise.write_matrix(final, out / "chat.csv")
-    print(f"{method} estimate ({final_form}) -> {out / 'chat.csv'} "
-          f"(fallback classes: {report.fallback_classes or 'none'})")
+        print(f"{method} estimate ({cfg.correction_form}) -> {out / 'chat.csv'} "
+              f"(fallback classes: {report.fallback_classes or 'none'})")
     return 0
 
 
@@ -137,29 +122,12 @@ def _cmd_train_gold(args) -> int:
     out = _outdir(cfg)
     gold = datagen.read_dataset(out / "gold.mlnl")
     noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
-    test_path = out / "test.mlnl"
-    test = datagen.read_dataset(test_path) if test_path.exists() else None
-    combined = datagen.Dataset(
-        np.concatenate([gold.features, noisy.features]),
-        np.concatenate([gold.labels, noisy.labels]), tag="noisy")
-    if args.correction == "none":
-        mode = "asl"
-    else:
-        corr = noise.read_matrix(args.correction)
-        mask = np.zeros(combined.n, dtype=bool)
-        mask[:gold.n] = True
-        mode = CorrectedMode(corr, mask)
-    root = RandomStream(cfg.seed)
-    layer_sizes = [combined.num_features, *cfg.hidden, combined.num_classes]
-    g0 = init_model(layer_sizes, cfg.activation, cfg.gold.init_scale,
-                    seed=root.derive_seed("gold-init"))
-    train_cfg = dataclasses.replace(cfg.gold, seed=root.derive_seed("gold-train"))
-    g, hist = train(g0, combined, mode, train_cfg, cfg.asl, eval_data=test)
+    test, split = _read_test(out)
+    corr = None if args.correction == "none" else noise.read_matrix(args.correction)
+    g, hist = harness.train_gold(cfg, gold, noisy, corr, test)
     save_model(g, out / "gold_model.mlpm")
-    harness.write_metrics_csv(out / "metrics.csv", hist,
-                               "test" if test is not None else "train")
-    last = hist[-1].report
-    print(f"gold model (correction={args.correction}): final mAP={last.map:.4f} -> {out}")
+    harness.write_metrics_csv(out / "metrics.csv", hist, split)
+    print(f"gold model (correction={args.correction}): final mAP={hist[-1].report.map:.4f} -> {out}")
     return 0
 
 
@@ -184,6 +152,11 @@ def _cmd_sweep(args) -> int:
         print(f"{rec.method:12s} eta={rec.eta!r} mAP={rec.final.map:.4f} "
               f"({rec.wall_seconds:.1f}s)")
     print(f"summary -> {Path(cfg.out) / 'summary.csv'}")
+    cells = len(cfg.etas) * len(harness.SWEEP_METHODS)
+    if len(records) < cells:
+        print(f"error: {cells - len(records)} of {cells} sweep cells failed; "
+              f"see {Path(cfg.out) / 'failures.log'}", file=sys.stderr)
+        return 1
     return 0
 
 

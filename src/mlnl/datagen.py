@@ -93,14 +93,15 @@ class GenConfig:
     def validate(self):
         if min(self.n, self.d, self.k) <= 0:
             raise ValueError("n, d, k must be positive")
-        if self.mean_labels_per_sample < 2.0:
+        # written so that NaN fails every comparison and is rejected
+        if not self.mean_labels_per_sample >= 2.0:
             raise ValueError("mean_labels_per_sample must be >= 2")
         if self.mean_labels_per_sample > self.k:
             raise ValueError(
                 f"mean_labels_per_sample {self.mean_labels_per_sample} exceeds class count {self.k}")
-        if self.feature_noise_sigma <= 0:
-            raise ValueError("feature_noise_sigma must be > 0")
-        if self.imbalance_exponent < 0:
+        if not 0.0 < self.feature_noise_sigma < math.inf:
+            raise ValueError("feature_noise_sigma must be finite and > 0")
+        if not self.imbalance_exponent >= 0:
             raise ValueError("imbalance_exponent must be >= 0")
         zero = np.flatnonzero(~(_base_weights(self.k, self.imbalance_exponent) > 0.0))
         if zero.size:

@@ -1,6 +1,7 @@
-"""Experiment orchestration: config files, the three-step pipeline
-(silver training on noisy data, corruption estimation, corrected gold
-training), noise-ratio sweeps, and ablation grids.
+"""Experiment orchestration: config files, the pipeline stages (noise
+injection, silver training on noisy data, corruption estimation, corrected
+gold training) that `run_pipeline` and the staged CLI subcommands share,
+noise-ratio sweeps, and ablation grids.
 
 The master seed fans out into labeled sub-streams (datagen / test-split /
 gold-split / single-pool / noise / init / train) so toggling one stage never
@@ -11,16 +12,19 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import datagen, estimator, noise, svgplot
 from .datagen import Dataset, GenConfig, SplitSpec
 from .metrics import MetricsReport
-from .model import AslParams, CorrectedMode, EpochStats, TrainConfig, init_model, save_model, train
+from .model import (AslParams, CorrectedMode, EpochStats, MlpModel, TrainConfig, init_model,
+                    save_model, train)
 from .noise import CorruptionMatrix, NoiseSpec
 from .numerics import RandomStream
 
@@ -55,37 +59,116 @@ class ExperimentConfig:
     out: str = "runs"
 
     def validate(self):
+        for key in CONFIG_KEYS:
+            problem = key.check(key.get(self))
+            if problem:
+                raise ValueError(f"{key.name} {problem}")
+        # the checks that relate two generator fields (mean labels vs K,
+        # imbalance underflow at K) belong to GenConfig
         self.gen.validate()
-        for e in self.etas:
-            if not 0.0 <= e < 1.0:
-                raise ValueError(f"noise.eta value {e} outside [0,1)")
-        if not self.etas:
-            raise ValueError("noise.eta needs at least one value")
-        if not 0.0 < self.trusted_fraction < 1.0:
-            raise ValueError("split.trusted_fraction must be in (0,1)")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("data.test_fraction must be in (0,1)")
-        if self.single_label_limit is not None and self.single_label_limit < 1:
-            raise ValueError("data.single_label_limit must be >= 1 or 'unlimited'")
-        self.asl.validate()
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError("model.hidden needs positive layer sizes")
-        if self.activation not in ("tanh", "relu"):
-            raise ValueError("model.activation must be tanh or relu")
-        self.silver.validate()
-        self.gold.validate()
-        if self.estimator_method not in METHODS:
-            raise ValueError(f"estimator.method must be one of {METHODS}")
-        if self.estimation_set not in ("gold", "silver"):
-            raise ValueError("estimator.estimation_set must be gold or silver")
-        if self.glc_readout not in ("softmax", "sigmoid"):
-            raise ValueError("estimator.glc_readout must be softmax or sigmoid")
-        if self.correction_form not in CORRECTION_FORMS:
-            raise ValueError(f"correction.form must be one of {CORRECTION_FORMS}")
-        if not 0.0 <= self.ablation_eta < 1.0:
-            raise ValueError("ablation.eta must be in [0,1)")
-        if self.noise_mode not in ("exact_count", "bernoulli"):
-            raise ValueError("noise.mode must be exact_count or bernoulli")
+
+
+class ConfigKey(NamedTuple):
+    """One config file key: where it lives in ExperimentConfig, how its text
+    is parsed, and what values it accepts."""
+
+    name: str
+    field: str                             # "attr", or "section.attr" for a nested config
+    parse: Callable[[str], object]
+    check: Callable[[object], str | None]  # the problem with a value, or None
+
+    def get(self, cfg: ExperimentConfig):
+        section, _, attr = self.field.rpartition(".")
+        return getattr(getattr(cfg, section) if section else cfg, attr)
+
+    def set(self, cfg: ExperimentConfig, value) -> None:
+        section, _, attr = self.field.rpartition(".")
+        if section:
+            setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{attr: value}))
+        else:
+            setattr(cfg, attr, value)
+
+
+def _interval(lo, hi=math.inf, lo_open=False, hi_open=True):
+    """A number in the interval; NaN and the infinities are never in one."""
+    text = f"{'(' if lo_open else '['}{lo:g},{hi:g}{')' if hi_open else ']'}"
+
+    def check(v):
+        inside = (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)
+        return None if inside else f"must be in {text}, got {v!r}"
+    return check
+
+
+def _one_of(*choices):
+    return lambda v: None if v in choices else f"must be one of {choices}"
+
+
+def _etas(etas):
+    if not etas:
+        return "needs at least one value"
+    bad = [e for e in etas if not 0.0 <= e < 1.0]
+    return f"value {bad[0]} outside [0,1)" if bad else None
+
+
+def _parse_floats(value: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in value.replace(",", " ").split())
+
+
+def _parse_ints(value: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in value.replace(",", " ").split())
+
+
+def _dashes(value: str) -> str:
+    return value.replace("-", "_")
+
+
+def _train_keys(section: str) -> list[ConfigKey]:
+    return [ConfigKey(f"{section}.epochs", f"{section}.epochs", int, _interval(1)),
+            ConfigKey(f"{section}.batch_size", f"{section}.batch_size", int, _interval(1)),
+            ConfigKey(f"{section}.lr", f"{section}.lr", float, _interval(0.0)),
+            ConfigKey(f"{section}.optimizer", f"{section}.optimizer", str, _one_of("adam", "sgd")),
+            ConfigKey(f"{section}.init_scale", f"{section}.init_scale", float, _interval(0.0))]
+
+
+# Every settable field except the derived seeds of the nested configs, in
+# the order resolved.cfg echoes them. Float keys must be finite.
+CONFIG_KEYS: tuple[ConfigKey, ...] = (
+    ConfigKey("gen.n", "gen.n", int, _interval(1)),
+    ConfigKey("gen.d", "gen.d", int, _interval(1)),
+    ConfigKey("gen.k", "gen.k", int, _interval(1)),
+    ConfigKey("gen.mean_labels", "gen.mean_labels_per_sample", float, _interval(2.0)),
+    ConfigKey("gen.feature_noise_sigma", "gen.feature_noise_sigma", float,
+              _interval(0.0, lo_open=True)),
+    ConfigKey("gen.imbalance_exponent", "gen.imbalance_exponent", float, _interval(0.0)),
+    ConfigKey("gen.correlation_strength", "gen.correlation_strength", float,
+              _interval(0.0, 1.0, hi_open=False)),
+    ConfigKey("noise.eta", "etas", _parse_floats, _etas),
+    ConfigKey("noise.mode", "noise_mode", str, _one_of("exact_count", "bernoulli")),
+    ConfigKey("split.trusted_fraction", "trusted_fraction", float,
+              _interval(0.0, 1.0, lo_open=True)),
+    ConfigKey("data.test_fraction", "test_fraction", float, _interval(0.0, 1.0, lo_open=True)),
+    ConfigKey("data.single_label_limit", "single_label_limit",
+              lambda v: None if v in ("unlimited", "none") else int(v),
+              lambda v: None if v is None or v >= 1 else "must be >= 1 or 'unlimited'"),
+    ConfigKey("asl.gamma_plus", "asl.gamma_plus", float, _interval(0.0)),
+    ConfigKey("asl.gamma_minus", "asl.gamma_minus", float, _interval(0.0)),
+    ConfigKey("asl.margin", "asl.margin", float, _interval(0.0, 1.0)),
+    ConfigKey("asl.clamp_eps", "asl.clamp_eps", float,
+              _interval(0.0, 1e-3, lo_open=True, hi_open=False)),
+    ConfigKey("model.hidden", "hidden", _parse_ints,
+              lambda v: None if v and min(v) >= 1 else "needs positive layer sizes"),
+    ConfigKey("model.activation", "activation", str, _one_of("tanh", "relu")),
+    *_train_keys("silver"),
+    *_train_keys("gold"),
+    ConfigKey("estimator.method", "estimator_method", _dashes, _one_of(*METHODS)),
+    ConfigKey("estimator.estimation_set", "estimation_set", str, _one_of("gold", "silver")),
+    ConfigKey("estimator.glc_readout", "glc_readout", str, _one_of("softmax", "sigmoid")),
+    ConfigKey("correction.form", "correction_form", _dashes, _one_of(*CORRECTION_FORMS)),
+    ConfigKey("ablation.eta", "ablation_eta", float, _interval(0.0, 1.0)),
+    ConfigKey("seed", "seed", int, lambda v: None),
+    ConfigKey("out", "out", str, lambda v: None),
+)
+_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
 
 
 def _fmt_value(v) -> str:
@@ -100,42 +183,7 @@ def _fmt_value(v) -> str:
 
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical key = value echo of every setting, defaults included."""
-    g, a, s, o = cfg.gen, cfg.asl, cfg.silver, cfg.gold
-    pairs = [
-        ("gen.n", g.n), ("gen.d", g.d), ("gen.k", g.k),
-        ("gen.mean_labels", g.mean_labels_per_sample),
-        ("gen.feature_noise_sigma", g.feature_noise_sigma),
-        ("gen.imbalance_exponent", g.imbalance_exponent),
-        ("gen.correlation_strength", g.correlation_strength),
-        ("noise.eta", cfg.etas), ("noise.mode", cfg.noise_mode),
-        ("split.trusted_fraction", cfg.trusted_fraction),
-        ("data.test_fraction", cfg.test_fraction),
-        ("data.single_label_limit", cfg.single_label_limit),
-        ("asl.gamma_plus", a.gamma_plus), ("asl.gamma_minus", a.gamma_minus),
-        ("asl.margin", a.margin), ("asl.clamp_eps", a.clamp_eps),
-        ("model.hidden", cfg.hidden), ("model.activation", cfg.activation),
-        ("silver.epochs", s.epochs), ("silver.batch_size", s.batch_size),
-        ("silver.lr", s.lr), ("silver.optimizer", s.optimizer),
-        ("silver.init_scale", s.init_scale),
-        ("gold.epochs", o.epochs), ("gold.batch_size", o.batch_size),
-        ("gold.lr", o.lr), ("gold.optimizer", o.optimizer),
-        ("gold.init_scale", o.init_scale),
-        ("estimator.method", cfg.estimator_method),
-        ("estimator.estimation_set", cfg.estimation_set),
-        ("estimator.glc_readout", cfg.glc_readout),
-        ("correction.form", cfg.correction_form),
-        ("ablation.eta", cfg.ablation_eta),
-        ("seed", cfg.seed), ("out", cfg.out),
-    ]
-    return "\n".join(f"{k} = {_fmt_value(v)}" for k, v in pairs) + "\n"
-
-
-def _parse_floats(value: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in value.replace(",", " ").split())
-
-
-def _parse_ints(value: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in value.replace(",", " ").split())
+    return "".join(f"{key.name} = {_fmt_value(key.get(cfg))}\n" for key in CONFIG_KEYS)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -154,90 +202,23 @@ def parse_config(path) -> ExperimentConfig:
             continue
         if "=" not in s:
             fail(lineno, f"expected 'key = value', got {raw!r}")
-        key, value = (t.strip() for t in s.split("=", 1))
+        name, text = (t.strip() for t in s.split("=", 1))
+        key = _KEYS_BY_NAME.get(name)
+        if key is None:
+            fail(lineno, f"unknown key {name!r}")
         try:
-            _apply_key(cfg, key, value)
-        except KeyError:
-            fail(lineno, f"unknown key {key!r}")
+            value = key.parse(text)
         except (ValueError, TypeError) as e:
-            fail(lineno, f"{key}: {e}")
-    cfg.validate()
+            fail(lineno, f"{name}: {e}")
+        problem = key.check(value)
+        if problem:
+            fail(lineno, f"{name} {problem}")
+        key.set(cfg, value)
+    try:
+        cfg.validate()
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return cfg
-
-
-def _apply_key(cfg: ExperimentConfig, key: str, value: str) -> None:
-    g = cfg.gen
-    if key == "gen.n":
-        cfg.gen = dataclasses.replace(g, n=int(value))
-    elif key == "gen.d":
-        cfg.gen = dataclasses.replace(g, d=int(value))
-    elif key == "gen.k":
-        cfg.gen = dataclasses.replace(g, k=int(value))
-    elif key == "gen.mean_labels":
-        cfg.gen = dataclasses.replace(g, mean_labels_per_sample=float(value))
-    elif key == "gen.feature_noise_sigma":
-        cfg.gen = dataclasses.replace(g, feature_noise_sigma=float(value))
-    elif key == "gen.imbalance_exponent":
-        cfg.gen = dataclasses.replace(g, imbalance_exponent=float(value))
-    elif key == "gen.correlation_strength":
-        cfg.gen = dataclasses.replace(g, correlation_strength=float(value))
-    elif key == "noise.eta":
-        etas = _parse_floats(value)
-        for e in etas:
-            if not 0.0 <= e < 1.0:
-                raise ValueError(f"value {e} outside [0,1)")
-        cfg.etas = etas
-    elif key == "noise.mode":
-        cfg.noise_mode = value
-    elif key == "split.trusted_fraction":
-        cfg.trusted_fraction = float(value)
-    elif key == "data.test_fraction":
-        cfg.test_fraction = float(value)
-    elif key == "data.single_label_limit":
-        cfg.single_label_limit = None if value in ("unlimited", "none") else int(value)
-    elif key == "asl.gamma_plus":
-        cfg.asl = dataclasses.replace(cfg.asl, gamma_plus=float(value))
-    elif key == "asl.gamma_minus":
-        cfg.asl = dataclasses.replace(cfg.asl, gamma_minus=float(value))
-    elif key == "asl.margin":
-        cfg.asl = dataclasses.replace(cfg.asl, margin=float(value))
-    elif key == "asl.clamp_eps":
-        cfg.asl = dataclasses.replace(cfg.asl, clamp_eps=float(value))
-    elif key == "model.hidden":
-        cfg.hidden = _parse_ints(value)
-    elif key == "model.activation":
-        cfg.activation = value
-    elif key in ("silver.epochs", "gold.epochs"):
-        section = key.split(".")[0]
-        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), epochs=int(value)))
-    elif key in ("silver.batch_size", "gold.batch_size"):
-        section = key.split(".")[0]
-        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), batch_size=int(value)))
-    elif key in ("silver.lr", "gold.lr"):
-        section = key.split(".")[0]
-        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), lr=float(value)))
-    elif key in ("silver.optimizer", "gold.optimizer"):
-        section = key.split(".")[0]
-        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), optimizer=value))
-    elif key in ("silver.init_scale", "gold.init_scale"):
-        section = key.split(".")[0]
-        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), init_scale=float(value)))
-    elif key == "estimator.method":
-        cfg.estimator_method = value.replace("-", "_")
-    elif key == "estimator.estimation_set":
-        cfg.estimation_set = value
-    elif key == "estimator.glc_readout":
-        cfg.glc_readout = value
-    elif key == "correction.form":
-        cfg.correction_form = value.replace("-", "_")
-    elif key == "ablation.eta":
-        cfg.ablation_eta = float(value)
-    elif key == "seed":
-        cfg.seed = int(value)
-    elif key == "out":
-        cfg.out = value
-    else:
-        raise KeyError(key)
 
 
 @dataclass
@@ -313,6 +294,79 @@ def write_metrics_csv(path, history: list[EpochStats], split: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# Pipeline stages. run_pipeline and the staged CLI subcommands both run
+# these; each stage takes its seeds from the master seed by label and its
+# layer sizes from the data, so the same inputs give the same bytes however
+# the stages are strung together.
+
+def inject_noise(cfg: ExperimentConfig, silver_clean: Dataset, eta: float):
+    """Corrupt the silver split at noise ratio `eta`; returns (noisy, FlipLog)."""
+    spec = NoiseSpec(eta, seed=RandomStream(cfg.seed).derive_seed("noise"), mode=cfg.noise_mode)
+    return noise.inject(silver_clean, spec)
+
+
+def _train_stage(cfg: ExperimentConfig, stage: str, data: Dataset, loss_mode,
+                 test: Dataset | None):
+    root = RandomStream(cfg.seed)
+    train_cfg = getattr(cfg, stage)
+    model0 = init_model([data.num_features, *cfg.hidden, data.num_classes], cfg.activation,
+                        train_cfg.init_scale, seed=root.derive_seed(f"{stage}-init"))
+    train_cfg = dataclasses.replace(train_cfg, seed=root.derive_seed(f"{stage}-train"))
+    return train(model0, data, loss_mode, train_cfg, cfg.asl, eval_data=test)
+
+
+def train_silver(cfg: ExperimentConfig, silver_noisy: Dataset, test: Dataset | None):
+    """Plain ASL training on the noisy silver split; returns (model, history)."""
+    return _train_stage(cfg, "silver", silver_noisy, "asl", test)
+
+
+def estimate_correction(cfg: ExperimentConfig, method: str, eta: float, gold: Dataset,
+                        silver_model: MlpModel | None, singles_pool: Dataset | None,
+                        silver_noisy: Dataset | None):
+    """The correction matrix `method` trains the gold model with, and the
+    estimation report behind it; returns (matrix or None, report or None).
+
+    galc_slr reads the silver model, the single-label pool and the
+    estimation set (gold, or silver_noisy when cfg.estimation_set is
+    "silver"); glc reads the silver model and gold; true_matrix only K.
+    """
+    if method == "true_matrix":
+        return noise.symmetric_matrix(gold.num_classes, eta), None
+    if method == "none":
+        return None, None
+    if method == "galc_slr":
+        regs = estimator.compute_regulators(silver_model, singles_pool)
+        est_set = gold if cfg.estimation_set == "gold" else silver_noisy
+        report = estimator.estimate_galc_slr(silver_model, est_set, regs)
+    else:
+        report = estimator.estimate_glc(silver_model, gold, cfg.glc_readout)
+    return training_matrix(report, cfg.correction_form), report
+
+
+def write_correction(out: Path, matrix: CorruptionMatrix | None,
+                     report: estimator.EstimationReport | None) -> dict[str, str]:
+    """Write the estimate stage's files (chat_*.csv, chat_info.txt, chat.csv)."""
+    paths = estimator.write_report(report, out / "chat") if report is not None else {}
+    if matrix is not None:
+        noise.write_matrix(matrix, out / "chat.csv")
+        paths["correction"] = str(out / "chat.csv")
+    return paths
+
+
+def train_gold(cfg: ExperimentConfig, gold: Dataset, silver_noisy: Dataset,
+               correction: CorruptionMatrix | None, test: Dataset | None):
+    """Train on gold + noisy silver; with a correction matrix, silver rows fit
+    M^T p and gold rows their own labels. Returns (model, history)."""
+    combined = Dataset(np.concatenate([gold.features, silver_noisy.features]),
+                       np.concatenate([gold.labels, silver_noisy.labels]), tag="noisy")
+    mode = "asl"
+    if correction is not None:
+        gold_mask = np.zeros(combined.n, dtype=bool)
+        gold_mask[:gold.n] = True
+        mode = CorrectedMode(correction, gold_mask)
+    return _train_stage(cfg, "gold", combined, mode, test)
+
+
 def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
                  method: str | None = None,
                  data: SplitArtifacts | None = None) -> RunRecord:
@@ -328,8 +382,6 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    root = RandomStream(cfg.seed)
-    paths: dict[str, str] = {}
 
     def stage(name, fn):
         try:
@@ -339,60 +391,27 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
 
     if data is None:
         data = stage("prepare-data", lambda: prepare_data(cfg))
-
-    k = data.gold.num_classes
-    spec = NoiseSpec(eta, seed=root.derive_seed("noise"), mode=cfg.noise_mode)
-    silver_noisy, flip_log = stage("inject-noise", lambda: noise.inject(data.silver_clean, spec))
-    true_c = noise.symmetric_matrix(k, eta)
+    silver_noisy, _ = stage("inject-noise", lambda: inject_noise(cfg, data.silver_clean, eta))
+    true_c = noise.symmetric_matrix(data.gold.num_classes, eta)
     noise.write_matrix(true_c, out / "true_matrix.csv")
-    paths["true_matrix"] = str(out / "true_matrix.csv")
+    paths = {"true_matrix": str(out / "true_matrix.csv")}
 
-    layer_sizes = [cfg.gen.d, *cfg.hidden, k]
-    silver_cfg = dataclasses.replace(cfg.silver, seed=root.derive_seed("silver-train"))
-    f0 = init_model(layer_sizes, cfg.activation, cfg.silver.init_scale,
-                    seed=root.derive_seed("silver-init"))
-    f, f_hist = stage("train-silver", lambda: train(
-        f0, silver_noisy, "asl", silver_cfg, cfg.asl, eval_data=data.test))
+    f, f_hist = stage("train-silver", lambda: train_silver(cfg, silver_noisy, data.test))
     save_model(f, out / "silver_model.mlpm")
     write_metrics_csv(out / "silver_metrics.csv", f_hist, "test")
     paths["silver_model"] = str(out / "silver_model.mlpm")
 
-    report = None
+    corr, report = stage("estimate", lambda: estimate_correction(
+        cfg, method, eta, data.gold, f, data.singles_pool, silver_noisy))
+    paths.update(write_correction(out, corr, report))
     frob = None
-    corr: CorruptionMatrix | None = None
-    if method == "galc_slr":
-        regs = stage("compute-regulators",
-                     lambda: estimator.compute_regulators(f, data.singles_pool))
-        est_set = data.gold if cfg.estimation_set == "gold" else silver_noisy
-        report = stage("estimate", lambda: estimator.estimate_galc_slr(f, est_set, regs))
-    elif method == "glc":
-        report = stage("estimate", lambda: estimator.estimate_glc(f, data.gold, cfg.glc_readout))
-    elif method == "true_matrix":
-        corr = true_c
-        frob = 0.0
     if report is not None:
-        paths.update(estimator.write_report(report, out / "chat"))
         frob = estimator.compare_matrices(report.raw, true_c).frobenius_distance
-        corr = training_matrix(report, cfg.correction_form)
-    if corr is not None:
-        noise.write_matrix(corr, out / "chat.csv")
-        paths["correction"] = str(out / "chat.csv")
+    elif corr is not None:
+        frob = 0.0
 
-    gold_cfg = dataclasses.replace(cfg.gold, seed=root.derive_seed("gold-train"))
-    g0 = init_model(layer_sizes, cfg.activation, cfg.gold.init_scale,
-                    seed=root.derive_seed("gold-init"))
-    combined = Dataset(
-        np.concatenate([data.gold.features, silver_noisy.features]),
-        np.concatenate([data.gold.labels, silver_noisy.labels]),
-        tag="noisy")
-    if method == "none":
-        mode = "asl"
-    else:
-        gold_mask = np.zeros(combined.n, dtype=bool)
-        gold_mask[:data.gold.n] = True
-        mode = CorrectedMode(corr, gold_mask)
-    g, g_hist = stage("train-gold", lambda: train(
-        g0, combined, mode, gold_cfg, cfg.asl, eval_data=data.test))
+    g, g_hist = stage("train-gold", lambda: train_gold(
+        cfg, data.gold, silver_noisy, corr, data.test))
     save_model(g, out / "gold_model.mlpm")
     write_metrics_csv(out / "metrics.csv", g_hist, "test")
     paths["gold_model"] = str(out / "gold_model.mlpm")

@@ -90,7 +90,7 @@ class AslParams:
     clamp_eps: float = 1e-7
 
     def validate(self):
-        if self.gamma_plus < 0 or self.gamma_minus < 0:
+        if not (self.gamma_plus >= 0 and self.gamma_minus >= 0):  # NaN fails both
             raise ValueError("focusing parameters must be >= 0")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError("margin must be in [0, 1)")

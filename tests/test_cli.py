@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mlnl import estimator
 from mlnl.cli import main
 from mlnl.datagen import read_dataset
+from mlnl.harness import parse_config, run_pipeline
 from mlnl.model import init_model, save_model
 from mlnl.noise import read_matrix
 
@@ -116,6 +123,24 @@ class TestSweepAndPlot:
         run(["--config", cfg_file, "--out", out, "plot"])
         assert (out / "sweep_map.svg").exists()
 
+    def test_failed_cell_makes_the_sweep_exit_one(self, tmp_path, cfg_file, capsys,
+                                                  monkeypatch):
+        def fail(model, pool):
+            raise ValueError("regulators unavailable")
+
+        monkeypatch.setattr(estimator, "compute_regulators", fail)
+        out = tmp_path / "sweep"
+        code = main(["--config", str(cfg_file), "--out", str(out), "sweep"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: 1 of 3 sweep cells failed" in err
+        assert "Traceback" not in err
+        assert (out / "failures.log").read_text() == (
+            "eta=0.3 method=galc_slr: pipeline stage 'estimate' failed: "
+            "regulators unavailable\n")
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == ["none", "true_matrix"]
+
     def test_seed_override_changes_outputs(self, tmp_path, cfg_file):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["--config", cfg_file, "--out", a, "--seed", 1, "gen-data"])
@@ -135,6 +160,17 @@ class TestErrors:
         bad.write_text("noise.eta = 2.0\n")
         assert main(["--config", str(bad), "gen-data"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_config_value_exits_one_without_traceback(self, tmp_path, cfg_file,
+                                                                  capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(cfg_file.read_text() + "gen.mean_labels = nan\n")
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 1
+        err = capsys.readouterr().err
+        assert "nan.cfg:13: gen.mean_labels must be in [2,inf), got nan" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_file_reported(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "train-silver"]) == 1
@@ -189,14 +225,17 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_diverging_training_exits_one(self, tmp_path, cfg_file, capsys):
+        # features of scale 1e4 give gradient entries above 1.8, so one SGD
+        # step with lr = 1e308 overflows parameters to inf
         out = tmp_path / "run"
         cfg = tmp_path / "diverge.cfg"
-        cfg.write_text(cfg_file.read_text() + "silver.optimizer = sgd\nsilver.lr = inf\n"
-                       "silver.batch_size = 100000\n")
+        cfg.write_text(cfg_file.read_text() + "silver.optimizer = sgd\nsilver.lr = 1e308\n"
+                       "silver.batch_size = 100000\ngen.feature_noise_sigma = 1e4\n")
         run(["--config", cfg, "--out", out, "gen-data"])
         run(["--config", cfg, "--out", out, "inject-noise", "--eta", 0.3])
         capsys.readouterr()
-        code = main(["--config", str(cfg), "--out", str(out), "train-silver"])
+        with np.errstate(over="ignore"):
+            code = main(["--config", str(cfg), "--out", str(out), "train-silver"])
         err = capsys.readouterr().err
         assert code == 1
         assert "error: non-finite parameters after epoch 1" in err
@@ -212,3 +251,51 @@ class TestAblateCommand:
         cfg_path.write_text(cfg)
         run(["--config", cfg_path, "--out", out, "ablate", "--axis", "limit"])
         assert (out / "ablation_limit.svg").exists()
+
+
+class TestCliMatchesHarness:
+    """The staged subcommands and `run_pipeline` are one pipeline: the same
+    config and seed give the same bytes whichever way it is run."""
+
+    SHARED = ("silver_model.mlpm", "silver_metrics.csv", "true_matrix.csv",
+              "gold_model.mlpm", "metrics.csv")
+
+    def staged(self, out, cfg_file, correction):
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
+        run(["--config", cfg_file, "--out", out, "train-silver"])
+        if correction != "none":
+            run(["--config", cfg_file, "--out", out, "estimate", "--method", "galc-slr"])
+            correction = out / "chat.csv"
+        run(["--config", cfg_file, "--out", out, "train-gold", "--correction", correction])
+
+    @pytest.mark.parametrize("method, correction", [("galc_slr", "chat.csv"),
+                                                    ("none", "none")])
+    def test_same_bytes(self, tmp_path, cfg_file, method, correction):
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        self.staged(cli_out, cfg_file, correction)
+        run_pipeline(parse_config(cfg_file), 0.3, lib_out, method=method)
+        names = self.SHARED
+        if method == "galc_slr":
+            names += ("chat.csv", "chat_raw.csv", "chat_scaled.csv")
+        assert sorted(p.name for p in lib_out.glob("chat*.csv")) == \
+            sorted(n for n in names if n.startswith("chat"))
+        for name in names:
+            assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
+
+
+class TestTooling:
+    """Entry points start: a broken import fails here, not for a user."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    @pytest.mark.parametrize("argv", [["-m", "mlnl", "--help"],
+                                      ["scripts/calibrate_estimators.py", "--help"]])
+    def test_help_exits_zero(self, argv):
+        src = str(self.ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, *argv], cwd=self.ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "usage:" in done.stdout

@@ -1,13 +1,19 @@
 import dataclasses
+import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mlnl import harness
 from mlnl.datagen import GenConfig
-from mlnl.harness import (ExperimentConfig, parse_config, prepare_data, render_config,
-                          run_ablation, run_pipeline, run_sweep, training_matrix)
-from mlnl.model import TrainConfig
+from mlnl.harness import (CONFIG_KEYS, ExperimentConfig, parse_config, prepare_data,
+                          render_config, run_ablation, run_pipeline, run_sweep,
+                          training_matrix)
+from mlnl.model import AslParams, TrainConfig
 from mlnl.noise import read_matrix
 
 
@@ -78,6 +84,113 @@ class TestParseConfig:
         path = tmp_path / "a.cfg"
         path.write_text("\n# full line comment\n\ngen.k = 5\n")
         assert parse_config(path).gen.k == 5
+
+
+# The accepted interval (lo, hi, lo_open, hi_open) of every float key,
+# written out independently of the key table.
+FLOAT_RANGES = {
+    "gen.mean_labels": (2.0, math.inf, False, True),  # GenConfig also checks <= gen.k
+    "gen.feature_noise_sigma": (0.0, math.inf, True, True),
+    "gen.imbalance_exponent": (0.0, math.inf, False, True),
+    "gen.correlation_strength": (0.0, 1.0, False, False),
+    "noise.eta": (0.0, 1.0, False, True),
+    "split.trusted_fraction": (0.0, 1.0, True, True),
+    "data.test_fraction": (0.0, 1.0, True, True),
+    "asl.gamma_plus": (0.0, math.inf, False, True),
+    "asl.gamma_minus": (0.0, math.inf, False, True),
+    "asl.margin": (0.0, 1.0, False, True),
+    "asl.clamp_eps": (0.0, 1e-3, True, False),
+    "silver.lr": (0.0, math.inf, False, True),
+    "silver.init_scale": (0.0, math.inf, False, True),
+    "gold.lr": (0.0, math.inf, False, True),
+    "gold.init_scale": (0.0, math.inf, False, True),
+    "ablation.eta": (0.0, 1.0, False, True),
+}
+
+
+def inside(key, v):
+    lo, hi, lo_open, hi_open = FLOAT_RANGES[key]
+    return (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)
+
+
+rejected_floats = st.sampled_from(sorted(FLOAT_RANGES)).flatmap(lambda key: st.tuples(
+    st.just(key),
+    st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+              st.floats().filter(lambda v: not inside(key, v)))))
+
+
+class TestKeyTable:
+    def test_every_settable_field_has_one_key(self):
+        fields = []
+        for f in dataclasses.fields(ExperimentConfig):
+            value = getattr(ExperimentConfig(), f.name)
+            if dataclasses.is_dataclass(value):
+                # the nested seeds are derived from the master seed, never set
+                fields += [f"{f.name}.{g.name}" for g in dataclasses.fields(value)
+                           if g.name != "seed"]
+            else:
+                fields.append(f.name)
+        assert Counter(key.field for key in CONFIG_KEYS) == Counter(fields)
+        assert len({key.name for key in CONFIG_KEYS}) == len(CONFIG_KEYS)
+
+    def test_every_float_key_has_a_range_here(self):
+        default = ExperimentConfig()
+        floats = {key.name for key in CONFIG_KEYS
+                  if isinstance(key.get(default), float)
+                  or isinstance(key.get(default), tuple) and isinstance(key.get(default)[0], float)}
+        assert floats == set(FLOAT_RANGES)
+
+    def test_non_default_values_round_trip(self, tmp_path):
+        cfg = ExperimentConfig(
+            gen=GenConfig(n=500, d=7, k=6, mean_labels_per_sample=2.5, feature_noise_sigma=0.9,
+                          imbalance_exponent=0.5, correlation_strength=0.3, seed=0),
+            etas=(0.1, 0.5), noise_mode="bernoulli", trusted_fraction=0.2, test_fraction=0.3,
+            single_label_limit=25,
+            asl=AslParams(gamma_plus=1.0, gamma_minus=2.0, margin=0.1, clamp_eps=1e-6),
+            hidden=(8, 4), activation="relu",
+            silver=TrainConfig(epochs=3, batch_size=16, lr=0.01, optimizer="sgd", init_scale=0.5),
+            gold=TrainConfig(epochs=4, batch_size=32, lr=0.005, optimizer="sgd", init_scale=2.0),
+            estimator_method="glc", estimation_set="silver", glc_readout="sigmoid",
+            correction_form="raw", ablation_eta=0.2, seed=11, out="elsewhere")
+        default = ExperimentConfig()
+        assert [key.name for key in CONFIG_KEYS if key.get(cfg) == key.get(default)] == []
+        path = tmp_path / "all.cfg"
+        path.write_text(render_config(cfg))
+        back = parse_config(path)
+        assert render_config(back) == render_config(cfg)
+        for key in CONFIG_KEYS:
+            assert key.get(back) == key.get(cfg), key.name
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rejected_floats)
+    def test_non_finite_and_out_of_range_floats_cite_the_line(self, tmp_path, key_value):
+        key, value = key_value
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# one bad value\n{key} = {value!r}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: {re.escape(key)} "):
+            parse_config(path)
+
+    def test_validate_rejects_what_parsing_rejects(self):
+        for bad in (dataclasses.replace(ExperimentConfig(), trusted_fraction=math.nan),
+                    dataclasses.replace(ExperimentConfig(),
+                                        gold=TrainConfig(lr=math.inf)),
+                    dataclasses.replace(ExperimentConfig(),
+                                        asl=AslParams(margin=math.nan))):
+            with pytest.raises(ValueError, match="must be in"):
+                bad.validate()
+
+    @pytest.mark.parametrize("field, value", [("mean_labels_per_sample", math.nan),
+                                              ("feature_noise_sigma", math.nan),
+                                              ("feature_noise_sigma", math.inf)])
+    def test_gen_config_rejects_non_finite(self, field, value):
+        gen = dataclasses.replace(ExperimentConfig().gen, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            gen.validate()
+
+    def test_asl_params_reject_nan_focusing(self):
+        with pytest.raises(ValueError, match="focusing"):
+            AslParams(gamma_minus=math.nan).validate()
 
 
 class TestPrepareData:
@@ -156,7 +269,7 @@ class TestRunPipeline:
     def test_stage_errors_are_labeled(self, tmp_path):
         cfg = tiny_config()
         bad = dataclasses.replace(cfg, etas=(0.3,),
-                                  gold=TrainConfig(epochs=3, batch_size=32, lr=np.inf))
+                                  gold=TrainConfig(epochs=3, batch_size=32, lr=1e308))
         with pytest.raises(RuntimeError, match="train-gold"):
             run_pipeline(bad, 0.3, tmp_path / "x", method="none")
 
