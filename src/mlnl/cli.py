@@ -3,7 +3,8 @@
 Staged subcommands operate on a run directory (--out): gen-data writes the
 split dataset files, inject-noise corrupts the silver split, train-silver and
 train-gold produce checkpoints and metrics, estimate writes the corruption
-matrix CSVs. sweep and ablate orchestrate full experiment grids.
+matrix CSVs. sweep and ablate orchestrate full experiment grids, and plot
+redraws a sweep's SVG plots from the files in its directory.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import datagen, harness, noise, svgplot
+from . import datagen, harness, noise
 from .harness import ExperimentConfig, parse_config
 from .metrics import evaluate
 # `train` is not called here; it stays bound in this module because
@@ -170,21 +171,8 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_plot(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(cfg)
-    summary = Path(args.summary) if args.summary else out / "summary.csv"
-    lines = summary.read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:] if ln.strip()]
-    by_method: dict[str, list[dict]] = {}
-    for r in rows:
-        by_method.setdefault(r["method"], []).append(r)
-    for metric in ("map", "cf1", "of1"):
-        series = [(m, [float(r["eta"]) for r in rs], [float(r[metric]) for r in rs])
-                  for m, rs in by_method.items()]
-        svgplot.emit_plot(series, "line", out / f"sweep_{metric}.svg",
-                          title=f"{metric.upper()} vs noise ratio",
-                          xlabel="noise ratio", ylabel=metric.upper())
-    print(f"plots -> {out}")
+    harness.plot_sweep(cfg.out)
+    print(f"plots -> {cfg.out}")
     return 0
 
 
@@ -215,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     sub.add_parser("sweep", help="full grid over noise ratios and methods")
     p = sub.add_parser("ablate", help="ablation grid")
-    p.add_argument("--axis", required=True, choices=["trusted", "limit"])
-    p = sub.add_parser("plot", help="re-render sweep plots from a summary CSV")
-    p.add_argument("--summary", help="summary.csv path (default: <out>/summary.csv)")
+    p.add_argument("--axis", required=True, choices=list(harness.ABLATIONS))
+    sub.add_parser("plot", help="re-render a sweep's SVG plots from its --out directory")
     return parser
 
 

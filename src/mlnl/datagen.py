@@ -68,10 +68,9 @@ class Dataset:
         return self.labels.sum(axis=1).astype(np.int64)
 
 
-def datasets_equal(a: Dataset, b: Dataset, check_tag: bool = True) -> bool:
-    if check_tag and a.tag != b.tag:
-        return False
-    return (a.features.shape == b.features.shape
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    return (a.tag == b.tag
+            and a.features.shape == b.features.shape
             and a.labels.shape == b.labels.shape
             and np.array_equal(a.features, b.features)
             and np.array_equal(a.labels, b.labels))

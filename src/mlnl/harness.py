@@ -107,7 +107,11 @@ def _etas(etas):
     if not etas:
         return "needs at least one value"
     bad = [e for e in etas if not 0.0 <= e < 1.0]
-    return f"value {bad[0]} outside [0,1)" if bad else None
+    if bad:
+        return f"value {bad[0]} outside [0,1)"
+    # a repeated ratio would run its cells twice into one run directory
+    repeated = [e for i, e in enumerate(etas) if e in etas[:i]]  # 0.0 == -0.0
+    return f"repeats the value {repeated[0]!r}" if repeated else None
 
 
 def _parse_floats(value: str) -> tuple[float, ...]:
@@ -165,7 +169,8 @@ CONFIG_KEYS: tuple[ConfigKey, ...] = (
     ConfigKey("estimator.glc_readout", "glc_readout", str, _one_of("softmax", "sigmoid")),
     ConfigKey("correction.form", "correction_form", _dashes, _one_of(*CORRECTION_FORMS)),
     ConfigKey("ablation.eta", "ablation_eta", float, _interval(0.0, 1.0)),
-    ConfigKey("seed", "seed", int, lambda v: None),
+    ConfigKey("seed", "seed", int,
+              lambda v: None if 0 <= v < 2**64 else f"must be in [0,2**64), got {v}"),
     ConfigKey("out", "out", str, lambda v: None),
 )
 _KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
@@ -239,9 +244,7 @@ class RunRecord:
     config_hash: str
     final: MetricsReport
     history: list[EpochStats]
-    silver_history: list[EpochStats]
     frobenius_to_true: float | None
-    artifact_paths: dict[str, str]
     wall_seconds: float
 
 
@@ -285,8 +288,11 @@ def training_matrix(report: estimator.EstimationReport, form: str) -> Corruption
     raise ValueError(f"unknown correction form {form!r}")
 
 
+METRICS_HEADER = "epoch,split,map,cf1,of1,loss"
+
+
 def write_metrics_csv(path, history: list[EpochStats], split: str) -> None:
-    lines = ["epoch,split,map,cf1,of1,loss"]
+    lines = [METRICS_HEADER]
     for row in history:
         r = row.report
         lines.append(f"{row.epoch},{split},{r.map!r},{r.cf1!r},{r.of1!r},{row.loss!r}")
@@ -344,13 +350,12 @@ def estimate_correction(cfg: ExperimentConfig, method: str, eta: float, gold: Da
 
 
 def write_correction(out: Path, matrix: CorruptionMatrix | None,
-                     report: estimator.EstimationReport | None) -> dict[str, str]:
+                     report: estimator.EstimationReport | None) -> None:
     """Write the estimate stage's files (chat_*.csv, chat_info.txt, chat.csv)."""
-    paths = estimator.write_report(report, out / "chat") if report is not None else {}
+    if report is not None:
+        estimator.write_report(report, out / "chat")
     if matrix is not None:
         noise.write_matrix(matrix, out / "chat.csv")
-        paths["correction"] = str(out / "chat.csv")
-    return paths
 
 
 def train_gold(cfg: ExperimentConfig, gold: Dataset, silver_noisy: Dataset,
@@ -365,6 +370,14 @@ def train_gold(cfg: ExperimentConfig, gold: Dataset, silver_noisy: Dataset,
         gold_mask[:gold.n] = True
         mode = CorrectedMode(correction, gold_mask)
     return _train_stage(cfg, "gold", combined, mode, test)
+
+
+def _stage(name: str, fn):
+    """Run one stage; a failure is re-raised as a RuntimeError naming it."""
+    try:
+        return fn()
+    except Exception as e:
+        raise RuntimeError(f"pipeline stage '{name}' failed: {e}") from e
 
 
 def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
@@ -382,57 +395,44 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except Exception as e:
-            raise RuntimeError(f"pipeline stage '{name}' failed: {e}") from e
-
     if data is None:
-        data = stage("prepare-data", lambda: prepare_data(cfg))
-    silver_noisy, _ = stage("inject-noise", lambda: inject_noise(cfg, data.silver_clean, eta))
+        data = _stage("prepare-data", lambda: prepare_data(cfg))
+    silver_noisy, _ = _stage("inject-noise", lambda: inject_noise(cfg, data.silver_clean, eta))
     true_c = noise.symmetric_matrix(data.gold.num_classes, eta)
     noise.write_matrix(true_c, out / "true_matrix.csv")
-    paths = {"true_matrix": str(out / "true_matrix.csv")}
 
-    f, f_hist = stage("train-silver", lambda: train_silver(cfg, silver_noisy, data.test))
+    f, f_hist = _stage("train-silver", lambda: train_silver(cfg, silver_noisy, data.test))
     save_model(f, out / "silver_model.mlpm")
     write_metrics_csv(out / "silver_metrics.csv", f_hist, "test")
-    paths["silver_model"] = str(out / "silver_model.mlpm")
 
-    corr, report = stage("estimate", lambda: estimate_correction(
+    corr, report = _stage("estimate", lambda: estimate_correction(
         cfg, method, eta, data.gold, f, data.singles_pool, silver_noisy))
-    paths.update(write_correction(out, corr, report))
+    write_correction(out, corr, report)
     frob = None
     if report is not None:
         frob = estimator.compare_matrices(report.raw, true_c).frobenius_distance
     elif corr is not None:
         frob = 0.0
 
-    g, g_hist = stage("train-gold", lambda: train_gold(
+    g, g_hist = _stage("train-gold", lambda: train_gold(
         cfg, data.gold, silver_noisy, corr, data.test))
     save_model(g, out / "gold_model.mlpm")
     write_metrics_csv(out / "metrics.csv", g_hist, "test")
-    paths["gold_model"] = str(out / "gold_model.mlpm")
-    paths["metrics"] = str(out / "metrics.csv")
 
     (out / "resolved.cfg").write_text(render_config(cfg), encoding="utf-8")
     return RunRecord(
         method=method, eta=eta,
         config_hash=config_hash(cfg, eta, method),
-        final=g_hist[-1].report, history=g_hist, silver_history=f_hist,
-        frobenius_to_true=frob, artifact_paths=paths,
+        final=g_hist[-1].report, history=g_hist, frobenius_to_true=frob,
         wall_seconds=time.perf_counter() - t0)
 
 
-_METHOD_LABELS = {"none": "ASL baseline", "galc_slr": "GALC-SLR",
-                  "true_matrix": "true matrix", "glc": "GLC"}
+_METHOD_LABELS = {"none": "ASL baseline", "galc_slr": "GALC-SLR", "true_matrix": "true matrix"}
+SUMMARY_HEADER = "method,eta,map,cf1,of1,frobenius_to_true"
 
 
-def run_sweep(cfg: ExperimentConfig, outdir,
-              methods: tuple[str, ...] = SWEEP_METHODS) -> list[RunRecord]:
-    """Grid over noise ratios and methods; emits summary.csv and SVG plots."""
+def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
+    """Grid over noise ratios and SWEEP_METHODS; emits summary.csv and SVG plots."""
     cfg.validate()
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -441,12 +441,12 @@ def run_sweep(cfg: ExperimentConfig, outdir,
 
     records: list[RunRecord] = []
     failures: list[str] = []
-    rows = ["method,eta,map,cf1,of1,frobenius_to_true"]
+    rows = [SUMMARY_HEADER]
     for eta in cfg.etas:
-        for method in methods:
-            rundir = out / f"eta{eta!r}_{method}"
+        for method in SWEEP_METHODS:
             try:
-                rec = run_pipeline(cfg, eta, rundir, method=method, data=data)
+                rec = run_pipeline(cfg, eta, out / f"eta{eta!r}_{method}", method=method,
+                                   data=data)
             except Exception as e:
                 failures.append(f"eta={eta!r} method={method}: {e}")
                 continue
@@ -457,44 +457,94 @@ def run_sweep(cfg: ExperimentConfig, outdir,
     (out / "summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     if failures:
         (out / "failures.log").write_text("\n".join(failures) + "\n", encoding="utf-8")
-
-    by_method: dict[str, list[RunRecord]] = {}
-    for rec in records:
-        by_method.setdefault(rec.method, []).append(rec)
-    for metric in ("map", "cf1", "of1"):
-        series = []
-        for method in methods:
-            recs = by_method.get(method, [])
-            if recs:
-                series.append((_METHOD_LABELS.get(method, method),
-                               [r.eta for r in recs],
-                               [getattr(r.final, metric) for r in recs]))
-        if series:
-            svgplot.emit_plot(series, "line", out / f"sweep_{metric}.svg",
-                              title=f"{metric.upper()} vs noise ratio",
-                              xlabel="noise ratio", ylabel=metric.upper())
-    max_eta = max(cfg.etas)
-    memo_series = []
-    for method in methods:
-        recs = [r for r in by_method.get(method, []) if r.eta == max_eta]
-        if recs:
-            hist = recs[0].history
-            memo_series.append((_METHOD_LABELS.get(method, method),
-                                [h.epoch for h in hist],
-                                [h.report.map for h in hist]))
-    if memo_series:
-        svgplot.emit_plot(memo_series, "line", out / "sweep_memorization.svg",
-                          title=f"Test mAP per epoch at eta={max_eta!r}",
-                          xlabel="epoch", ylabel="mAP")
+    if records:
+        plot_sweep(out)
     return records
 
 
-def run_ablation(cfg: ExperimentConfig, axis: str, outdir) -> list[RunRecord]:
-    """Ablation grids at the fixed ablation noise ratio.
+def _read_csv(path, header: str, parse_row) -> list:
+    """The rows of a CSV file written under `header`, each parsed from its
+    fields by `parse_row`; a malformed row raises ValueError at path:line,
+    and so does a file without rows."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}:1: expected the header {header!r}")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no data rows")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != header.count(",") + 1:
+                raise ValueError(f"expected {header.count(',') + 1} fields, got {len(fields)}")
+            rows.append(parse_row(fields))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+    return rows
 
-    axis="trusted": trusted fractions {0.05, 0.10} x {galc_slr, true_matrix}.
-    axis="limit":   single-label budgets {10, 50, unlimited} with galc_slr.
-    """
+
+def _summary_row(fields):
+    method, eta, *scores = fields
+    if method not in SWEEP_METHODS:
+        raise ValueError(f"method must be one of {SWEEP_METHODS}, got {method!r}")
+    return method, float(eta), dict(zip(("map", "cf1", "of1"), map(float, scores[:3])))
+
+
+def plot_sweep(outdir) -> None:
+    """Draw a sweep directory's SVGs from its files: the MAP, CF1 and OF1
+    curves from summary.csv, and the per-epoch test mAP of every method's run
+    at the highest noise ratio from that run's metrics.csv."""
+    out = Path(outdir)
+    cells: dict[str, dict[float, dict[str, float]]] = {}
+    for method, eta, scores in _read_csv(out / "summary.csv", SUMMARY_HEADER, _summary_row):
+        cells.setdefault(method, {})[eta] = scores
+    methods = [m for m in SWEEP_METHODS if m in cells]
+    for metric in ("map", "cf1", "of1"):
+        series = [(_METHOD_LABELS[m], list(cells[m]), [s[metric] for s in cells[m].values()])
+                  for m in methods]
+        svgplot.emit_plot(series, "line", out / f"sweep_{metric}.svg",
+                          title=f"{metric.upper()} vs noise ratio",
+                          xlabel="noise ratio", ylabel=metric.upper())
+    top = max(max(c) for c in cells.values())
+    memo_series = []
+    for m in methods:
+        if top in cells[m]:
+            epochs = _read_csv(out / f"eta{top!r}_{m}" / "metrics.csv", METRICS_HEADER,
+                               lambda f: (int(f[0]), float(f[2])))
+            memo_series.append((_METHOD_LABELS[m], *zip(*epochs)))
+    svgplot.emit_plot(memo_series, "line", out / "sweep_memorization.svg",
+                      title=f"Test mAP per epoch at eta={top!r}",
+                      xlabel="epoch", ylabel="mAP")
+
+
+class AblationAxis(NamedTuple):
+    """One ablation grid: the config field it varies and how it is shown."""
+
+    field: str                 # the ExperimentConfig field set to each value
+    values: tuple
+    groups: tuple[str, ...]    # one label per value: the CSV label and the plot group
+    rundir: str                # run directory, formatted with value, group and method
+    methods: tuple[str, ...]
+    title: str                 # followed by " at eta=<ablation eta>"
+    xlabel: str
+
+
+ABLATIONS = {
+    "trusted": AblationAxis("trusted_fraction", (0.05, 0.10), ("tf=0.05", "tf=0.1"),
+                            "tf{value!r}_{method}", ("galc_slr", "true_matrix"),
+                            "Trusted-fraction ablation", "trusted fraction"),
+    "limit": AblationAxis("single_label_limit", (10, 50, None), ("L10", "L50", "unlimited"),
+                          "limit_{group}", ("galc_slr",),
+                          "Single-label budget ablation", "single-label budget"),
+}
+
+
+def run_ablation(cfg: ExperimentConfig, axis: str, outdir) -> list[RunRecord]:
+    """One ABLATIONS grid at the fixed ablation noise ratio: every value of
+    the axis's field with every one of its methods; the first failure raises."""
+    if axis not in ABLATIONS:
+        raise ValueError(f"axis must be one of {tuple(ABLATIONS)}")
+    grid = ABLATIONS[axis]
     cfg.validate()
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -502,40 +552,18 @@ def run_ablation(cfg: ExperimentConfig, axis: str, outdir) -> list[RunRecord]:
     eta = cfg.ablation_eta
     records: list[RunRecord] = []
     rows = ["label,method,eta,map,cf1,of1"]
-
-    if axis == "trusted":
-        fractions = (0.05, 0.10)
-        methods = ("galc_slr", "true_matrix")
-        values: dict[str, list[float]] = {m: [] for m in methods}
-        for tf in fractions:
-            sub = dataclasses.replace(cfg, trusted_fraction=tf)
-            for method in methods:
-                rec = run_pipeline(sub, eta, out / f"tf{tf!r}_{method}", method=method)
-                records.append(rec)
-                values[method].append(rec.final.map)
-                rows.append(f"tf={tf!r},{method},{eta!r},{rec.final.map!r},"
-                            f"{rec.final.cf1!r},{rec.final.of1!r}")
-        groups = [f"tf={tf!r}" for tf in fractions]
-        series = [(_METHOD_LABELS[m], groups, values[m]) for m in methods]
-        svgplot.emit_plot(series, "grouped_bar", out / "ablation_trusted.svg",
-                          title=f"Trusted-fraction ablation at eta={eta!r}",
-                          xlabel="trusted fraction", ylabel="mAP")
-    elif axis == "limit":
-        limits = (10, 50, None)
-        labels = ["L10", "L50", "unlimited"]
-        vals = []
-        for lim, label in zip(limits, labels):
-            sub = dataclasses.replace(cfg, single_label_limit=lim)
-            rec = run_pipeline(sub, eta, out / f"limit_{label}", method="galc_slr")
+    for value, group in zip(grid.values, grid.groups):
+        sub = dataclasses.replace(cfg, **{grid.field: value})
+        data = _stage("prepare-data", lambda: prepare_data(sub))
+        for method in grid.methods:
+            rundir = grid.rundir.format(value=value, group=group, method=method)
+            rec = run_pipeline(sub, eta, out / rundir, method=method, data=data)
             records.append(rec)
-            vals.append(rec.final.map)
-            rows.append(f"{label},galc_slr,{eta!r},{rec.final.map!r},"
+            rows.append(f"{group},{method},{eta!r},{rec.final.map!r},"
                         f"{rec.final.cf1!r},{rec.final.of1!r}")
-        svgplot.emit_plot([("GALC-SLR", labels, vals)], "grouped_bar",
-                          out / "ablation_limit.svg",
-                          title=f"Single-label budget ablation at eta={eta!r}",
-                          xlabel="single-label budget", ylabel="mAP")
-    else:
-        raise ValueError("axis must be 'trusted' or 'limit'")
+    series = [(_METHOD_LABELS[m], grid.groups, [r.final.map for r in records if r.method == m])
+              for m in grid.methods]
+    svgplot.emit_plot(series, "grouped_bar", out / f"ablation_{axis}.svg",
+                      title=f"{grid.title} at eta={eta!r}", xlabel=grid.xlabel, ylabel="mAP")
     (out / f"ablation_{axis}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     return records

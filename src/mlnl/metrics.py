@@ -64,13 +64,11 @@ def mean_ap(score_matrix, labels) -> tuple[float, np.ndarray, list[int]]:
     return float(np.nanmean(per_class)), per_class, excluded
 
 
-def f1_scores(pred_probs, labels, threshold: float = 0.5,
-              per_class_f1_mean: bool = False) -> tuple[float, float]:
+def f1_scores(pred_probs, labels, threshold: float = 0.5) -> tuple[float, float]:
     """CF1 and OF1 at the given threshold (prediction positive iff p >= threshold).
 
-    Default CF1 is the harmonic mean of macro-averaged precision and recall;
-    `per_class_f1_mean` switches to averaging per-class F1 values instead.
-    Zero-denominator classes contribute 0 to the macro means.
+    CF1 is the harmonic mean of macro-averaged precision and recall;
+    zero-denominator classes contribute 0 to the macro means.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
@@ -86,13 +84,8 @@ def f1_scores(pred_probs, labels, threshold: float = 0.5,
     with np.errstate(invalid="ignore", divide="ignore"):
         prec = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
         rec = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
-    if per_class_f1_mean:
-        denom = prec + rec
-        f1 = np.where(denom > 0, 2 * prec * rec / np.where(denom > 0, denom, 1.0), 0.0)
-        cf1 = float(f1.mean())
-    else:
-        cp, cr = float(prec.mean()), float(rec.mean())
-        cf1 = 2 * cp * cr / (cp + cr) if cp + cr > 0 else 0.0
+    cp, cr = float(prec.mean()), float(rec.mean())
+    cf1 = 2 * cp * cr / (cp + cr) if cp + cr > 0 else 0.0
 
     otp, ofp, ofn = tp.sum(), fp.sum(), fn.sum()
     op = otp / (otp + ofp) if otp + ofp > 0 else 0.0

@@ -122,17 +122,12 @@ class CorrectedMode:
 
     matrix: np.ndarray
     gold_mask: np.ndarray | None = None  # bool per sample; None = all silver
-    normalize: bool = False              # row-normalize M before use
 
     def effective_matrix(self, k: int) -> np.ndarray:
         m = self.matrix.matrix if isinstance(self.matrix, CorruptionMatrix) else self.matrix
         m = np.asarray(m, dtype=np.float64)
         if m.shape != (k, k):
             raise ValueError(f"correction matrix shape {m.shape} does not match K={k}")
-        if self.normalize:
-            sums = m.sum(axis=1, keepdims=True)
-            safe = np.where(sums > 0, sums, 1.0)
-            m = np.where(sums > 0, m / safe, 1.0 / k)
         return m
 
 
@@ -260,20 +255,16 @@ def asl_grad(logits, y, params: AslParams):
     return d * p * (1.0 - p)
 
 
-def corrected_loss(c_hat, logits, y_noisy, params: AslParams,
-                   normalize: bool = False):
-    """Loss and logit gradient of the corrected objective L(M^T sigmoid(z), y).
-
-    `normalize` divides each row of the correction matrix by its sum first
-    (the row-normalized variant); by default q is only clipped.
-    """
+def corrected_loss(c_hat, logits, y_noisy, params: AslParams):
+    """Loss and logit gradient of the corrected objective L(M^T sigmoid(z), y);
+    the matrix is used as given, and q = M^T p is only clipped."""
     params.validate()
     z = np.asarray(logits, dtype=np.float64)
     yv = _binary(y_noisy)
     single = z.ndim == 1
     zb = z[None, :] if single else z
     yb = yv[None, :] if single else yv
-    m = CorrectedMode(c_hat, normalize=normalize).effective_matrix(zb.shape[1])
+    m = CorrectedMode(c_hat).effective_matrix(zb.shape[1])
 
     p = sigmoid(zb)
     terms, dq = _asl_terms_and_slopes(p @ m, yb, params)

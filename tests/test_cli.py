@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlnl import estimator
+from mlnl import cli, estimator
 from mlnl.cli import main
 from mlnl.datagen import read_dataset
 from mlnl.harness import parse_config, run_pipeline
@@ -119,9 +120,23 @@ class TestSweepAndPlot:
         for svg in ("sweep_map.svg", "sweep_cf1.svg", "sweep_of1.svg",
                     "sweep_memorization.svg"):
             assert (out / svg).exists()
-        (out / "sweep_map.svg").unlink()
-        run(["--config", cfg_file, "--out", out, "plot"])
-        assert (out / "sweep_map.svg").exists()
+        svgs = {p.name: p.read_bytes() for p in out.glob("*.svg")}
+        assert sorted(svgs) == ["sweep_cf1.svg", "sweep_map.svg", "sweep_memorization.svg",
+                                "sweep_of1.svg"]
+        for name in svgs:
+            (out / name).unlink()
+        run(["--out", out, "plot"])
+        assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == svgs
+
+    def test_plot_without_results_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "summary.csv").write_text("method,eta,map,cf1,of1,frobenius_to_true\n")
+        assert main(["--out", str(out), "plot"]) == 1
+        err = capsys.readouterr().err
+        assert f"{out / 'summary.csv'}: no data rows" in err
+        assert "Traceback" not in err
+        assert list(out.glob("*.svg")) == []
 
     def test_failed_cell_makes_the_sweep_exit_one(self, tmp_path, cfg_file, capsys,
                                                   monkeypatch):
@@ -169,6 +184,16 @@ class TestErrors:
         assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 1
         err = capsys.readouterr().err
         assert "nan.cfg:13: gen.mean_labels must be in [2,inf), got nan" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_u64_exits_one(self, tmp_path, cfg_file, capsys, seed):
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg_file), "--out", str(out), "--seed", seed,
+                     "gen-data"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: seed must be in [0,2**64), got {seed}" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -289,9 +314,7 @@ class TestTooling:
 
     ROOT = Path(__file__).resolve().parent.parent
 
-    @pytest.mark.parametrize("argv", [["-m", "mlnl", "--help"],
-                                      ["scripts/calibrate_estimators.py", "--help"]])
-    def test_help_exits_zero(self, argv):
+    def help_exits_zero(self, argv):
         src = str(self.ROOT / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -299,3 +322,17 @@ class TestTooling:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "usage:" in done.stdout
+
+    @pytest.mark.parametrize("argv", [["-m", "mlnl", "--help"],
+                                      ["scripts/calibrate_estimators.py", "--help"]])
+    def test_help_exits_zero(self, argv):
+        self.help_exits_zero(argv)
+
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_subcommand_help_exits_zero(self, command):
+        self.help_exits_zero(["-m", "mlnl", command, "--help"])
+
+    def test_every_subcommand_has_one_handler(self):
+        parser = cli.build_parser()
+        (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(subcommands.choices) == sorted(cli._HANDLERS)

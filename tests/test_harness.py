@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 from collections import Counter
@@ -27,6 +28,13 @@ def tiny_config(seed=9, etas=(0.0, 0.3)) -> ExperimentConfig:
         silver=TrainConfig(epochs=3, batch_size=32, lr=2e-3),
         gold=TrainConfig(epochs=3, batch_size=32, lr=2e-3),
         hidden=(16,), seed=seed)
+
+
+def tree_digest(root) -> str:
+    """SHA-256 over the relative path and bytes of every file under root."""
+    lines = [f"{p.relative_to(root).as_posix()} {hashlib.sha256(p.read_bytes()).hexdigest()}"
+             for p in sorted(root.rglob("*")) if p.is_file()]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class TestParseConfig:
@@ -67,6 +75,25 @@ class TestParseConfig:
         path.write_text("gen.n = many\n")
         with pytest.raises(ValueError, match=":1:"):
             parse_config(path)
+
+    @pytest.mark.parametrize("etas", ["0.3, 0.3", "0, 0.2, -0.0"])
+    def test_repeated_eta_cites_line(self, tmp_path, etas):
+        path = tmp_path / "a.cfg"
+        path.write_text(f"gen.k = 5\nnoise.eta = {etas}\n")
+        with pytest.raises(ValueError, match=r":2: noise.eta repeats the value"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_cites_line(self, tmp_path, seed):
+        path = tmp_path / "a.cfg"
+        path.write_text(f"seed = {seed}\n")
+        with pytest.raises(ValueError, match=rf":1: seed must be in \[0,2\*\*64\), got {seed}"):
+            parse_config(path)
+
+    def test_largest_seed_accepted(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text(f"seed = {2**64 - 1}\n")
+        assert parse_config(path).seed == 2**64 - 1
 
     def test_unlimited_limit(self, tmp_path):
         path = tmp_path / "a.cfg"
@@ -314,29 +341,69 @@ class TestRunSweep:
         run_sweep(cfg, tmp_path / "b")
         assert (tmp_path / "a" / "summary.csv").read_bytes() == \
                (tmp_path / "b" / "summary.csv").read_bytes()
+        # every file, plots included, pinned while the sweep still drew its
+        # plots from its in-memory records; never re-pin
+        assert tree_digest(tmp_path / "a") == \
+            "c86859ebb74422078d8a73f0b1d95c516e4f1e0b3a254c597a1e20b21c6aa3ae"
+
+
+@pytest.fixture(scope="module")
+def ablation(tmp_path_factory):
+    """Run an ablation axis once on the tiny config at eta 0.3; returns
+    (config, output directory, records, prepare_data calls)."""
+    runs = {}
+
+    def run(axis):
+        if axis not in runs:
+            cfg = tiny_config(etas=(0.3,))
+            cfg.ablation_eta = 0.3
+            out = tmp_path_factory.mktemp(axis)
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                prepare = harness.prepare_data
+                mp.setattr(harness, "prepare_data",
+                           lambda c: calls.append(c) or prepare(c))
+                records = run_ablation(cfg, axis, out)
+            runs[axis] = (cfg, out, records, len(calls))
+        return runs[axis]
+    return run
+
+
+# tree_digest of every file run_ablation writes (CSV, SVG, resolved.cfg and
+# each run directory), taken from the per-axis branches that the axis table
+# replaced; never re-pin.
+ABLATION_DIGESTS = {
+    "trusted": "c8dcaff130f645a093a1a838ff6949e8050e08cbf1eec18703d5b5ce72e8e917",
+    "limit": "bf2fd8b2555a6f8b98fe6eac01b1acbe3ab54e22a54436db0aeaf02d2e4bbb7e",
+}
 
 
 class TestRunAblation:
-    def test_trusted_axis_grid(self, tmp_path):
-        cfg = tiny_config(etas=(0.3,))
-        cfg.ablation_eta = 0.3
-        records = run_ablation(cfg, "trusted", tmp_path)
+    def test_trusted_axis_grid(self, ablation):
+        _, out, records, _ = ablation("trusted")
         assert len(records) == 4
-        assert (tmp_path / "ablation_trusted.svg").exists()
-        rows = (tmp_path / "ablation_trusted.csv").read_text().splitlines()
+        assert (out / "ablation_trusted.svg").exists()
+        rows = (out / "ablation_trusted.csv").read_text().splitlines()
         assert len(rows) == 5
 
-    def test_limit_axis_grid(self, tmp_path):
-        cfg = tiny_config(etas=(0.3,))
-        cfg.ablation_eta = 0.3
-        records = run_ablation(cfg, "limit", tmp_path)
+    def test_limit_axis_grid(self, ablation):
+        cfg, out, records, _ = ablation("limit")
         assert len(records) == 3
         labels = [r.split(",")[0] for r in
-                  (tmp_path / "ablation_limit.csv").read_text().splitlines()[1:]]
+                  (out / "ablation_limit.csv").read_text().splitlines()[1:]]
         assert labels == ["L10", "L50", "unlimited"]
         for sub in ("limit_L10", "limit_L50", "limit_unlimited"):
-            cm = read_matrix(tmp_path / sub / "chat.csv")
+            cm = read_matrix(out / sub / "chat.csv")
             assert cm.k == cfg.gen.k
+
+    @pytest.mark.parametrize("axis", ["trusted", "limit"])
+    def test_output_bytes_pinned(self, ablation, axis):
+        _, out, _, _ = ablation(axis)
+        assert tree_digest(out) == ABLATION_DIGESTS[axis]
+
+    def test_each_variant_prepares_its_data_once(self, ablation):
+        assert ablation("trusted")[3] == 2
+        assert ablation("limit")[3] == 3
 
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="axis"):

@@ -183,14 +183,6 @@ class TestF1Scores:
         assert abs(cf1 - want_cf1) <= 1e-12
         assert abs(of1 - want_of1) <= 1e-12
 
-    def test_per_class_f1_mean_flag(self):
-        rng = np.random.default_rng(6)
-        p = rng.uniform(size=(40, 5))
-        y = (rng.uniform(size=(40, 5)) < 0.4).astype(np.uint8)
-        a, _ = f1_scores(p, y, 0.5, per_class_f1_mean=False)
-        b, _ = f1_scores(p, y, 0.5, per_class_f1_mean=True)
-        assert a != b  # different conventions on generic data
-
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             f1_scores(np.zeros((2, 2)), np.zeros((2, 2)), 1.5)

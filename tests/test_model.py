@@ -191,17 +191,6 @@ class TestCorrectedLoss:
             # direct-evaluation oracle
             assert abs(loss - asl_loss(np.clip(q, 1e-7, 1 - 1e-7), y, params)) <= 1e-12
 
-    def test_normalize_flag_row_normalizes(self):
-        rng = np.random.default_rng(9)
-        k = 3
-        z = rng.normal(size=k)
-        y = np.array([1.0, 0.0, 0.0])
-        c = rng.uniform(0.5, 2.0, size=(k, k))
-        l1, g1 = corrected_loss(c, z, y, AslParams(), normalize=True)
-        l2, g2 = corrected_loss(c / c.sum(axis=1, keepdims=True), z, y, AslParams())
-        assert abs(l1 - l2) <= 1e-12
-        np.testing.assert_allclose(g1, g2, atol=1e-12)
-
 
 class TestGradientCheck:
     def test_fresh_model_asl(self):
@@ -485,13 +474,12 @@ class TestStepOracle:
             mode = batch_mode = "asl"
         else:
             c = rng.uniform(0.0, 1.0, size=(k, k)) + np.eye(k) * rng.uniform(0, 3)
-            normalize = bool(rng.integers(0, 2))
             gold = None
             if mode_kind == "corrected":
                 gold = rng.uniform(size=n) < rng.uniform(0.0, 1.0)
                 silver = np.flatnonzero(~gold)
-            mode = CorrectedMode(c, None, normalize)
-            batch_mode = CorrectedMode(c, gold, normalize)
+            mode = CorrectedMode(c, None)
+            batch_mode = CorrectedMode(c, gold)
         ref_loss, ref_gw, ref_gb = _ref_loss_and_grads(model, x, y, params, batch_mode)
 
         objective = _Objective(model, params, mode)
