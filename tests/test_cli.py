@@ -95,18 +95,19 @@ class TestStagedWorkflow:
         run(["--config", cfg_file, "--out", out, "train-silver"])
         run(["--config", cfg_file, "--out", out, "estimate", "--method", "glc"])
         assert read_matrix(out / "chat.csv").k == 5
-        run(["--config", cfg_file, "--out", out, "estimate", "--method", "true",
-             "--eta", 0.3])
+        run(["--config", cfg_file, "--out", out, "estimate", "--method", "true"])
         cm = read_matrix(out / "chat.csv")
         assert cm.kind == "true_row_stochastic"
+        assert (out / "chat.csv").read_bytes() == (out / "true_matrix.csv").read_bytes()
 
     def test_no_final_sigmoid_flag(self, tmp_path, cfg_file):
         out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise"])
-        run(["--config", cfg_file, "--out", out, "train-silver"])
-        run(["--config", cfg_file, "--out", out, "estimate", "--method", "galc-slr",
-             "--no-final-sigmoid"])
+        cfg = tmp_path / "raw.cfg"
+        cfg.write_text(cfg_file.read_text() + "correction.form = raw\n")
+        run(["--config", cfg, "--out", out, "gen-data"])
+        run(["--config", cfg, "--out", out, "inject-noise"])
+        run(["--config", cfg, "--out", out, "train-silver"])
+        run(["--config", cfg, "--out", out, "estimate", "--method", "galc-slr"])
         chat = read_matrix(out / "chat.csv")
         raw = read_matrix(out / "chat_raw.csv")
         np.testing.assert_array_equal(chat.matrix, raw.matrix)
@@ -196,6 +197,19 @@ class TestErrors:
         assert f"error: seed must be in [0,2**64), got {seed}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+    def test_unusable_out_exits_one_without_traceback(self, tmp_path, cfg_file, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker if where == "existing-file" else blocker / "sub"
+        code = main(["--config", str(cfg_file), "--out", str(out), "gen-data"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "exp.cfg"]
 
     def test_missing_file_reported(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "train-silver"]) == 1
@@ -309,6 +323,22 @@ class TestCliMatchesHarness:
             assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
 
 
+    def test_true_matrix_uses_the_injected_eta(self, tmp_path, cfg_file):
+        # inject-noise --eta 0.4 overrides noise.eta = 0.3; estimate --method
+        # true must then correct with the 0.4 matrix that inject-noise wrote
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        run(["--config", cfg_file, "--out", cli_out, "gen-data"])
+        run(["--config", cfg_file, "--out", cli_out, "inject-noise", "--eta", 0.4])
+        run(["--config", cfg_file, "--out", cli_out, "train-silver"])
+        run(["--config", cfg_file, "--out", cli_out, "estimate", "--method", "true"])
+        run(["--config", cfg_file, "--out", cli_out, "train-gold",
+             "--correction", cli_out / "chat.csv"])
+        assert (cli_out / "chat.csv").read_bytes() == (cli_out / "true_matrix.csv").read_bytes()
+        run_pipeline(parse_config(cfg_file), 0.4, lib_out, method="true_matrix")
+        for name in self.SHARED + ("chat.csv",):
+            assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
+
+
 class TestTooling:
     """Entry points start: a broken import fails here, not for a user."""
 
@@ -327,6 +357,18 @@ class TestTooling:
                                       ["scripts/calibrate_estimators.py", "--help"]])
     def test_help_exits_zero(self, argv):
         self.help_exits_zero(argv)
+
+    def test_calibrate_estimators_runs(self):
+        src = str(self.ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "scripts/calibrate_estimators.py", "--seeds", "1",
+                               "--n", "400", "--epochs", "1"], cwd=self.ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 32
+        assert all(ln.startswith("ml=") and "| frob " in ln for ln in lines)
 
     @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
     def test_subcommand_help_exits_zero(self, command):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -288,3 +290,59 @@ class TestPipelineLevelEstimation:
         rep = estimate_galc_slr(f, gold, regs)
         cmp_true = compare_matrices(rep.raw, symmetric_matrix(6, 0.4))
         assert cmp_true.diagonal_gap > 0.2
+
+
+class TestPinnedDigests:
+    """SHA-256 of every array, count and fallback list the estimators return,
+    taken from the per-estimator class loops before they shared one kernel.
+    The pool lacks class 4 and the estimation set lacks class 1, so both
+    fallback rows are covered."""
+
+    DIGESTS = {
+        "regulators": "8ae4df647f65ec8cd994eedf678bf57af21966e9a1457bd1b43ba123c452eecb",
+        "galc_slr": "abe055b58dd285afef7b876cde2d985208ced982b1afe49006b48995fcaf2cbd",
+        "glc_softmax": "ce5b64519069fd95d5ea0ff470a022e98be42b18c13f58e2505fa4635fc43f33",
+        "glc_sigmoid": "58eb84ae31ca6cf6f6c72c734a81416cfcc3045b4526b655cbcf812316defd6d",
+    }
+
+    @staticmethod
+    def digest(*parts):
+        h = hashlib.sha256()
+        for part in parts:
+            h.update(np.ascontiguousarray(part).tobytes() if isinstance(part, np.ndarray)
+                     else repr(part).encode())
+        return h.hexdigest()
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        rng = np.random.default_rng(31)
+        k = 6
+        model = init_model([5, 9, k], "tanh", 1.0, seed=17)
+        pool = single_label_pool(7, k=k, skip=(4,), seed=32)
+        labels = np.zeros((150, k), dtype=np.uint8)
+        present = [c for c in range(k) if c != 1]
+        for row in labels:
+            row[rng.choice(present, size=int(rng.integers(1, 4)), replace=False)] = 1
+        est = Dataset(rng.normal(size=(150, 5)), labels)
+        regs = compute_regulators(model, pool)
+        return {
+            "regulators": regs,
+            "galc_slr": estimate_galc_slr(model, est, regs),
+            "glc_softmax": estimate_glc(model, est, "softmax"),
+            "glc_sigmoid": estimate_glc(model, est, "sigmoid"),
+        }
+
+    def test_fallbacks(self, reports):
+        assert reports["regulators"].fallback_classes == [4]
+        for name in ("galc_slr", "glc_softmax", "glc_sigmoid"):
+            assert reports[name].fallback_classes == [1]
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_bytes_pinned(self, reports, name):
+        rep = reports[name]
+        if name == "regulators":
+            got = self.digest(rep.matrix, rep.counts, rep.fallback_classes)
+        else:
+            got = self.digest(rep.raw.matrix, rep.raw.kind, rep.scaled.matrix, rep.scaled.kind,
+                              rep.counts, rep.fallback_classes)
+        assert got == self.DIGESTS[name]
