@@ -95,13 +95,12 @@ def _cmd_estimate(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
     method = "true_matrix" if args.method == "true" else args.method.replace("-", "_")
-    if args.estimation_set:
-        cfg.estimation_set = args.estimation_set
-    if args.no_final_sigmoid:
-        cfg.correction_form = "raw"
-    eta = args.eta if args.eta is not None else cfg.etas[0]
-    f = pool = noisy = None
-    if method != "true_matrix":
+    eta = f = pool = noisy = None
+    if method == "true_matrix":
+        eta = noise.read_matrix(out / "true_matrix.csv").eta
+        if eta is None:
+            raise ValueError(f"{out / 'true_matrix.csv'}: header has no eta=")
+    else:
         f = load_model(out / "silver_model.mlpm")
     gold = datagen.read_dataset(out / "gold.mlnl")
     if method == "galc_slr":
@@ -190,11 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, help="noise ratio (default: first of noise.eta)")
     sub.add_parser("train-silver", help="train the silver classifier on noisy data")
     p = sub.add_parser("estimate", help="estimate the corruption matrix")
-    p.add_argument("--method", required=True, choices=["galc-slr", "glc", "true"])
-    p.add_argument("--estimation-set", choices=["gold", "silver"])
-    p.add_argument("--no-final-sigmoid", action="store_true",
-                   help="write the raw estimate as the final matrix")
-    p.add_argument("--eta", type=float, help="noise ratio for --method true")
+    p.add_argument("--method", required=True, choices=["galc-slr", "glc", "true"],
+                   help="true: the symmetric matrix at the eta inject-noise used")
     p = sub.add_parser("train-gold", help="train the final classifier")
     p.add_argument("--correction", required=True,
                    help="correction matrix CSV path, or 'none' for the plain baseline")
@@ -225,7 +221,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, RuntimeError, FileNotFoundError) as e:
+    except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -51,6 +51,41 @@ class EstimationReport:
         return self.raw.k
 
 
+def _class_sums(labels: np.ndarray, *values: np.ndarray):
+    """Sum each of `values` over the samples carrying each label.
+
+    Returns one (K, ...) array of sums per value, the (K,) sample counts, and
+    the classes without samples, whose sums stay zero.
+    """
+    k = labels.shape[1]
+    sums = [np.zeros((k,) + v.shape[1:]) for v in values]
+    counts = np.zeros(k, dtype=np.int64)
+    empty = []
+    for c in range(k):
+        mask = labels[:, c] == 1
+        counts[c] = int(mask.sum())
+        if counts[c] == 0:
+            empty.append(c)
+            continue
+        for total, v in zip(sums, values):
+            total[c] = v[mask].sum(axis=0)
+    return sums, counts, empty
+
+
+def _class_means(sums: np.ndarray, counts: np.ndarray, fallback) -> np.ndarray:
+    """Row c of `sums` divided by counts[c]; rows of empty classes are `fallback`."""
+    means = np.full_like(sums, fallback)
+    np.divide(sums, counts[:, None], out=means, where=counts[:, None] > 0)
+    return means
+
+
+def _report(raw: np.ndarray, counts: np.ndarray, fallback: list[int]) -> EstimationReport:
+    return EstimationReport(
+        raw=CorruptionMatrix(raw, KIND_RAW),
+        scaled=CorruptionMatrix(sigmoid(raw), KIND_SCALED),
+        counts=counts, fallback_classes=fallback)
+
+
 def compute_regulators(model: MlpModel, pool: Dataset) -> RegulatorMatrix:
     """Mean softmax prediction per class over a clean single-label pool."""
     if pool.n == 0:
@@ -60,19 +95,8 @@ def compute_regulators(model: MlpModel, pool: Dataset) -> RegulatorMatrix:
         bad = int(np.argmax(cards != 1))
         raise ValueError(f"pool sample {bad} has {cards[bad]} positives; expected exactly 1")
     k = pool.num_classes
-    soft = forward(model, pool.features).p_soft
-    classes = pool.labels.argmax(axis=1)
-    reg = np.full((k, k), 1.0 / k)
-    counts = np.zeros(k, dtype=np.int64)
-    fallback = []
-    for c in range(k):
-        rows = soft[classes == c]
-        counts[c] = rows.shape[0]
-        if counts[c] == 0:
-            fallback.append(c)
-        else:
-            reg[c] = rows.sum(axis=0) / counts[c]
-    return RegulatorMatrix(reg, counts, fallback)
+    (sums,), counts, fallback = _class_sums(pool.labels, forward(model, pool.features).p_soft)
+    return RegulatorMatrix(_class_means(sums, counts, 1.0 / k), counts, fallback)
 
 
 def estimate_galc_slr(model: MlpModel, estimation_set: Dataset,
@@ -86,31 +110,15 @@ def estimate_galc_slr(model: MlpModel, estimation_set: Dataset,
     sig = forward(model, estimation_set.features).p_sig
     y = estimation_set.labels.astype(np.float64)
     reg = regulators.matrix
-
-    raw = np.zeros((k, k))
-    counts = np.zeros(k, dtype=np.int64)
-    fallback = []
     # For samples with class c positive:
     #   sum_i [ sig_i - (y_i @ reg - reg_c) + (card_i - 1) * reg_c ]
-    reg_sums = y @ reg                      # per-sample sum of regulator rows of its labels
-    cards = y.sum(axis=1)
-    for c in range(k):
-        mask = estimation_set.labels[:, c] == 1
-        n_c = int(mask.sum())
-        counts[c] = n_c
-        if n_c == 0:
-            fallback.append(c)
-            raw[c] = logit(np.full(k, 1.0 / k))
-            continue
-        acc = sig[mask].sum(axis=0)
-        acc -= reg_sums[mask].sum(axis=0) - n_c * reg[c]
-        acc += (cards[mask] - 1.0).sum() * reg[c]
-        raw[c] = acc / n_c
-    scaled = sigmoid(raw)
-    return EstimationReport(
-        raw=CorruptionMatrix(raw, KIND_RAW),
-        scaled=CorruptionMatrix(scaled, KIND_SCALED),
-        counts=counts, fallback_classes=fallback)
+    # y_i @ reg is the sum of the regulator rows of sample i's labels.
+    (sig_sums, reg_sums, extra), counts, fallback = _class_sums(
+        estimation_set.labels, sig, y @ reg, y.sum(axis=1) - 1.0)
+    n = counts[:, None]
+    acc = sig_sums - (reg_sums - n * reg) + extra[:, None] * reg
+    raw = _class_means(acc, counts, logit(np.full(k, 1.0 / k)))
+    return _report(raw, counts, fallback)
 
 
 def estimate_glc(model: MlpModel, gold: Dataset,
@@ -120,24 +128,10 @@ def estimate_glc(model: MlpModel, gold: Dataset,
         raise ValueError("gold set is empty")
     if readout not in ("softmax", "sigmoid"):
         raise ValueError(f"unknown readout {readout!r}")
-    k = gold.num_classes
     out = forward(model, gold.features)
-    pred = out.p_soft if readout == "softmax" else out.p_sig
-    raw = np.zeros((k, k))
-    counts = np.zeros(k, dtype=np.int64)
-    fallback = []
-    for c in range(k):
-        mask = gold.labels[:, c] == 1
-        counts[c] = int(mask.sum())
-        if counts[c] == 0:
-            fallback.append(c)
-            raw[c] = 1.0 / k
-        else:
-            raw[c] = pred[mask].sum(axis=0) / counts[c]
-    return EstimationReport(
-        raw=CorruptionMatrix(raw, KIND_RAW),
-        scaled=CorruptionMatrix(sigmoid(raw), KIND_SCALED),
-        counts=counts, fallback_classes=fallback)
+    (sums,), counts, fallback = _class_sums(
+        gold.labels, out.p_soft if readout == "softmax" else out.p_sig)
+    return _report(_class_means(sums, counts, 1.0 / gold.num_classes), counts, fallback)
 
 
 @dataclass(frozen=True)

@@ -326,7 +326,7 @@ def train_silver(cfg: ExperimentConfig, silver_noisy: Dataset, test: Dataset | N
     return _train_stage(cfg, "silver", silver_noisy, "asl", test)
 
 
-def estimate_correction(cfg: ExperimentConfig, method: str, eta: float, gold: Dataset,
+def estimate_correction(cfg: ExperimentConfig, method: str, eta: float | None, gold: Dataset,
                         silver_model: MlpModel | None, singles_pool: Dataset | None,
                         silver_noisy: Dataset | None):
     """The correction matrix `method` trains the gold model with, and the
@@ -334,7 +334,8 @@ def estimate_correction(cfg: ExperimentConfig, method: str, eta: float, gold: Da
 
     galc_slr reads the silver model, the single-label pool and the
     estimation set (gold, or silver_noisy when cfg.estimation_set is
-    "silver"); glc reads the silver model and gold; true_matrix only K.
+    "silver"); glc reads the silver model and gold; true_matrix only K and
+    `eta`, which the other methods ignore.
     """
     if method == "true_matrix":
         return noise.symmetric_matrix(gold.num_classes, eta), None

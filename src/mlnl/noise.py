@@ -201,12 +201,10 @@ def empirical_matrix(clean: Dataset, noisy: Dataset) -> tuple[CorruptionMatrix, 
         i, s, a = np.nonzero(departures[block, :, None] & arrivals[block, None, :])
         np.add.at(counts, (s, a), share[lo + i])
 
-    missing = [i for i in range(k) if clean.labels[:, i].sum() == 0]
+    # a class without clean positives has an all-zero count row
+    missing = np.flatnonzero(clean.labels.sum(axis=0) == 0).tolist()
     rows = np.zeros_like(counts)
     for i in range(k):
-        if i in missing:
-            rows[i, i] = 1.0
-            continue
         total = counts[i].sum()
         if total <= 0:
             rows[i, i] = 1.0

@@ -211,6 +211,21 @@ class TestErrors:
         assert blocker.read_text() == "not a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "exp.cfg"]
 
+    def test_true_matrix_without_eta_exits_one(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        run(["--config", cfg_file, "--out", out, "inject-noise"])
+        true_csv = out / "true_matrix.csv"
+        lines = true_csv.read_text().splitlines()
+        true_csv.write_text("# kind=true_row_stochastic K=5\n" + "\n".join(lines[1:]) + "\n")
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), "estimate", "--method", "true"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {true_csv}: header has no eta=" in err
+        assert "Traceback" not in err
+        assert not (out / "chat.csv").exists()
+
     def test_missing_file_reported(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "train-silver"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -374,7 +389,15 @@ class TestTooling:
     def test_subcommand_help_exits_zero(self, command):
         self.help_exits_zero(["-m", "mlnl", command, "--help"])
 
-    def test_every_subcommand_has_one_handler(self):
+    @staticmethod
+    def subparsers():
         parser = cli.build_parser()
         (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert sorted(subcommands.choices) == sorted(cli._HANDLERS)
+        return subcommands.choices
+
+    def test_estimate_takes_only_method(self):
+        options = [s for a in self.subparsers()["estimate"]._actions for s in a.option_strings]
+        assert sorted(options) == ["--help", "--method", "-h"]
+
+    def test_every_subcommand_has_one_handler(self):
+        assert sorted(self.subparsers()) == sorted(cli._HANDLERS)
