@@ -60,16 +60,12 @@ def _class_sums(labels: np.ndarray, *values: np.ndarray):
     k = labels.shape[1]
     sums = [np.zeros((k,) + v.shape[1:]) for v in values]
     counts = np.zeros(k, dtype=np.int64)
-    empty = []
     for c in range(k):
         mask = labels[:, c] == 1
-        counts[c] = int(mask.sum())
-        if counts[c] == 0:
-            empty.append(c)
-            continue
+        counts[c] = mask.sum()
         for total, v in zip(sums, values):
             total[c] = v[mask].sum(axis=0)
-    return sums, counts, empty
+    return sums, counts, np.flatnonzero(counts == 0).tolist()
 
 
 def _class_means(sums: np.ndarray, counts: np.ndarray, fallback) -> np.ndarray:
