@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import datagen, harness, noise
+from . import datagen, harness, noise, textio
 from .harness import ExperimentConfig, parse_config
 from .metrics import evaluate
 # `train` is not called here; it stays bound in this module because
@@ -46,7 +46,7 @@ def _cmd_gen_data(args) -> int:
     datagen.write_dataset(data.gold, out / "gold.mlnl")
     datagen.write_dataset(data.silver_clean, out / "silver_clean.mlnl")
     datagen.write_dataset(data.singles_pool, out / "singles_pool.mlnl")
-    (out / "resolved.cfg").write_text(harness.render_config(cfg), encoding="utf-8")
+    textio.write_lines(out / "resolved.cfg", harness.render_config(cfg))
     print(f"generated N={data.full.n} K={data.full.num_classes} "
           f"gold={data.gold.n} silver={data.silver_clean.n} "
           f"singles_pool={data.singles_pool.n} test={data.test.n} -> {out}")
@@ -64,10 +64,8 @@ def _cmd_inject_noise(args) -> int:
     noise.write_matrix(true_c, out / "true_matrix.csv")
     emp, _ = noise.empirical_matrix(silver, noisy)
     noise.write_matrix(emp, out / "empirical_matrix.csv")
-    with open(out / "flips.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample,from,to\n")
-        for i, a, b in log.flips:
-            fh.write(f"{i},{a},{b}\n")
+    textio.write_lines(out / "flips.csv",
+                       ["sample,from,to", *(f"{i},{a},{b}" for i, a, b in log.flips)])
     print(f"injected eta={eta!r}: {len(log)} flips over {silver.n} samples -> {out}")
     return 0
 
@@ -99,7 +97,7 @@ def _cmd_estimate(args) -> int:
     if method == "true_matrix":
         eta = noise.read_matrix(out / "true_matrix.csv").eta
         if eta is None:
-            raise ValueError(f"{out / 'true_matrix.csv'}: header has no eta=")
+            raise textio.located(out / "true_matrix.csv", None, "header has no eta=")
     else:
         f = load_model(out / "silver_model.mlpm")
     gold = datagen.read_dataset(out / "gold.mlnl")
@@ -139,9 +137,8 @@ def _cmd_evaluate(args) -> int:
     report = evaluate(scores, ds.labels)
     print(f"map={report.map!r} cf1={report.cf1!r} of1={report.of1!r}")
     out = _outdir(cfg)
-    with open(out / "eval.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("map,cf1,of1\n")
-        fh.write(f"{report.map!r},{report.cf1!r},{report.of1!r}\n")
+    textio.write_lines(out / "eval.csv",
+                       ["map,cf1,of1", f"{report.map!r},{report.cf1!r},{report.of1!r}"])
     return 0
 
 

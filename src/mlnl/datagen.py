@@ -11,16 +11,18 @@ noise scale.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .numerics import RandomStream
 
 FILE_MAGIC = "MLNL"
 FILE_VERSION = "v1"
-_WRITE_CHUNK_ROWS = 4096  # dataset text is formatted and written this many rows at a time
+_WRITE_CHUNK_ROWS = 4096  # dataset rows are turned into Python floats this many at a time
 
 
 @dataclass(eq=False)
@@ -295,113 +297,102 @@ def write_dataset(ds: Dataset, path) -> None:
     `MLNL v1 <N> <d> <K>`, then one line per sample with its d features as
     `%.17g` separated by single spaces, ` | `, and its positive label indices
     in ascending order separated by single spaces."""
-    row_format = " ".join(["%.17g"] * ds.num_features) + " | %s\n"
+    row_format = " ".join(["%.17g"] * ds.num_features) + " | %s"
     k = ds.num_classes
     label_rows = ds.labels.tobytes()
     label_text: dict[bytes, str] = {}  # each distinct label row is formatted once
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# tag={ds.tag}\n{FILE_MAGIC} {FILE_VERSION} {ds.n} {ds.num_features} {k}\n")
+
+    def lines():
+        yield f"# tag={ds.tag}"
+        yield f"{FILE_MAGIC} {FILE_VERSION} {ds.n} {ds.num_features} {k}"
         for start in range(0, ds.n, _WRITE_CHUNK_ROWS):
-            lines = []
             for i, feats in enumerate(ds.features[start:start + _WRITE_CHUNK_ROWS].tolist(), start):
                 key = label_rows[i * k:(i + 1) * k]
                 text = label_text.get(key)
                 if text is None:
                     text = label_text[key] = " ".join(str(j) for j, on in enumerate(key) if on)
-                lines.append(row_format % (*feats, text))
-            fh.write("".join(lines))
+                yield row_format % (*feats, text)
+
+    textio.write_lines(path, lines())
 
 
-def _parse_label_indices(label_part: str, k: int, where: str) -> list[int]:
-    """Strictly ascending label indices in [0, k); errors cite `where`."""
-    label_tokens = label_part.split()
-    if not label_tokens:
-        raise ValueError(f"{where}: sample has no positive labels")
-    indices: list[int] = []
-    prev = -1
-    for t in label_tokens:
-        try:
-            j = int(t)
-        except ValueError:
-            raise ValueError(f"{where}: unparsable label index {t!r}") from None
-        if j <= prev:
-            raise ValueError(f"{where}: label indices must be strictly ascending")
-        if j < 0 or j >= k:
-            raise ValueError(f"{where}: label index {j} out of range [0, {k})")
-        indices.append(j)
-        prev = j
+def _parse_label_indices(label_part: str, k: int) -> list[int]:
+    """Strictly ascending label indices in [0, k)."""
+    try:
+        indices = [int(t) for t in label_part.split()]
+    except ValueError:
+        raise ValueError(f"unparsable label indices {label_part.strip()!r}") from None
+    if not indices:
+        raise ValueError("sample has no positive labels")
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError("label indices must be strictly ascending")
+    for j in (indices[0], indices[-1]):
+        if not 0 <= j < k:
+            raise ValueError(f"label index {j} out of range [0, {k})")
     return indices
 
 
 def read_dataset(path) -> Dataset:
-    """Read the text dataset format; errors cite the offending line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        # numbered as str.splitlines numbers the whole text
-        lines = enumerate((s for physical in fh for s in physical.splitlines()), start=1)
-        tag = "clean"
-        lineno = 0
-        header = None
-        for lineno, line in lines:
-            s = line.strip()
-            if not s:
-                continue
-            if s.startswith("#"):
-                body = s[1:].strip()
-                if body.startswith("tag="):
-                    tag = body[4:].strip()
-                continue
-            header = s
-            break
-        if header is None:
-            raise ValueError(f"{path}: no header line found")
+    """Read the text dataset format; a malformed file raises ValueError at
+    `path:line`."""
+    lines = textio.numbered_lines(path)
+    tag = "clean"
+    lineno = None  # the line being judged; None judges the whole file
+    pattern_ids: dict[str, int] = {}  # each distinct label text is checked once
+    patterns, pattern_of_row, line_of_row = [], [], []
+    try:
+        for lineno, header in lines:
+            if not header.startswith("#"):
+                break
+            body = header[1:].strip()
+            if body.startswith("tag="):
+                tag = body[4:].strip()
+        else:
+            lineno = None
+            raise ValueError("no header line found")
+        header_line = lineno
         parts = header.split()
         if len(parts) != 5 or parts[0] != FILE_MAGIC or parts[1] != FILE_VERSION:
-            raise ValueError(f"{path}:{lineno}: malformed header {header!r}")
+            raise ValueError(f"malformed header {header!r}")
         try:
-            n, d, k = int(parts[2]), int(parts[3]), int(parts[4])
+            n, d, k = map(int, parts[2:])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: header counts must be integers") from None
+            raise ValueError("header counts must be integers") from None
         if min(n, d, k) < 0 or d == 0 or k == 0:
-            raise ValueError(f"{path}:{lineno}: invalid header dimensions")
-
+            raise ValueError("invalid header dimensions")
+        size = os.path.getsize(path)  # a data row takes at least 2d+1 bytes: "0 ... 0|0"
+        if n * (2 * d + 1) > size:
+            raise ValueError(f"{n} rows of {d} features cannot fit in a file of {size} bytes")
         features = np.empty((n, d), dtype=np.float64)
-        pattern_ids: dict[str, int] = {}  # each distinct label text is checked once
-        patterns: list[list[int]] = []
-        pattern_of_row: list[int] = []
-        line_of_row: list[int] = []
-        row = 0
-        for lno, line in lines:
-            s = line.strip()
-            if not s:
-                continue
+        for lineno, s in lines:
             if s.startswith("#"):
-                raise ValueError(f"{path}:{lno}: comments are only allowed before the header")
+                raise ValueError("comments are only allowed before the header")
+            row = len(line_of_row)
             if row >= n:
-                raise ValueError(f"{path}:{lno}: more than {n} data rows")
-            if "|" not in s:
-                raise ValueError(f"{path}:{lno}: missing '|' separator")
-            feat_part, label_part = s.split("|", 1)
-            feat_tokens = feat_part.split()
-            if len(feat_tokens) != d:
-                raise ValueError(f"{path}:{lno}: expected {d} features, got {len(feat_tokens)}")
-            try:
-                features[row] = list(map(float, feat_tokens))
-            except ValueError:
-                raise ValueError(f"{path}:{lno}: unparsable feature value") from None
+                raise ValueError(f"more than {n} data rows")
+            feat_part, bar, label_part = s.partition("|")
+            if not bar:
+                raise ValueError("missing '|' separator")
+            features[row] = textio.float_row(feat_part, d, "features")
             pid = pattern_ids.get(label_part)
             if pid is None:
-                patterns.append(_parse_label_indices(label_part, k, f"{path}:{lno}"))
+                patterns.append(_parse_label_indices(label_part, k))
                 pid = pattern_ids[label_part] = len(patterns) - 1
             pattern_of_row.append(pid)
-            line_of_row.append(lno)
-            row += 1
-    if row != n:
-        raise ValueError(f"{path}: expected {n} data rows, found {row}")
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}:{line_of_row[int(np.argmin(finite))]}: features must be finite")
-    pattern_labels = np.zeros((len(patterns), k), dtype=np.uint8)
-    for pid, indices in enumerate(patterns):
-        pattern_labels[pid, indices] = 1
-    labels = pattern_labels[np.array(pattern_of_row, dtype=np.intp)]
-    return Dataset(features, labels, tag=tag)
+            line_of_row.append(lineno)
+        lineno = None
+        if len(line_of_row) != n:
+            raise ValueError(f"expected {n} data rows, found {len(line_of_row)}")
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            lineno = line_of_row[int(np.argmin(finite))]
+            raise ValueError("features must be finite")
+        lineno = header_line  # K sizes the labels; no file size bounds it
+        pattern_labels = np.zeros((len(patterns), k), dtype=np.uint8)
+        for pid, indices in enumerate(patterns):
+            pattern_labels[pid, indices] = 1
+        labels = pattern_labels[np.array(pattern_of_row, dtype=np.intp)]
+        lineno = None  # Dataset rejects an unknown tag
+        return Dataset(features, labels, tag=tag)
+    except (ValueError, MemoryError) as e:
+        raise textio.located(path, lineno, e) from None

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .datagen import Dataset
 from .model import MlpModel, forward
 from .noise import KIND_RAW, KIND_SCALED, CorruptionMatrix, write_matrix
@@ -160,10 +161,7 @@ def write_report(report: EstimationReport, prefix) -> dict[str, str]:
     }
     write_matrix(report.raw, paths["raw"])
     write_matrix(report.scaled, paths["scaled"])
-    lines = ["class,count,fallback"]
-    for c in range(report.k):
-        fb = "yes" if c in report.fallback_classes else "no"
-        lines.append(f"{c},{int(report.counts[c])},{fb}")
-    with open(paths["info"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textio.write_lines(paths["info"], ["class,count,fallback", *(
+        f"{c},{int(report.counts[c])},{'yes' if c in report.fallback_classes else 'no'}"
+        for c in range(report.k))])
     return paths

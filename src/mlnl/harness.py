@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import datagen, estimator, noise, svgplot
+from . import datagen, estimator, noise, svgplot, textio
 from .datagen import Dataset, GenConfig, SplitSpec
 from .metrics import MetricsReport
 from .model import (AslParams, CorrectedMode, EpochStats, MlpModel, TrainConfig, init_model,
@@ -186,43 +186,39 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def render_config(cfg: ExperimentConfig) -> str:
-    """Canonical key = value echo of every setting, defaults included."""
-    return "".join(f"{key.name} = {_fmt_value(key.get(cfg))}\n" for key in CONFIG_KEYS)
+def render_config(cfg: ExperimentConfig) -> list[str]:
+    """The lines of the canonical `key = value` echo of every setting,
+    defaults included, as `resolved.cfg` holds them."""
+    return [f"{key.name} = {_fmt_value(key.get(cfg))}" for key in CONFIG_KEYS]
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse a `key = value` config file; unknown keys and bad types/ranges
     are rejected with the offending line; missing keys take defaults."""
     cfg = ExperimentConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-
-    def fail(lineno, msg):
-        raise ValueError(f"{path}:{lineno}: {msg}")
-
-    for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        if "=" not in s:
-            fail(lineno, f"expected 'key = value', got {raw!r}")
-        name, text = (t.strip() for t in s.split("=", 1))
-        key = _KEYS_BY_NAME.get(name)
-        if key is None:
-            fail(lineno, f"unknown key {name!r}")
-        try:
-            value = key.parse(text)
-        except (ValueError, TypeError) as e:
-            fail(lineno, f"{name}: {e}")
-        problem = key.check(value)
-        if problem:
-            fail(lineno, f"{name} {problem}")
-        key.set(cfg, value)
+    lineno = None  # the line being judged; None judges the whole file
     try:
-        cfg.validate()
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        for lineno, s in textio.numbered_lines(path):
+            if s.startswith("#"):
+                continue
+            name, eq, text = (t.strip() for t in s.partition("="))
+            if not eq:
+                raise ValueError(f"expected 'key = value', got {s!r}")
+            key = _KEYS_BY_NAME.get(name)
+            if key is None:
+                raise ValueError(f"unknown key {name!r}")
+            try:
+                value = key.parse(text)
+            except (ValueError, TypeError) as e:
+                raise ValueError(f"{name}: {e}") from None
+            problem = key.check(value)
+            if problem:
+                raise ValueError(f"{name} {problem}")
+            key.set(cfg, value)
+        lineno = None
+        cfg.validate()  # sizes arrays from gen.k
+    except (ValueError, MemoryError) as e:
+        raise textio.located(path, lineno, e) from None
     return cfg
 
 
@@ -249,7 +245,7 @@ class RunRecord:
 
 
 def config_hash(cfg: ExperimentConfig, eta: float, method: str) -> str:
-    text = render_config(cfg) + f"|eta={eta!r}|method={method}"
+    text = "\n".join([*render_config(cfg), f"|eta={eta!r}|method={method}"])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -292,12 +288,9 @@ METRICS_HEADER = "epoch,split,map,cf1,of1,loss"
 
 
 def write_metrics_csv(path, history: list[EpochStats], split: str) -> None:
-    lines = [METRICS_HEADER]
-    for row in history:
-        r = row.report
-        lines.append(f"{row.epoch},{split},{r.map!r},{r.cf1!r},{r.of1!r},{row.loss!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textio.write_lines(path, [METRICS_HEADER, *(
+        f"{row.epoch},{split},{row.report.map!r},{row.report.cf1!r},{row.report.of1!r},"
+        f"{row.loss!r}" for row in history)])
 
 
 # Pipeline stages. run_pipeline and the staged CLI subcommands both run
@@ -420,7 +413,7 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
     save_model(g, out / "gold_model.mlpm")
     write_metrics_csv(out / "metrics.csv", g_hist, "test")
 
-    (out / "resolved.cfg").write_text(render_config(cfg), encoding="utf-8")
+    textio.write_lines(out / "resolved.cfg", render_config(cfg))
     return RunRecord(
         method=method, eta=eta,
         config_hash=config_hash(cfg, eta, method),
@@ -437,7 +430,7 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
     cfg.validate()
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved.cfg").write_text(render_config(cfg), encoding="utf-8")
+    textio.write_lines(out / "resolved.cfg", render_config(cfg))
     data = prepare_data(cfg)
 
     records: list[RunRecord] = []
@@ -455,9 +448,9 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
             frob = "" if rec.frobenius_to_true is None else repr(rec.frobenius_to_true)
             rows.append(f"{method},{eta!r},{rec.final.map!r},{rec.final.cf1!r},"
                         f"{rec.final.of1!r},{frob}")
-    (out / "summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    textio.write_lines(out / "summary.csv", rows)
     if failures:
-        (out / "failures.log").write_text("\n".join(failures) + "\n", encoding="utf-8")
+        textio.write_lines(out / "failures.log", failures)
     if records:
         plot_sweep(out)
     return records
@@ -469,9 +462,9 @@ def _read_csv(path, header: str, parse_row) -> list:
     and so does a file without rows."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != header:
-        raise ValueError(f"{path}:1: expected the header {header!r}")
+        raise textio.located(path, 1, f"expected the header {header!r}")
     if len(lines) == 1:
-        raise ValueError(f"{path}: no data rows")
+        raise textio.located(path, None, "no data rows")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
@@ -480,7 +473,7 @@ def _read_csv(path, header: str, parse_row) -> list:
                 raise ValueError(f"expected {header.count(',') + 1} fields, got {len(fields)}")
             rows.append(parse_row(fields))
         except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from None
+            raise textio.located(path, lineno, e) from None
     return rows
 
 
@@ -549,7 +542,7 @@ def run_ablation(cfg: ExperimentConfig, axis: str, outdir) -> list[RunRecord]:
     cfg.validate()
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved.cfg").write_text(render_config(cfg), encoding="utf-8")
+    textio.write_lines(out / "resolved.cfg", render_config(cfg))
     eta = cfg.ablation_eta
     records: list[RunRecord] = []
     rows = ["label,method,eta,map,cf1,of1"]
@@ -566,5 +559,5 @@ def run_ablation(cfg: ExperimentConfig, axis: str, outdir) -> list[RunRecord]:
               for m in grid.methods]
     svgplot.emit_plot(series, "grouped_bar", out / f"ablation_{axis}.svg",
                       title=f"{grid.title} at eta={eta!r}", xlabel=grid.xlabel, ylabel="mAP")
-    (out / f"ablation_{axis}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    textio.write_lines(out / f"ablation_{axis}.csv", rows)
     return records

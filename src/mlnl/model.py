@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import textio
 from .datagen import Dataset
 from .metrics import MetricsReport, evaluate
 from .noise import CorruptionMatrix
@@ -471,58 +472,49 @@ def gradient_check(model: MlpModel, features, labels, params: AslParams,
 def save_model(model: MlpModel, path) -> None:
     """Text checkpoint: header `MLPM v1 <d> <h..> <K> <activation>`, then per
     layer the weight rows followed by one bias line, round-trip exact."""
-    sizes = " ".join(str(s) for s in model.layer_sizes)
-    lines = [f"MLPM v1 {sizes} {model.activation}"]
-    for w, b in zip(model.weights, model.biases):
-        for row in w:
-            lines.append(" ".join("%.17g" % v for v in row))
-        lines.append(" ".join("%.17g" % v for v in b))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    def lines():
+        yield f"MLPM v1 {' '.join(str(s) for s in model.layer_sizes)} {model.activation}"
+        for w, b in zip(model.weights, model.biases):
+            for row in (*w, b):
+                yield " ".join("%.17g" % v for v in row)
+
+    textio.write_lines(path, lines())
 
 
 def load_model(path) -> MlpModel:
     """Read a `save_model` checkpoint; malformed, truncated or overlong files
     raise ValueError citing `path:line`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lno, ln) for lno, ln in enumerate(fh.read().splitlines(), start=1)
-                 if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty checkpoint")
-    head_lno, head_line = lines[0]
-    head = head_line.split()
-    if len(head) < 5 or head[0] != "MLPM" or head[1] != "v1":
-        raise ValueError(f"{path}:{head_lno}: malformed checkpoint header")
-    activation = head[-1]
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"{path}:{head_lno}: unknown activation {activation!r}")
-    try:
-        sizes = [int(t) for t in head[2:-1]]
-    except ValueError:
-        raise ValueError(f"{path}:{head_lno}: layer sizes must be integers") from None
-    if min(sizes) < 1:
-        raise ValueError(f"{path}:{head_lno}: layer sizes must be >= 1")
-
-    rows = iter(lines[1:])
-    end_lno = lines[-1][0] + 1
+    lines = textio.numbered_lines(path)
+    lineno = None  # the line being judged; None judges the whole file
 
     def parameter_row(width: int) -> list[float]:
-        lno, text = next(rows, (end_lno, None))
+        nonlocal lineno
+        lineno, text = next(lines, (lineno + 1, None))
         if text is None:
-            raise ValueError(f"{path}:{lno}: checkpoint ends before its last bias line")
-        try:
-            values = [float(t) for t in text.split()]
-        except ValueError:
-            raise ValueError(f"{path}:{lno}: unparsable parameter value") from None
-        if len(values) != width:
-            raise ValueError(f"{path}:{lno}: expected {width} values, got {len(values)}")
-        return values
+            raise ValueError("checkpoint ends before its last bias line")
+        return textio.float_row(text, width)
 
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(np.array([parameter_row(fan_in) for _ in range(fan_out)]))
-        biases.append(np.array(parameter_row(fan_out)))
-    extra = next(rows, None)
-    if extra is not None:
-        raise ValueError(f"{path}:{extra[0]}: data after the last bias line")
+    try:
+        lineno, head = next(lines, (None, ""))
+        head = head.split()
+        if len(head) < 5 or head[0] != "MLPM" or head[1] != "v1":
+            raise ValueError("malformed checkpoint header")
+        activation = head[-1]
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        try:
+            sizes = [int(t) for t in head[2:-1]]
+        except ValueError:
+            raise ValueError("layer sizes must be integers") from None
+        if min(sizes) < 1:
+            raise ValueError("layer sizes must be >= 1")
+        weights, biases = [], []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            weights.append(np.array([parameter_row(fan_in) for _ in range(fan_out)]))
+            biases.append(np.array(parameter_row(fan_out)))
+        lineno, extra = next(lines, (None, None))
+        if extra is not None:
+            raise ValueError("data after the last bias line")
+    except ValueError as e:
+        raise textio.located(path, lineno, e) from None
     return MlpModel(weights, biases, activation)

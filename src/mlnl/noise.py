@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import textio
 from .datagen import Dataset
 from .numerics import RandomStream, draw_uniform_index
 
@@ -136,9 +137,6 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, FlipLog]:
     labels = ds.labels.copy()
     log = FlipLog()
     noisy = Dataset(ds.features, labels, tag="noisy")
-    if ds.n == 0:
-        return noisy, log
-
     positions = np.argwhere(ds.labels == 1)  # sample-major, label ascending
     total = positions.shape[0]
     stream = RandomStream(spec.seed).derive("noise-inject")
@@ -238,46 +236,33 @@ def write_matrix(cm: CorruptionMatrix, path) -> None:
     header = f"# kind={cm.kind} K={cm.k}"
     if cm.eta is not None:
         header += f" eta={cm.eta!r}"
-    lines = [header]
-    for i in range(cm.k):
-        lines.append(",".join(repr(float(v)) for v in cm.matrix[i]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textio.write_lines(path, [header, *(",".join(repr(float(v)) for v in row)
+                                        for row in cm.matrix)])
 
 
 def read_matrix(path) -> CorruptionMatrix:
-    """Read the CSV form; malformed files raise ValueError citing `path:line`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lno, ln.strip()) for lno, ln in enumerate(fh.read().splitlines(), start=1)
-                 if ln.strip()]
-    kind = KIND_RAW
-    eta = None
-    if lines and lines[0][1].startswith("#"):
-        head_lno, head = lines.pop(0)
-        for token in head[1:].split():
-            if token.startswith("kind="):
-                kind = token[5:]
-            elif token.startswith("eta="):
-                try:
-                    eta = float(token[4:])
-                except ValueError:
-                    raise ValueError(f"{path}:{head_lno}: unparsable eta {token[4:]!r}") from None
-    rows = []
-    for lno, line in lines:
-        try:
-            rows.append([float(t) for t in line.split(",")])
-        except ValueError:
-            raise ValueError(f"{path}:{lno}: unparsable matrix row") from None
-        if len(rows[-1]) != len(rows[0]):
-            raise ValueError(f"{path}:{lno}: expected {len(rows[0])} values, got {len(rows[-1])}")
-    m = np.asarray(rows, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{path}: matrix is not square ({m.shape})")
-    if kind in _KINDS:
+    """Read the CSV form, whose first non-blank line may be the `#` header; a
+    malformed file raises ValueError at `path:line`."""
+    kind, eta = KIND_RAW, None
+    rows, row_lines = [], []
+    lineno = None  # the line being judged; None judges the whole file
+    try:
+        for i, (lineno, text) in enumerate(textio.numbered_lines(path)):
+            if i == 0 and text.startswith("#"):
+                fields = dict(token.partition("=")[::2] for token in text[1:].split())
+                kind = fields.get("kind", KIND_RAW)
+                eta = float(fields["eta"]) if "eta" in fields else None
+                continue
+            rows.append(textio.float_row(text, len(rows[0]) if rows else None, sep=","))
+            row_lines.append(lineno)
+        lineno = None
+        m = np.asarray(rows, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix is not square ({m.shape})")
         problem = _invalid_row(m, kind)
         if problem is not None:
-            raise ValueError(f"{path}:{lines[problem[0]][0]}: {problem[1]}")
-    try:
+            lineno = row_lines[problem[0]]
+            raise ValueError(problem[1])
         return CorruptionMatrix(m, kind, eta=eta)
     except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        raise textio.located(path, lineno, e) from None

@@ -55,10 +55,6 @@ class RandomStream:
         self._key = int(seed) & _MASK
         self._count = 0
 
-    @property
-    def seed(self) -> int:
-        return self._key
-
     def next_u64(self) -> int:
         self._count += 1
         return mix64((self._key + self._count * _GOLDEN) & _MASK)

@@ -6,6 +6,8 @@ Bars are the only <rect> elements; legend swatches use circles.
 
 from __future__ import annotations
 
+from . import textio
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 640, 420
@@ -54,7 +56,7 @@ def _x_label(x: float, text) -> str:
     return _text(_fmt(x), _fmt(_Y1 + 20), text, 11)
 
 
-def _document(series, title, xlabel, ylabel, y_lo, y_hi, x_axis, marks) -> str:
+def _document(series, title, xlabel, ylabel, y_lo, y_hi, x_axis, marks) -> list[str]:
     """The SVG document around one plot body: title, axes, y ticks, legend and
     axis labels. `x_axis` is written before the y ticks and `marks` after."""
     py = _scale(y_lo, y_hi, _Y1, _Y0)
@@ -82,10 +84,10 @@ def _document(series, title, xlabel, ylabel, y_lo, y_hi, x_axis, marks) -> str:
         mid = f"{_H / 2:.0f}"
         parts.append(_text("16", mid, ylabel, 13, extra=f' transform="rotate(-90 16 {mid})"'))
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
-def _line_plot(series, title, xlabel, ylabel) -> str:
+def _line_plot(series, title, xlabel, ylabel) -> list[str]:
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -111,7 +113,7 @@ def _line_plot(series, title, xlabel, ylabel) -> str:
     return _document(series, title, xlabel, ylabel, y_lo, y_hi, x_axis, marks)
 
 
-def _grouped_bar_plot(series, title, xlabel, ylabel) -> str:
+def _grouped_bar_plot(series, title, xlabel, ylabel) -> list[str]:
     groups = series[0][1]
     if any(xs != groups for _, xs, _ in series):
         raise ValueError("grouped bars need identical group labels across series")
@@ -143,11 +145,7 @@ def emit_plot(series, kind: str, path, title: str = "", xlabel: str = "",
     sl = [(str(name), tuple(xs), tuple(float(y) for y in ys)) for name, xs, ys in series]
     if not sl or any(len(xs) == 0 or len(xs) != len(ys) for _, xs, ys in sl):
         raise ValueError("emit_plot needs non-empty, aligned series")
-    if kind == "line":
-        text = _line_plot(sl, title, xlabel, ylabel)
-    elif kind == "grouped_bar":
-        text = _grouped_bar_plot(sl, title, xlabel, ylabel)
-    else:
+    plots = {"line": _line_plot, "grouped_bar": _grouped_bar_plot}
+    if kind not in plots:
         raise ValueError(f"unknown plot kind {kind!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    textio.write_lines(path, plots[kind](sl, title, xlabel, ylabel))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -278,6 +279,21 @@ class TestErrors:
         assert "bad.csv:5: row 3 does not sum to 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("counts", ["99999999999999 3 4", "6 99999999999999 4",
+                                        "6 3 99999999999999"])
+    def test_huge_dataset_header_exits_one_without_traceback(self, tmp_path, cfg_file, capsys,
+                                                            counts):
+        data = tmp_path / "huge.mlnl"
+        data.write_text(f"# tag=clean\nMLNL v1 {counts}\n" + "0.5 1 2 | 0 3\n" * 6)
+        ckpt = tmp_path / "model.mlpm"
+        save_model(init_model([3, 4, 4], "tanh", 1.0, seed=1), ckpt)
+        code = main(["--config", str(cfg_file), "--out", str(tmp_path / "run"), "evaluate",
+                     "--model", str(ckpt), "--data", str(data)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {data}:2: " in err
+        assert "Traceback" not in err
+
     def test_diverging_training_exits_one(self, tmp_path, cfg_file, capsys):
         # features of scale 1e4 give gradient entries above 1.8, so one SGD
         # step with lr = 1e308 overflows parameters to inf
@@ -401,3 +417,24 @@ class TestTooling:
 
     def test_every_subcommand_has_one_handler(self):
         assert sorted(self.subparsers()) == sorted(cli._HANDLERS)
+
+    def test_only_textio_writes_files(self):
+        """Every file the package writes goes through textio.write_lines, so
+        all of them are UTF-8 with \\n line ends on every platform."""
+        writers = []
+        for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
+            if path.name == "textio.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                # open(path, mode) or <path>.open(mode); a mode that is not a
+                # read-only literal counts as writing
+                positional = node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            positional[0] if positional else ast.Constant("r"))
+                reads = isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")
+                if name in ("write_text", "write_bytes") or (name == "open" and not reads):
+                    writers.append(f"{path.name}:{node.lineno}")
+        assert writers == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,22 @@ class TestDatasetFile:
         path.write_text(f"# tag=clean\nMLNL v1 3 2 2\n0.5 1.0 | 0\n\n0.5 {token} | 1\n1.0 1.0 | 0\n")
         with pytest.raises(ValueError, match=r"nonfinite\.mlnl:5: features must be finite"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("counts,problem", [
+        ("99999999999999 3 4", "99999999999999 rows of 3 features cannot fit in a file of"),
+        ("6 99999999999999 4", "6 rows of 99999999999999 features cannot fit in a file of"),
+        ("6 3 99999999999999", "")])  # only numpy's allocation failure bounds K
+    def test_header_too_large_to_allocate_cites_header_line(self, tmp_path, counts, problem):
+        path = tmp_path / "huge.mlnl"
+        path.write_text(f"# tag=clean\n\nMLNL v1 {counts}\n" + "0.5 1 2 | 0 3\n" * 6)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {problem}"):
+            read_dataset(path)
+
+    def test_header_that_fits_the_file_exactly_is_read(self, tmp_path):
+        # the shortest row of d features is 2d+1 bytes: no valid file is refused
+        path = tmp_path / "tight.mlnl"
+        path.write_bytes(b"MLNL v1 2 3 1\n0 0 0|0\n0 0 0|0")
+        assert read_dataset(path).features.shape == (2, 3)
 
     def test_comment_after_header_rejected(self, tmp_path):
         path = tmp_path / "bad5.mlnl"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mlnl import harness
+from mlnl import harness, textio
 from mlnl.datagen import GenConfig
 from mlnl.harness import (CONFIG_KEYS, ExperimentConfig, parse_config, prepare_data,
                           render_config, run_ablation, run_pipeline, run_sweep,
@@ -103,7 +103,7 @@ class TestParseConfig:
     def test_round_trips_through_echo(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "echo.cfg"
-        path.write_text(render_config(cfg))
+        textio.write_lines(path, render_config(cfg))
         back = parse_config(path)
         assert render_config(back) == render_config(cfg)
 
@@ -182,7 +182,7 @@ class TestKeyTable:
         default = ExperimentConfig()
         assert [key.name for key in CONFIG_KEYS if key.get(cfg) == key.get(default)] == []
         path = tmp_path / "all.cfg"
-        path.write_text(render_config(cfg))
+        textio.write_lines(path, render_config(cfg))
         back = parse_config(path)
         assert render_config(back) == render_config(cfg)
         for key in CONFIG_KEYS:

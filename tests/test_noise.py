@@ -76,10 +76,13 @@ class TestInject:
         np.testing.assert_array_equal(ds.cardinalities(), noisy.cardinalities())
 
     def test_flip_count_is_rounded_fraction(self):
-        ds = toy_clean(n=500, seed=5)
-        total = int(ds.labels.sum())
-        _, log = inject(ds, NoiseSpec(0.3, seed=6))
-        assert len(log) == round(0.3 * total)
+        # an empty dataset takes the general path in both modes
+        for n, mode in ((500, "exact_count"), (0, "exact_count"), (0, "bernoulli")):
+            ds = toy_clean(n=n, seed=5)
+            total = int(ds.labels.sum())
+            noisy, log = inject(ds, NoiseSpec(0.3, seed=6, mode=mode))
+            assert len(log) == round(0.3 * total)
+            assert noisy.n == n and noisy.tag == "noisy"
 
     def test_no_duplicate_positive_ever(self):
         ds = toy_clean(n=300, k=5, seed=7, card=3)
