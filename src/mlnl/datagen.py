@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .numerics import RandomStream
+from .numerics import Interval, RandomStream, Settings, rule
 
 FILE_MAGIC = "MLNL"
 FILE_VERSION = "v1"
@@ -79,49 +79,38 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
 
 
 @dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Settings):
     """Controls for the synthetic generator."""
 
-    n: int
-    d: int
-    k: int
-    mean_labels_per_sample: float = 2.4
-    feature_noise_sigma: float = 0.8
-    imbalance_exponent: float = 0.0
-    correlation_strength: float = 0.0
+    n: int = rule(Interval(1))
+    d: int = rule(Interval(1))
+    k: int = rule(Interval(1))
+    mean_labels_per_sample: float = rule(Interval(2.0), default=2.4)
+    feature_noise_sigma: float = rule(Interval(0.0, lo_open=True), default=0.8)
+    imbalance_exponent: float = rule(Interval(0.0), default=0.0)
+    correlation_strength: float = rule(Interval(0.0, 1.0, hi_open=False), default=0.0)
     seed: int = 0
 
-    def validate(self):
-        if min(self.n, self.d, self.k) <= 0:
-            raise ValueError("n, d, k must be positive")
-        # written so that NaN fails every comparison and is rejected
-        if not self.mean_labels_per_sample >= 2.0:
-            raise ValueError("mean_labels_per_sample must be >= 2")
+    def validate(self, prefix: str = ""):
+        super().validate(prefix)
         if self.mean_labels_per_sample > self.k:
             raise ValueError(
                 f"mean_labels_per_sample {self.mean_labels_per_sample} exceeds class count {self.k}")
-        if not 0.0 < self.feature_noise_sigma < math.inf:
-            raise ValueError("feature_noise_sigma must be finite and > 0")
-        if not self.imbalance_exponent >= 0:
-            raise ValueError("imbalance_exponent must be >= 0")
         zero = np.flatnonzero(~(_base_weights(self.k, self.imbalance_exponent) > 0.0))
         if zero.size:
             raise ValueError(f"imbalance_exponent {self.imbalance_exponent!r} underflows the "
                              f"weight of class {int(zero[0])} to 0")
-        if not 0.0 <= self.correlation_strength <= 1.0:
-            raise ValueError("correlation_strength must be in [0, 1]")
+
+
+TRUSTED_FRACTION = Interval(0.0, 1.0, lo_open=True)
 
 
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Settings):
     """Gold/silver split parameters."""
 
-    trusted_fraction: float
+    trusted_fraction: float = rule(TRUSTED_FRACTION)
     seed: int = 0
-
-    def validate(self):
-        if not 0.0 < self.trusted_fraction < 1.0:
-            raise ValueError("trusted_fraction must be in (0, 1)")
 
 
 def _cardinality_support(k: int) -> int:

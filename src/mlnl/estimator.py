@@ -118,12 +118,15 @@ def estimate_galc_slr(model: MlpModel, estimation_set: Dataset,
     return _report(raw, counts, fallback)
 
 
+GLC_READOUTS = ("softmax", "sigmoid")
+
+
 def estimate_glc(model: MlpModel, gold: Dataset,
                  readout: str = "softmax") -> EstimationReport:
     """GLC baseline: per-class mean prediction over trusted samples."""
     if gold.n == 0:
         raise ValueError("gold set is empty")
-    if readout not in ("softmax", "sigmoid"):
+    if readout not in GLC_READOUTS:
         raise ValueError(f"unknown readout {readout!r}")
     out = forward(model, gold.features)
     (sums,), counts, fallback = _class_sums(

@@ -11,8 +11,6 @@ perturbs the others, and paired runs across methods share identical data.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,63 +21,75 @@ import numpy as np
 from . import datagen, estimator, noise, svgplot, textio
 from .datagen import Dataset, GenConfig, SplitSpec
 from .metrics import MetricsReport
-from .model import (AslParams, CorrectedMode, EpochStats, MlpModel, TrainConfig, init_model,
-                    save_model, train)
+from .model import (ACTIVATIONS, AslParams, CorrectedMode, EpochStats, MlpModel, TrainConfig,
+                    init_model, save_model, train)
 from .noise import CorruptionMatrix, NoiseSpec
-from .numerics import RandomStream
+from .numerics import Interval, RandomStream, Settings, one_of, rule
 
 METHODS = ("galc_slr", "glc", "true_matrix", "none")
 SWEEP_METHODS = ("none", "galc_slr", "true_matrix")
 CORRECTION_FORMS = ("scaled", "raw", "normalized_raw")
 
 
+def _etas(etas):
+    if not etas:
+        return "needs at least one value"
+    bad = [e for e in etas if noise.ETA_RANGE(e)]
+    if bad:
+        return f"value {bad[0]} outside {noise.ETA_RANGE}"
+    # a repeated ratio would run its cells twice into one run directory
+    repeated = [e for i, e in enumerate(etas) if e in etas[:i]]  # 0.0 == -0.0
+    return f"repeats the value {repeated[0]!r}" if repeated else None
+
+
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Settings):
     gen: GenConfig = field(default_factory=lambda: GenConfig(
         n=12000, d=32, k=8, mean_labels_per_sample=2.4, feature_noise_sigma=1.8,
         imbalance_exponent=1.0, correlation_strength=0.7, seed=0))
-    etas: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6)
-    noise_mode: str = "exact_count"
-    trusted_fraction: float = 0.10
-    test_fraction: float = 0.2
-    single_label_limit: int | None = None
+    etas: tuple[float, ...] = rule(_etas, default=(0.0, 0.2, 0.4, 0.6))
+    noise_mode: str = rule(one_of(noise.NOISE_MODES), default="exact_count")
+    trusted_fraction: float = rule(datagen.TRUSTED_FRACTION, default=0.10)
+    test_fraction: float = rule(Interval(0.0, 1.0, lo_open=True), default=0.2)
+    single_label_limit: int | None = rule(
+        lambda v: None if v is None or v >= 1 else "must be >= 1 or 'unlimited'", default=None)
     asl: AslParams = field(default_factory=AslParams)
-    hidden: tuple[int, ...] = (64,)
-    activation: str = "tanh"
+    hidden: tuple[int, ...] = rule(
+        lambda v: None if v and min(v) >= 1 else "needs positive layer sizes", default=(64,))
+    activation: str = rule(one_of(ACTIVATIONS), default="tanh")
     silver: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=40, batch_size=64, lr=2e-3, optimizer="adam", init_scale=1.0))
     gold: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=40, batch_size=64, lr=2e-3, optimizer="adam", init_scale=1.0))
-    estimator_method: str = "galc_slr"
-    estimation_set: str = "gold"
-    glc_readout: str = "softmax"
-    correction_form: str = "normalized_raw"
-    ablation_eta: float = 0.4
-    seed: int = 0
+    estimator_method: str = rule(one_of(METHODS), default="galc_slr")
+    estimation_set: str = rule(one_of(("gold", "silver")), default="gold")
+    glc_readout: str = rule(one_of(estimator.GLC_READOUTS), default="softmax")
+    correction_form: str = rule(one_of(CORRECTION_FORMS), default="normalized_raw")
+    ablation_eta: float = rule(noise.ETA_RANGE, default=0.4)
+    seed: int = rule(lambda v: None if 0 <= v < 2**64 else f"must be in [0,2**64), got {v}",
+                     default=0)
     out: str = "runs"
-
-    def validate(self):
-        for key in CONFIG_KEYS:
-            problem = key.check(key.get(self))
-            if problem:
-                raise ValueError(f"{key.name} {problem}")
-        # the checks that relate two generator fields (mean labels vs K,
-        # imbalance underflow at K) belong to GenConfig
-        self.gen.validate()
 
 
 class ConfigKey(NamedTuple):
-    """One config file key: where it lives in ExperimentConfig, how its text
-    is parsed, and what values it accepts."""
+    """One config file key: the ExperimentConfig field it sets and how its
+    text is parsed. It accepts the values that the field's rule accepts."""
 
     name: str
-    field: str                             # "attr", or "section.attr" for a nested config
+    field: str  # "attr", or "section.attr" for a nested config
     parse: Callable[[str], object]
-    check: Callable[[object], str | None]  # the problem with a value, or None
+
+    def _owner(self, cfg: ExperimentConfig):
+        section, _, attr = self.field.rpartition(".")
+        return (getattr(cfg, section) if section else cfg), attr
 
     def get(self, cfg: ExperimentConfig):
-        section, _, attr = self.field.rpartition(".")
-        return getattr(getattr(cfg, section) if section else cfg, attr)
+        return getattr(*self._owner(cfg))
+
+    def problem(self, cfg: ExperimentConfig, value) -> str | None:
+        """What the field's rule finds wrong with `value`, or None."""
+        owner, attr = self._owner(cfg)
+        return owner.field_problem(attr, value)
 
     def set(self, cfg: ExperimentConfig, value) -> None:
         section, _, attr = self.field.rpartition(".")
@@ -87,31 +97,6 @@ class ConfigKey(NamedTuple):
             setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{attr: value}))
         else:
             setattr(cfg, attr, value)
-
-
-def _interval(lo, hi=math.inf, lo_open=False, hi_open=True):
-    """A number in the interval; NaN and the infinities are never in one."""
-    text = f"{'(' if lo_open else '['}{lo:g},{hi:g}{')' if hi_open else ']'}"
-
-    def check(v):
-        inside = (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)
-        return None if inside else f"must be in {text}, got {v!r}"
-    return check
-
-
-def _one_of(*choices):
-    return lambda v: None if v in choices else f"must be one of {choices}"
-
-
-def _etas(etas):
-    if not etas:
-        return "needs at least one value"
-    bad = [e for e in etas if not 0.0 <= e < 1.0]
-    if bad:
-        return f"value {bad[0]} outside [0,1)"
-    # a repeated ratio would run its cells twice into one run directory
-    repeated = [e for i, e in enumerate(etas) if e in etas[:i]]  # 0.0 == -0.0
-    return f"repeats the value {repeated[0]!r}" if repeated else None
 
 
 def _parse_floats(value: str) -> tuple[float, ...]:
@@ -127,51 +112,42 @@ def _dashes(value: str) -> str:
 
 
 def _train_keys(section: str) -> list[ConfigKey]:
-    return [ConfigKey(f"{section}.epochs", f"{section}.epochs", int, _interval(1)),
-            ConfigKey(f"{section}.batch_size", f"{section}.batch_size", int, _interval(1)),
-            ConfigKey(f"{section}.lr", f"{section}.lr", float, _interval(0.0)),
-            ConfigKey(f"{section}.optimizer", f"{section}.optimizer", str, _one_of("adam", "sgd")),
-            ConfigKey(f"{section}.init_scale", f"{section}.init_scale", float, _interval(0.0))]
+    return [ConfigKey(f"{section}.{attr}", f"{section}.{attr}", parse)
+            for attr, parse in (("epochs", int), ("batch_size", int), ("lr", float),
+                                ("optimizer", str), ("init_scale", float))]
 
 
 # Every settable field except the derived seeds of the nested configs, in
-# the order resolved.cfg echoes them. Float keys must be finite.
+# the order resolved.cfg echoes them.
 CONFIG_KEYS: tuple[ConfigKey, ...] = (
-    ConfigKey("gen.n", "gen.n", int, _interval(1)),
-    ConfigKey("gen.d", "gen.d", int, _interval(1)),
-    ConfigKey("gen.k", "gen.k", int, _interval(1)),
-    ConfigKey("gen.mean_labels", "gen.mean_labels_per_sample", float, _interval(2.0)),
-    ConfigKey("gen.feature_noise_sigma", "gen.feature_noise_sigma", float,
-              _interval(0.0, lo_open=True)),
-    ConfigKey("gen.imbalance_exponent", "gen.imbalance_exponent", float, _interval(0.0)),
-    ConfigKey("gen.correlation_strength", "gen.correlation_strength", float,
-              _interval(0.0, 1.0, hi_open=False)),
-    ConfigKey("noise.eta", "etas", _parse_floats, _etas),
-    ConfigKey("noise.mode", "noise_mode", str, _one_of("exact_count", "bernoulli")),
-    ConfigKey("split.trusted_fraction", "trusted_fraction", float,
-              _interval(0.0, 1.0, lo_open=True)),
-    ConfigKey("data.test_fraction", "test_fraction", float, _interval(0.0, 1.0, lo_open=True)),
+    ConfigKey("gen.n", "gen.n", int),
+    ConfigKey("gen.d", "gen.d", int),
+    ConfigKey("gen.k", "gen.k", int),
+    ConfigKey("gen.mean_labels", "gen.mean_labels_per_sample", float),
+    ConfigKey("gen.feature_noise_sigma", "gen.feature_noise_sigma", float),
+    ConfigKey("gen.imbalance_exponent", "gen.imbalance_exponent", float),
+    ConfigKey("gen.correlation_strength", "gen.correlation_strength", float),
+    ConfigKey("noise.eta", "etas", _parse_floats),
+    ConfigKey("noise.mode", "noise_mode", str),
+    ConfigKey("split.trusted_fraction", "trusted_fraction", float),
+    ConfigKey("data.test_fraction", "test_fraction", float),
     ConfigKey("data.single_label_limit", "single_label_limit",
-              lambda v: None if v in ("unlimited", "none") else int(v),
-              lambda v: None if v is None or v >= 1 else "must be >= 1 or 'unlimited'"),
-    ConfigKey("asl.gamma_plus", "asl.gamma_plus", float, _interval(0.0)),
-    ConfigKey("asl.gamma_minus", "asl.gamma_minus", float, _interval(0.0)),
-    ConfigKey("asl.margin", "asl.margin", float, _interval(0.0, 1.0)),
-    ConfigKey("asl.clamp_eps", "asl.clamp_eps", float,
-              _interval(0.0, 1e-3, lo_open=True, hi_open=False)),
-    ConfigKey("model.hidden", "hidden", _parse_ints,
-              lambda v: None if v and min(v) >= 1 else "needs positive layer sizes"),
-    ConfigKey("model.activation", "activation", str, _one_of("tanh", "relu")),
+              lambda v: None if v in ("unlimited", "none") else int(v)),
+    ConfigKey("asl.gamma_plus", "asl.gamma_plus", float),
+    ConfigKey("asl.gamma_minus", "asl.gamma_minus", float),
+    ConfigKey("asl.margin", "asl.margin", float),
+    ConfigKey("asl.clamp_eps", "asl.clamp_eps", float),
+    ConfigKey("model.hidden", "hidden", _parse_ints),
+    ConfigKey("model.activation", "activation", str),
     *_train_keys("silver"),
     *_train_keys("gold"),
-    ConfigKey("estimator.method", "estimator_method", _dashes, _one_of(*METHODS)),
-    ConfigKey("estimator.estimation_set", "estimation_set", str, _one_of("gold", "silver")),
-    ConfigKey("estimator.glc_readout", "glc_readout", str, _one_of("softmax", "sigmoid")),
-    ConfigKey("correction.form", "correction_form", _dashes, _one_of(*CORRECTION_FORMS)),
-    ConfigKey("ablation.eta", "ablation_eta", float, _interval(0.0, 1.0)),
-    ConfigKey("seed", "seed", int,
-              lambda v: None if 0 <= v < 2**64 else f"must be in [0,2**64), got {v}"),
-    ConfigKey("out", "out", str, lambda v: None),
+    ConfigKey("estimator.method", "estimator_method", _dashes),
+    ConfigKey("estimator.estimation_set", "estimation_set", str),
+    ConfigKey("estimator.glc_readout", "glc_readout", str),
+    ConfigKey("correction.form", "correction_form", _dashes),
+    ConfigKey("ablation.eta", "ablation_eta", float),
+    ConfigKey("seed", "seed", int),
+    ConfigKey("out", "out", str),
 )
 _KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
 
@@ -211,7 +187,7 @@ def parse_config(path) -> ExperimentConfig:
                 value = key.parse(text)
             except (ValueError, TypeError) as e:
                 raise ValueError(f"{name}: {e}") from None
-            problem = key.check(value)
+            problem = key.problem(cfg, value)
             if problem:
                 raise ValueError(f"{name} {problem}")
             key.set(cfg, value)
@@ -237,16 +213,10 @@ class SplitArtifacts:
 class RunRecord:
     method: str
     eta: float
-    config_hash: str
     final: MetricsReport
     history: list[EpochStats]
     frobenius_to_true: float | None
     wall_seconds: float
-
-
-def config_hash(cfg: ExperimentConfig, eta: float, method: str) -> str:
-    text = "\n".join([*render_config(cfg), f"|eta={eta!r}|method={method}"])
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def prepare_data(cfg: ExperimentConfig) -> SplitArtifacts:
@@ -416,7 +386,6 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
     textio.write_lines(out / "resolved.cfg", render_config(cfg))
     return RunRecord(
         method=method, eta=eta,
-        config_hash=config_hash(cfg, eta, method),
         final=g_hist[-1].report, history=g_hist, frobenius_to_true=frob,
         wall_seconds=time.perf_counter() - t0)
 
@@ -460,13 +429,12 @@ def _read_csv(path, header: str, parse_row) -> list:
     """The rows of a CSV file written under `header`, each parsed from its
     fields by `parse_row`; a malformed row raises ValueError at path:line,
     and so does a file without rows."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != header:
-        raise textio.located(path, 1, f"expected the header {header!r}")
-    if len(lines) == 1:
-        raise textio.located(path, None, "no data rows")
+    lines = textio.numbered_lines(path)
+    lineno, first = next(lines, (1, None))
+    if first != header:
+        raise textio.located(path, lineno, f"expected the header {header!r}")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         fields = line.split(",")
         try:
             if len(fields) != header.count(",") + 1:
@@ -474,6 +442,8 @@ def _read_csv(path, header: str, parse_row) -> list:
             rows.append(parse_row(fields))
         except ValueError as e:
             raise textio.located(path, lineno, e) from None
+    if not rows:
+        raise textio.located(path, None, "no data rows")
     return rows
 
 

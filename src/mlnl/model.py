@@ -32,9 +32,10 @@ from . import textio
 from .datagen import Dataset
 from .metrics import MetricsReport, evaluate
 from .noise import CorruptionMatrix
-from .numerics import RandomStream, sigmoid, softmax
+from .numerics import Interval, RandomStream, Settings, one_of, rule, sigmoid, softmax
 
-_ACTIVATIONS = ("tanh", "relu")
+ACTIVATIONS = ("tanh", "relu")
+OPTIMIZERS = ("adam", "sgd")  # adaptive-moment or plain gradient steps
 
 
 @dataclass(eq=False)
@@ -44,7 +45,7 @@ class MlpModel:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must pair up")
@@ -84,37 +85,21 @@ def init_model(layer_sizes, activation: str = "tanh", scale: float = 1.0,
 
 
 @dataclass(frozen=True)
-class AslParams:
-    gamma_plus: float = 0.0
-    gamma_minus: float = 4.0
-    margin: float = 0.05
-    clamp_eps: float = 1e-7
-
-    def validate(self):
-        if not (self.gamma_plus >= 0 and self.gamma_minus >= 0):  # NaN fails both
-            raise ValueError("focusing parameters must be >= 0")
-        if not 0.0 <= self.margin < 1.0:
-            raise ValueError("margin must be in [0, 1)")
-        if not 0.0 < self.clamp_eps <= 1e-3:
-            raise ValueError("clamp_eps must be in (0, 1e-3]")
+class AslParams(Settings):
+    gamma_plus: float = rule(Interval(0.0), default=0.0)
+    gamma_minus: float = rule(Interval(0.0), default=4.0)
+    margin: float = rule(Interval(0.0, 1.0), default=0.05)
+    clamp_eps: float = rule(Interval(0.0, 1e-3, lo_open=True, hi_open=False), default=1e-7)
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 40
-    batch_size: int = 64
-    lr: float = 1e-3
-    optimizer: str = "adam"  # "adam" (adaptive-moment) or "sgd"
-    init_scale: float = 1.0
+class TrainConfig(Settings):
+    epochs: int = rule(Interval(1), default=40)
+    batch_size: int = rule(Interval(1), default=64)
+    lr: float = rule(Interval(0.0), default=1e-3)
+    optimizer: str = rule(one_of(OPTIMIZERS), default="adam")
+    init_scale: float = rule(Interval(0.0), default=1.0)
     seed: int = 0
-
-    def validate(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -500,7 +485,7 @@ def load_model(path) -> MlpModel:
         if len(head) < 5 or head[0] != "MLPM" or head[1] != "v1":
             raise ValueError("malformed checkpoint header")
         activation = head[-1]
-        if activation not in _ACTIVATIONS:
+        if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         try:
             sizes = [int(t) for t in head[2:-1]]

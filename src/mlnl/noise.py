@@ -17,7 +17,7 @@ import numpy as np
 
 from . import textio
 from .datagen import Dataset
-from .numerics import RandomStream, draw_uniform_index
+from .numerics import Interval, RandomStream, Settings, draw_uniform_index, one_of, rule
 
 KIND_TRUE = "true_row_stochastic"
 KIND_RAW = "estimated_raw"
@@ -69,19 +69,17 @@ class CorruptionMatrix:
         return self.matrix.shape[0]
 
 
+ETA_RANGE = Interval(0.0, 1.0)
+NOISE_MODES = ("exact_count", "bernoulli")  # bernoulli: per-positive independent flips
+
+
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Settings):
     """Noise ratio and seed for injection."""
 
-    eta: float
+    eta: float = rule(ETA_RANGE)
     seed: int = 0
-    mode: str = "exact_count"  # or "bernoulli" (per-positive independent flips)
-
-    def validate(self):
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError("eta must be in [0, 1)")
-        if self.mode not in ("exact_count", "bernoulli"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
+    mode: str = rule(one_of(NOISE_MODES), default="exact_count")
 
 
 @dataclass
@@ -104,8 +102,7 @@ def symmetric_matrix(k: int, eta: float) -> CorruptionMatrix:
     """True corruption matrix of symmetric noise: diag 1-eta, off-diag eta/(K-1)."""
     if k < 2:
         raise ValueError("symmetric_matrix requires K >= 2")
-    if not 0.0 <= eta < 1.0:
-        raise ValueError("eta must be in [0, 1)")
+    NoiseSpec(eta).validate()
     off = eta / (k - 1)
     m = np.full((k, k), off, dtype=np.float64)
     np.fill_diagonal(m, 1.0 - eta)

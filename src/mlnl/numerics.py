@@ -1,4 +1,5 @@
-"""Deterministic numerical kernel: seeded random streams and stable elementary functions.
+"""Deterministic numerical kernel: seeded random streams, stable elementary
+functions, and the rules that the settings of the config dataclasses obey.
 
 The random generator is a counter-based splitmix64 (Steele/Lea/Flood finalizer):
 output ``i`` of a stream with key ``s`` is ``mix64(s + (i+1)*GOLDEN)`` in 64-bit
@@ -12,6 +13,10 @@ summation is a fixed deterministic tree: replays are bit-stable.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,3 +161,53 @@ def draw_uniform_index(stream: RandomStream, n: int, excluded) -> int:
         r = stream.randint_below(n)
         if r not in excluded:
             return r
+
+
+# A field rule takes a setting's value and returns what is wrong with it, or None.
+
+class Interval(NamedTuple):
+    """The rule that a number lies in the interval; NaN and the infinities lie in none."""
+
+    lo: float
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = True
+
+    def __str__(self):
+        return (f"{'(' if self.lo_open else '['}{self.lo:g},{self.hi:g}"
+                f"{')' if self.hi_open else ']'}")
+
+    def __call__(self, v):
+        inside = ((self.lo < v if self.lo_open else self.lo <= v)
+                  and (v < self.hi if self.hi_open else v <= self.hi))
+        return None if inside else f"must be in {self}, got {v!r}"
+
+
+def one_of(choices: tuple):
+    """The rule that a value is one of `choices`."""
+    return lambda v: None if v in choices else f"must be one of {choices}"
+
+
+def rule(check, **field_args):
+    """A dataclass field whose values `check` judges."""
+    return dataclasses.field(metadata={"rule": check}, **field_args)
+
+
+class Settings:
+    """Base of the config dataclasses: a field carries its rule (see `rule`),
+    and validate() checks every field against it."""
+
+    def field_problem(self, name: str, value) -> str | None:
+        """What the rule of field `name` finds wrong with `value`, if it has a rule."""
+        check = next(f for f in dataclasses.fields(self) if f.name == name).metadata.get("rule")
+        return check(value) if check else None
+
+    def validate(self, prefix: str = "") -> None:
+        """Raise ValueError("<field> <problem>") at the first field that breaks its
+        rule. A nested config runs its own validate(), naming "<field>.<inner field>"."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Settings):
+                value.validate(f"{prefix}{f.name}.")
+            elif problem := self.field_problem(f.name, value):
+                raise ValueError(f"{prefix}{f.name} {problem}")

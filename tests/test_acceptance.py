@@ -226,6 +226,13 @@ class TestCriterion5EstimatorDegeneracy:
 
 class TestCriterion6EstimatorQuality:
     def test_galc_beats_glc_on_imbalanced_correlated_data(self):
+        """The frozen data and training settings were picked by a grid search
+        over 32 points: mean labels {2.0, 2.2} x imbalance exponent {1.5, 2.5}
+        x correlation strength {0.8, 1.0} x negative focusing {0, 4} x GLC
+        readout {softmax, sigmoid}, each scored on seeds 1000-1004 (n=8000,
+        25 epochs, trusted fraction 0.10, eta 0.4) by the Frobenius distance
+        and diagonal gap of both raw estimates. The seeds here (5000 + 7s)
+        are disjoint from those."""
         t0 = time.perf_counter()
         frob_wins = gap_wins = 0
         details = []

@@ -10,12 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mlnl import harness, textio
-from mlnl.datagen import GenConfig
+from mlnl.datagen import Dataset, GenConfig, SplitSpec
+from mlnl.estimator import estimate_glc
 from mlnl.harness import (CONFIG_KEYS, ExperimentConfig, parse_config, prepare_data,
                           render_config, run_ablation, run_pipeline, run_sweep,
                           training_matrix)
-from mlnl.model import AslParams, TrainConfig
-from mlnl.noise import read_matrix
+from mlnl.model import AslParams, TrainConfig, init_model
+from mlnl.noise import NoiseSpec, read_matrix
 
 
 def tiny_config(seed=9, etas=(0.0, 0.3)) -> ExperimentConfig:
@@ -146,7 +147,87 @@ rejected_floats = st.sampled_from(sorted(FLOAT_RANGES)).flatmap(lambda key: st.t
               st.floats().filter(lambda v: not inside(key, v)))))
 
 
+def value_pool(key) -> list:
+    """Values that probe the rule of `key`: NaN, the infinities, -1, 0, the
+    ends of its range and their float neighbours, and unknown choices."""
+    default = key.get(ExperimentConfig())
+    floats = [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1e-7, 1e-3, 0.5, 1.0, 2.0, 3.0]
+    for end in FLOAT_RANGES.get(key.name, ())[:2]:
+        if math.isfinite(end):
+            floats += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+    if key.name == "noise.eta":
+        return [(), (0.2, 0.2), (0.0, -0.0), (0.1, 0.5), *((v,) for v in floats)]
+    if key.name == "model.hidden":
+        return [(), (0,), (-1,), (1,), (8, 4), (8, 0)]
+    if key.name == "data.single_label_limit":
+        return [None, -1, 0, 1, 2]
+    if isinstance(default, float):
+        return floats
+    if isinstance(default, int):
+        return [-1, 0, 1, 2, 3, *([2**64 - 1, 2**64] if key.name == "seed" else [])]
+    return ["", "bogus", "adam", "sgd", "tanh", "relu", "exact_count", "bernoulli", "softmax",
+            "sigmoid", "gold", "silver", "galc_slr", "glc", "true_matrix", "none", "scaled",
+            "raw", "normalized_raw"]
+
+
+def rejects(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+# Library calls that take a key's setting outside ExperimentConfig.
+ONE_SAMPLE = Dataset(np.zeros((1, 2)), np.array([[1, 0]]))
+LIBRARY_TWINS = {
+    "split.trusted_fraction": lambda v: SplitSpec(v).validate(),
+    "noise.mode": lambda v: NoiseSpec(0.0, mode=v).validate(),
+    "ablation.eta": lambda v: NoiseSpec(v).validate(),
+    "model.activation": lambda v: init_model([2, 2], v),
+    "estimator.glc_readout": lambda v: estimate_glc(init_model([2, 2]), ONE_SAMPLE, v),
+}
+
+
 class TestKeyTable:
+    def test_file_and_library_reject_the_same_values(self, tmp_path):
+        """A config file line rejects a value exactly when the dataclass that
+        owns the setting (and any library call that takes it) rejects it."""
+        path = tmp_path / "one.cfg"
+        disagree = []
+        for key in CONFIG_KEYS:
+            section, _, attr = key.field.rpartition(".")
+            owner = getattr(ExperimentConfig(), section) if section else ExperimentConfig()
+            for value in value_pool(key):
+                textio.write_lines(path, [f"{key.name} = {harness._fmt_value(value)}"])
+                by_file = rejects(lambda: parse_config(path))
+                by_owner = rejects(
+                    lambda: dataclasses.replace(owner, **{attr: value}).validate())
+                twin = LIBRARY_TWINS.get(key.name)
+                by_twin = rejects(lambda: twin(value)) if twin else by_file
+                if not by_file == by_owner == by_twin:
+                    disagree.append((key.name, value, by_file, by_owner, by_twin))
+        assert disagree == []
+
+    def test_every_ruled_field_has_one_key(self):
+        """Every field with a rule, at any depth below ExperimentConfig and
+        other than the derived seeds, is set by exactly one key, and every
+        key but `out` sets a field with a rule."""
+        ruled = []
+
+        def walk(obj, prefix):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    walk(value, f"{prefix}{f.name}.")
+                elif "rule" in f.metadata and not (prefix and f.name == "seed"):
+                    ruled.append(prefix + f.name)
+
+        walk(ExperimentConfig(), "")
+        keyed = Counter(key.field for key in CONFIG_KEYS)
+        assert Counter(ruled) == keyed - Counter(["out"])
+        assert set(keyed.values()) == {1}
+
     def test_every_settable_field_has_one_key(self):
         fields = []
         for f in dataclasses.fields(ExperimentConfig):
@@ -216,7 +297,7 @@ class TestKeyTable:
             gen.validate()
 
     def test_asl_params_reject_nan_focusing(self):
-        with pytest.raises(ValueError, match="focusing"):
+        with pytest.raises(ValueError, match="gamma_minus"):
             AslParams(gamma_minus=math.nan).validate()
 
 

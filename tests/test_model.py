@@ -302,10 +302,15 @@ class TestTrain:
         assert all(np.isfinite(h.loss) for h in hist)
 
     def test_non_finite_parameters_name_the_epoch(self):
-        ds = toy_dataset(seed=21)
-        cfg = TrainConfig(epochs=2, batch_size=ds.n, lr=float("inf"), optimizer="sgd", seed=22)
-        with pytest.raises(ValueError, match="non-finite parameters after epoch 1"):
-            train(init_model([4, 8, 3], "tanh", 1.0, seed=23), ds, "asl", cfg)
+        # features of scale 1e2 through an unsaturated relu layer give
+        # gradient entries above 1.8, so one SGD step with lr = 1e308 (an
+        # infinite rate breaks TrainConfig's rule) overflows parameters to inf
+        toy = toy_dataset(seed=21)
+        ds = Dataset(toy.features * 1e2, toy.labels)
+        cfg = TrainConfig(epochs=2, batch_size=ds.n, lr=1e308, optimizer="sgd", seed=22)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite parameters after epoch 1"):
+                train(init_model([4, 8, 3], "relu", 1.0, seed=23), ds, "asl", cfg)
 
     def test_non_finite_evaluation_scores_name_the_epoch(self):
         # each product overflows to +-inf, so every logit sums to inf - inf
