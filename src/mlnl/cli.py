@@ -10,6 +10,7 @@ redraws a sweep's SVG plots from the files in its directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -23,12 +24,9 @@ from .model import forward, load_model, save_model, train  # noqa: F401
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    cfg.validate()
-    return cfg
+    overrides = {name: getattr(args, name) for name in ("seed", "out")
+                 if getattr(args, name) is not None}
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .numerics import Interval, RandomStream, Settings, rule
+from .numerics import Interval, RandomStream, Settings, integer, rule
 
 FILE_MAGIC = "MLNL"
 FILE_VERSION = "v1"
 _WRITE_CHUNK_ROWS = 4096  # dataset rows are turned into Python floats this many at a time
+MAX_CLASSES = 1000  # bounds a config's or a dataset header's K; the largest K in use is 20
 
 
 @dataclass(eq=False)
@@ -82,17 +83,18 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
 class GenConfig(Settings):
     """Controls for the synthetic generator."""
 
-    n: int = rule(Interval(1))
-    d: int = rule(Interval(1))
-    k: int = rule(Interval(1))
+    n: int = rule(integer(Interval(1)))
+    d: int = rule(integer(Interval(1)))
+    k: int = rule(integer(lambda v: Interval(1)(v) or (
+        None if v <= MAX_CLASSES else f"must be at most {MAX_CLASSES}, got {v}")))
     mean_labels_per_sample: float = rule(Interval(2.0), default=2.4)
     feature_noise_sigma: float = rule(Interval(0.0, lo_open=True), default=0.8)
     imbalance_exponent: float = rule(Interval(0.0), default=0.0)
     correlation_strength: float = rule(Interval(0.0, 1.0, hi_open=False), default=0.0)
     seed: int = 0
 
-    def validate(self, prefix: str = ""):
-        super().validate(prefix)
+    def validate(self):
+        super().validate()
         if self.mean_labels_per_sample > self.k:
             raise ValueError(
                 f"mean_labels_per_sample {self.mean_labels_per_sample} exceeds class count {self.k}")
@@ -198,7 +200,6 @@ def _sample_labels(cards: np.ndarray, base_w: np.ndarray, aff: np.ndarray, rho: 
 
 def generate(config: GenConfig) -> Dataset:
     """Generate a clean synthetic dataset; a pure function of the config."""
-    config.validate()
     root = RandomStream(config.seed)
     k, d, n = config.k, config.d, config.n
 
@@ -242,7 +243,6 @@ def split_gold_silver(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Uniform seeded split into a trusted gold set and the silver remainder."""
     if ds.tag != "clean":
         raise ValueError("split_gold_silver expects a clean dataset")
-    spec.validate()
     n_gold = int(round(spec.trusted_fraction * ds.n))
     stream = RandomStream(spec.seed).derive("gold-split")
     perm = stream.permutation(ds.n)
@@ -349,6 +349,8 @@ def read_dataset(path) -> Dataset:
             raise ValueError("header counts must be integers") from None
         if min(n, d, k) < 0 or d == 0 or k == 0:
             raise ValueError("invalid header dimensions")
+        if k > MAX_CLASSES:
+            raise ValueError(f"class count {k} exceeds the limit of {MAX_CLASSES}")
         size = os.path.getsize(path)  # a data row takes at least 2d+1 bytes: "0 ... 0|0"
         if n * (2 * d + 1) > size:
             raise ValueError(f"{n} rows of {d} features cannot fit in a file of {size} bytes")

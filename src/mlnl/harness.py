@@ -24,7 +24,7 @@ from .metrics import MetricsReport
 from .model import (ACTIVATIONS, AslParams, CorrectedMode, EpochStats, MlpModel, TrainConfig,
                     init_model, save_model, train)
 from .noise import CorruptionMatrix, NoiseSpec
-from .numerics import Interval, RandomStream, Settings, one_of, rule
+from .numerics import Interval, RandomStream, Settings, integer, one_of, rule
 
 METHODS = ("galc_slr", "glc", "true_matrix", "none")
 SWEEP_METHODS = ("none", "galc_slr", "true_matrix")
@@ -42,6 +42,9 @@ def _etas(etas):
     return f"repeats the value {repeated[0]!r}" if repeated else None
 
 
+_LIMIT_RULE = integer(lambda v: None if v >= 1 else "must be >= 1 or 'unlimited'")
+
+
 @dataclass
 class ExperimentConfig(Settings):
     gen: GenConfig = field(default_factory=lambda: GenConfig(
@@ -52,7 +55,7 @@ class ExperimentConfig(Settings):
     trusted_fraction: float = rule(datagen.TRUSTED_FRACTION, default=0.10)
     test_fraction: float = rule(Interval(0.0, 1.0, lo_open=True), default=0.2)
     single_label_limit: int | None = rule(
-        lambda v: None if v is None or v >= 1 else "must be >= 1 or 'unlimited'", default=None)
+        lambda v: None if v is None else _LIMIT_RULE(v), default=None)
     asl: AslParams = field(default_factory=AslParams)
     hidden: tuple[int, ...] = rule(
         lambda v: None if v and min(v) >= 1 else "needs positive layer sizes", default=(64,))
@@ -66,8 +69,8 @@ class ExperimentConfig(Settings):
     glc_readout: str = rule(one_of(estimator.GLC_READOUTS), default="softmax")
     correction_form: str = rule(one_of(CORRECTION_FORMS), default="normalized_raw")
     ablation_eta: float = rule(noise.ETA_RANGE, default=0.4)
-    seed: int = rule(lambda v: None if 0 <= v < 2**64 else f"must be in [0,2**64), got {v}",
-                     default=0)
+    seed: int = rule(integer(lambda v: None if 0 <= v < 2**64 else
+                             f"must be in [0,2**64), got {v}"), default=0)
     out: str = "runs"
 
 
@@ -79,24 +82,15 @@ class ConfigKey(NamedTuple):
     field: str  # "attr", or "section.attr" for a nested config
     parse: Callable[[str], object]
 
-    def _owner(self, cfg: ExperimentConfig):
+    def locate(self, cfg: ExperimentConfig):
+        """The section's name ("" for the top level), the object in `cfg`
+        that holds the field, and the field's name."""
         section, _, attr = self.field.rpartition(".")
-        return (getattr(cfg, section) if section else cfg), attr
+        return section, (getattr(cfg, section) if section else cfg), attr
 
     def get(self, cfg: ExperimentConfig):
-        return getattr(*self._owner(cfg))
-
-    def problem(self, cfg: ExperimentConfig, value) -> str | None:
-        """What the field's rule finds wrong with `value`, or None."""
-        owner, attr = self._owner(cfg)
-        return owner.field_problem(attr, value)
-
-    def set(self, cfg: ExperimentConfig, value) -> None:
-        section, _, attr = self.field.rpartition(".")
-        if section:
-            setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{attr: value}))
-        else:
-            setattr(cfg, attr, value)
+        _, owner, attr = self.locate(cfg)
+        return getattr(owner, attr)
 
 
 def _parse_floats(value: str) -> tuple[float, ...]:
@@ -170,8 +164,10 @@ def render_config(cfg: ExperimentConfig) -> list[str]:
 
 def parse_config(path) -> ExperimentConfig:
     """Parse a `key = value` config file; unknown keys and bad types/ranges
-    are rejected with the offending line; missing keys take defaults."""
-    cfg = ExperimentConfig()
+    are rejected with the offending line; missing keys take defaults. A rule
+    that relates two settings is judged on the whole file."""
+    default = ExperimentConfig()
+    values: dict[str, dict] = {}  # section ("" for the top level) -> field -> value
     lineno = None  # the line being judged; None judges the whole file
     try:
         for lineno, s in textio.numbered_lines(path):
@@ -187,15 +183,17 @@ def parse_config(path) -> ExperimentConfig:
                 value = key.parse(text)
             except (ValueError, TypeError) as e:
                 raise ValueError(f"{name}: {e}") from None
-            problem = key.problem(cfg, value)
+            section, owner, attr = key.locate(default)
+            problem = owner.field_problem(attr, value)
             if problem:
                 raise ValueError(f"{name} {problem}")
-            key.set(cfg, value)
+            values.setdefault(section, {})[attr] = value
         lineno = None
-        cfg.validate()  # sizes arrays from gen.k
+        sections = {section: dataclasses.replace(getattr(default, section), **fields)
+                    for section, fields in values.items() if section}
+        return ExperimentConfig(**values.get("", {}), **sections)
     except (ValueError, MemoryError) as e:
         raise textio.located(path, lineno, e) from None
-    return cfg
 
 
 @dataclass

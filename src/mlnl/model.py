@@ -32,7 +32,7 @@ from . import textio
 from .datagen import Dataset
 from .metrics import MetricsReport, evaluate
 from .noise import CorruptionMatrix
-from .numerics import Interval, RandomStream, Settings, one_of, rule, sigmoid, softmax
+from .numerics import Interval, RandomStream, Settings, integer, one_of, rule, sigmoid, softmax
 
 ACTIVATIONS = ("tanh", "relu")
 OPTIMIZERS = ("adam", "sgd")  # adaptive-moment or plain gradient steps
@@ -94,8 +94,8 @@ class AslParams(Settings):
 
 @dataclass(frozen=True)
 class TrainConfig(Settings):
-    epochs: int = rule(Interval(1), default=40)
-    batch_size: int = rule(Interval(1), default=64)
+    epochs: int = rule(integer(Interval(1)), default=40)
+    batch_size: int = rule(integer(Interval(1)), default=64)
     lr: float = rule(Interval(0.0), default=1e-3)
     optimizer: str = rule(one_of(OPTIMIZERS), default="adam")
     init_scale: float = rule(Interval(0.0), default=1.0)
@@ -226,7 +226,6 @@ def _binary(y) -> np.ndarray:
 
 def asl_loss(p_sig, y, params: AslParams):
     """Asymmetric loss summed over classes; batched input returns per-row sums."""
-    params.validate()
     p = np.asarray(p_sig, dtype=np.float64)
     terms, _ = _asl_terms_and_slopes(p, _binary(y), params, slopes=False)
     per = terms.sum(axis=-1)
@@ -235,7 +234,6 @@ def asl_loss(p_sig, y, params: AslParams):
 
 def asl_grad(logits, y, params: AslParams):
     """Analytic gradient of asl_loss(sigmoid(logits), y) w.r.t. the logits."""
-    params.validate()
     p = sigmoid(np.asarray(logits, dtype=np.float64))
     _, d = _asl_terms_and_slopes(p, _binary(y), params)
     return d * p * (1.0 - p)
@@ -244,7 +242,6 @@ def asl_grad(logits, y, params: AslParams):
 def corrected_loss(c_hat, logits, y_noisy, params: AslParams):
     """Loss and logit gradient of the corrected objective L(M^T sigmoid(z), y);
     the matrix is used as given, and q = M^T p is only clipped."""
-    params.validate()
     z = np.asarray(logits, dtype=np.float64)
     yv = _binary(y_noisy)
     single = z.ndim == 1
@@ -355,9 +352,7 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
     batch loss, or non-finite parameters or evaluation scores after an
     epoch, raise ValueError.
     """
-    cfg.validate()
     params = params or AslParams()
-    params.validate()
     x = data.features
     y = data.labels.astype(bool)
     n = x.shape[0]

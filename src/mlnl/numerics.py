@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -188,26 +189,32 @@ def one_of(choices: tuple):
     return lambda v: None if v in choices else f"must be one of {choices}"
 
 
+def integer(check):
+    """The rule that a value is an integer, Python's or numpy's, that `check` accepts."""
+    return lambda v: (check(v) if isinstance(v, numbers.Integral)
+                      else f"must be an integer, got {v!r}")
+
+
 def rule(check, **field_args):
     """A dataclass field whose values `check` judges."""
     return dataclasses.field(metadata={"rule": check}, **field_args)
 
 
 class Settings:
-    """Base of the config dataclasses: a field carries its rule (see `rule`),
-    and validate() checks every field against it."""
+    """Base of the config dataclasses: a field carries its rule (see `rule`), and
+    building an object checks every field, so a frozen one never holds a bad value."""
+
+    def __post_init__(self):
+        self.validate()
 
     def field_problem(self, name: str, value) -> str | None:
         """What the rule of field `name` finds wrong with `value`, if it has a rule."""
         check = next(f for f in dataclasses.fields(self) if f.name == name).metadata.get("rule")
         return check(value) if check else None
 
-    def validate(self, prefix: str = "") -> None:
-        """Raise ValueError("<field> <problem>") at the first field that breaks its
-        rule. A nested config runs its own validate(), naming "<field>.<inner field>"."""
+    def validate(self) -> None:
+        """Raise ValueError("<field> <problem>") at the first of this object's own
+        fields that breaks its rule; a nested config was checked when it was built."""
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Settings):
-                value.validate(f"{prefix}{f.name}.")
-            elif problem := self.field_problem(f.name, value):
-                raise ValueError(f"{prefix}{f.name} {problem}")
+            if problem := self.field_problem(f.name, getattr(self, f.name)):
+                raise ValueError(f"{f.name} {problem}")

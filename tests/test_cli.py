@@ -446,3 +446,23 @@ class TestTooling:
                 if name in ("write_text", "write_bytes") or (name == "open" and not reads):
                     writers.append(f"{path.name}:{node.lineno}")
         assert writers == []
+
+    def test_configs_are_checked_where_built(self):
+        """Building a config object runs its validate(), so the package calls
+        validate() only there, in GenConfig's override, and in the three
+        entry points that take an ExperimentConfig, which stays mutable."""
+        def validate_calls(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from validate_calls(child, f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "validate":
+                    yield scope
+                yield from validate_calls(child, scope)
+
+        found = [scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
+                 for scope in validate_calls(ast.parse(path.read_text(encoding="utf-8")),
+                                             path.stem)]
+        assert sorted(found) == ["datagen.GenConfig.validate", "harness.run_ablation",
+                                 "harness.run_pipeline", "harness.run_sweep",
+                                 "numerics.Settings.__post_init__"]

@@ -1,11 +1,16 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlnl.datagen import (Dataset, GenConfig, SplitSpec, _base_weights, _row_means,
+from mlnl.datagen import (MAX_CLASSES, Dataset, GenConfig, SplitSpec, _base_weights, _row_means,
                           _sample_labels, build_single_label_pool, datasets_equal, generate,
                           read_dataset, split_gold_silver, strip_single_label, write_dataset)
 from mlnl.numerics import RandomStream
@@ -275,12 +280,53 @@ class TestDatasetFile:
     @pytest.mark.parametrize("counts,problem", [
         ("99999999999999 3 4", "99999999999999 rows of 3 features cannot fit in a file of"),
         ("6 99999999999999 4", "6 rows of 99999999999999 features cannot fit in a file of"),
-        ("6 3 99999999999999", "")])  # only numpy's allocation failure bounds K
+        ("6 3 99999999999999", "class count 99999999999999 exceeds the limit of")])
     def test_header_too_large_to_allocate_cites_header_line(self, tmp_path, counts, problem):
         path = tmp_path / "huge.mlnl"
         path.write_text(f"# tag=clean\n\nMLNL v1 {counts}\n" + "0.5 1 2 | 0 3\n" * 6)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {problem}"):
             read_dataset(path)
+
+    def test_class_count_limit_is_shared_by_config_and_file(self, tmp_path):
+        assert GenConfig(n=10, d=2, k=MAX_CLASSES).k == MAX_CLASSES
+        with pytest.raises(ValueError, match=rf"^k must be at most {MAX_CLASSES}, "
+                                             rf"got {MAX_CLASSES + 1}$"):
+            GenConfig(n=10, d=2, k=MAX_CLASSES + 1)
+        path = tmp_path / "widest.mlnl"
+        path.write_text(f"MLNL v1 1 1 {MAX_CLASSES}\n0 | {MAX_CLASSES - 1}\n")
+        assert read_dataset(path).num_classes == MAX_CLASSES
+        # 104 bytes whose header asks for 6 label rows of 2000000 classes
+        path = tmp_path / "wide.mlnl"
+        path.write_text("MLNL v1 6 1 2000000\n" + "0 | 0 1999999\n" * 6)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: class count 2000000 "
+                                             rf"exceeds the limit of {MAX_CLASSES}$"):
+            read_dataset(path)
+
+    def test_wide_header_is_refused_before_allocating(self, tmp_path):
+        """The read runs in a child process that reports how far it raised its
+        own peak RSS; labels sized by this header would take over 140 MB."""
+        path = tmp_path / "wide.mlnl"
+        path.write_text("MLNL v1 6 1 20000000\n" + "0 | 0 19999999\n" * 6)
+        child = textwrap.dedent("""
+            import resource, sys
+            from mlnl.datagen import read_dataset
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            try:
+                read_dataset(sys.argv[1])
+            except ValueError as e:
+                print(e)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        error, growth = done.stdout.splitlines()
+        assert "exceeds the limit" in error
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is KiB on Linux
+        assert int(growth) * unit < 16 * 2**20
 
     def test_header_that_fits_the_file_exactly_is_read(self, tmp_path):
         # the shortest row of d features is 2d+1 bytes: no valid file is refused

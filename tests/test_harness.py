@@ -113,6 +113,18 @@ class TestParseConfig:
         path.write_text("\n# full line comment\n\ngen.k = 5\n")
         assert parse_config(path).gen.k == 5
 
+    def test_related_settings_are_judged_on_the_whole_file(self, tmp_path):
+        # gen.mean_labels (default 2.4) must not exceed gen.k: judged after the
+        # last line, so lowering k before lowering the mean is fine
+        path = tmp_path / "a.cfg"
+        path.write_text("gen.k = 2\ngen.mean_labels = 2.0\n")
+        echo = render_config(parse_config(path))
+        assert "gen.k = 2" in echo and "gen.mean_labels = 2.0" in echo
+        path.write_text("gen.k = 2\ngen.mean_labels = 3.0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: "
+                                             r"mean_labels_per_sample 3\.0 exceeds class count 2$"):
+            parse_config(path)
+
 
 # The accepted interval (lo, hi, lo_open, hi_open) of every float key,
 # written out independently of the key table.
@@ -280,21 +292,35 @@ class TestKeyTable:
             parse_config(path)
 
     def test_validate_rejects_what_parsing_rejects(self):
-        for bad in (dataclasses.replace(ExperimentConfig(), trusted_fraction=math.nan),
-                    dataclasses.replace(ExperimentConfig(),
-                                        gold=TrainConfig(lr=math.inf)),
-                    dataclasses.replace(ExperimentConfig(),
-                                        asl=AslParams(margin=math.nan))):
+        """Building a config object runs validate(), so the bad value never lands."""
+        for build in (lambda: dataclasses.replace(ExperimentConfig(), trusted_fraction=math.nan),
+                      lambda: dataclasses.replace(ExperimentConfig(),
+                                                  gold=TrainConfig(lr=math.inf)),
+                      lambda: dataclasses.replace(ExperimentConfig(),
+                                                  asl=AslParams(margin=math.nan))):
             with pytest.raises(ValueError, match="must be in"):
-                bad.validate()
+                build()
 
     @pytest.mark.parametrize("field, value", [("mean_labels_per_sample", math.nan),
                                               ("feature_noise_sigma", math.nan),
                                               ("feature_noise_sigma", math.inf)])
     def test_gen_config_rejects_non_finite(self, field, value):
-        gen = dataclasses.replace(ExperimentConfig().gen, **{field: value})
         with pytest.raises(ValueError, match=field):
-            gen.validate()
+            dataclasses.replace(ExperimentConfig().gen, **{field: value})
+
+    @pytest.mark.parametrize("field", ["n", "d", "k", "epochs", "batch_size",
+                                       "single_label_limit", "seed"])
+    def test_integer_fields_reject_non_integers(self, field):
+        build = {"n": lambda v: GenConfig(n=v, d=2, k=4),
+                 "d": lambda v: GenConfig(n=10, d=v, k=4),
+                 "k": lambda v: GenConfig(n=10, d=2, k=v),
+                 "epochs": lambda v: TrainConfig(epochs=v),
+                 "batch_size": lambda v: TrainConfig(batch_size=v),
+                 "single_label_limit": lambda v: ExperimentConfig(single_label_limit=v),
+                 "seed": lambda v: ExperimentConfig(seed=v)}[field]
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 10\.5$"):
+            build(10.5)
+        build(np.int64(3))  # numpy integers are integers
 
     def test_asl_params_reject_nan_focusing(self):
         with pytest.raises(ValueError, match="gamma_minus"):
