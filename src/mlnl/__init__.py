@@ -16,7 +16,7 @@ from .model import (AslParams, CorrectedMode, MlpModel, TrainConfig, asl_grad, a
                     save_model, train)
 from .noise import (CorruptionMatrix, FlipLog, NoiseSpec, empirical_matrix, inject,
                     read_matrix, row_normalized, symmetric_matrix, write_matrix)
-from .numerics import RandomStream, draw_uniform_index, sigmoid, softmax
+from .numerics import RandomStream, sigmoid, softmax
 from .svgplot import emit_plot
 
 __version__ = "0.1.0"

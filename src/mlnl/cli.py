@@ -35,8 +35,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _cmd_gen_data(args) -> int:
-    cfg = _load_config(args)
+def _cmd_gen_data(args, cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     data = harness.prepare_data(cfg)
     datagen.write_dataset(data.full, out / "dataset_full.mlnl")
@@ -51,8 +50,7 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_inject_noise(args) -> int:
-    cfg = _load_config(args)
+def _cmd_inject_noise(args, cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     eta = args.eta if args.eta is not None else cfg.etas[0]
     silver = datagen.read_dataset(out / "silver_clean.mlnl")
@@ -75,8 +73,7 @@ def _read_test(out: Path):
     return test, "test" if test is not None else "train"
 
 
-def _cmd_train_silver(args) -> int:
-    cfg = _load_config(args)
+def _cmd_train_silver(args, cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
     test, split = _read_test(out)
@@ -87,8 +84,7 @@ def _cmd_train_silver(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     method = "true_matrix" if args.method == "true" else args.method.replace("-", "_")
     eta = f = pool = noisy = None
@@ -113,8 +109,7 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_train_gold(args) -> int:
-    cfg = _load_config(args)
+def _cmd_train_gold(args, cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     gold = datagen.read_dataset(out / "gold.mlnl")
     noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
@@ -127,8 +122,7 @@ def _cmd_train_gold(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     model = load_model(args.model)
     ds = datagen.read_dataset(args.data)
     scores = forward(model, ds.features).p_sig
@@ -140,8 +134,7 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     records = harness.run_sweep(cfg, cfg.out)
     for rec in records:
         print(f"{rec.method:12s} eta={rec.eta!r} mAP={rec.final.map:.4f} "
@@ -155,16 +148,14 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_ablate(args, cfg: ExperimentConfig) -> int:
     records = harness.run_ablation(cfg, args.axis, cfg.out)
     for rec in records:
         print(f"{rec.method:12s} eta={rec.eta!r} mAP={rec.final.map:.4f}")
     return 0
 
 
-def _cmd_plot(args) -> int:
-    cfg = _load_config(args)
+def _cmd_plot(args, cfg: ExperimentConfig) -> int:
     harness.plot_sweep(cfg.out)
     print(f"plots -> {cfg.out}")
     return 0
@@ -215,7 +206,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _HANDLERS[args.command](args, _load_config(args))
     except (ValueError, RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

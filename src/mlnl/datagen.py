@@ -24,6 +24,7 @@ FILE_MAGIC = "MLNL"
 FILE_VERSION = "v1"
 _WRITE_CHUNK_ROWS = 4096  # dataset rows are turned into Python floats this many at a time
 MAX_CLASSES = 1000  # bounds a config's or a dataset header's K; the largest K in use is 20
+MAX_SAMPLES = 1_000_000  # bounds a config's n; the largest n in use is 30000
 
 
 @dataclass(eq=False)
@@ -79,14 +80,19 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
             and np.array_equal(a.labels, b.labels))
 
 
+def _count_up_to(limit: int):
+    """The rule that a value is an integer in [1, limit]."""
+    return integer(lambda v: Interval(1)(v) or (
+        None if v <= limit else f"must be at most {limit}, got {v}"))
+
+
 @dataclass(frozen=True)
 class GenConfig(Settings):
     """Controls for the synthetic generator."""
 
-    n: int = rule(integer(Interval(1)))
+    n: int = rule(_count_up_to(MAX_SAMPLES))
     d: int = rule(integer(Interval(1)))
-    k: int = rule(integer(lambda v: Interval(1)(v) or (
-        None if v <= MAX_CLASSES else f"must be at most {MAX_CLASSES}, got {v}")))
+    k: int = rule(_count_up_to(MAX_CLASSES))
     mean_labels_per_sample: float = rule(Interval(2.0), default=2.4)
     feature_noise_sigma: float = rule(Interval(0.0, lo_open=True), default=0.8)
     imbalance_exponent: float = rule(Interval(0.0), default=0.0)

@@ -43,6 +43,14 @@ def _etas(etas):
 
 
 _LIMIT_RULE = integer(lambda v: None if v >= 1 else "must be >= 1 or 'unlimited'")
+_LAYER_RULE = integer(lambda v: None if v >= 1 else "needs positive layer sizes")
+
+
+def _hidden(sizes):
+    if not sizes:
+        return "needs positive layer sizes"
+    problems = [p for p in map(_LAYER_RULE, sizes) if p]
+    return problems[0] if problems else None
 
 
 @dataclass
@@ -57,8 +65,7 @@ class ExperimentConfig(Settings):
     single_label_limit: int | None = rule(
         lambda v: None if v is None else _LIMIT_RULE(v), default=None)
     asl: AslParams = field(default_factory=AslParams)
-    hidden: tuple[int, ...] = rule(
-        lambda v: None if v and min(v) >= 1 else "needs positive layer sizes", default=(64,))
+    hidden: tuple[int, ...] = rule(_hidden, default=(64,))
     activation: str = rule(one_of(ACTIVATIONS), default="tanh")
     silver: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=40, batch_size=64, lr=2e-3, optimizer="adam", init_scale=1.0))

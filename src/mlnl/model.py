@@ -284,44 +284,33 @@ class _Objective:
         self.grad_w, self.grad_b = _split(self.grad, model)
         self.tanh = model.activation == "tanh"
         self.params = params
-        self.m = None
         if isinstance(mode, CorrectedMode):
             self.m = mode.effective_matrix(model.num_classes)
             self.mt = self.m.T
 
-    def loss(self, x: np.ndarray, y: np.ndarray, silver: np.ndarray | None = None,
+    def loss(self, x: np.ndarray, y: np.ndarray, silver: np.ndarray,
              backward: bool = True) -> float:
-        """Mean loss of the batch (`y` boolean). In corrected mode the rows
-        indexed by `silver` fit M^T p and the others, the gold rows, fit
-        their own labels; `silver=None` makes every row silver. With
-        `backward`, also fills `grad`."""
+        """Mean loss of the batch (`y` boolean). The rows indexed by `silver`
+        fit M^T p and the others, the gold rows, fit their own labels; plain
+        mode has no silver rows. With `backward`, also fills `grad`."""
         acts, logits = _layers(self.model, x)
         p = sigmoid(logits)
 
-        m = self.m
-        if m is None:
-            eff = p
-        elif silver is None:
-            eff = p @ m
-        else:
+        eff = p
+        if silver.size:
             # the silver rows alone: BLAS may round a row of a smaller product differently
             eff = p.copy()
-            if silver.size:
-                eff[silver] = p[silver] @ m
+            eff[silver] = p[silver] @ self.m
         terms, d_eff = _asl_terms_and_slopes(eff, y, self.params, backward)
         n = x.shape[0]
         loss = float(np.add.reduce(np.add.reduce(terms, axis=1))) / n
         if not backward:
             return loss
 
-        if m is None:
-            dp = d_eff
-        elif silver is None:
-            dp = d_eff @ self.mt
-        else:
+        dp = d_eff
+        if silver.size:
             dp = d_eff.copy()
-            if silver.size:
-                dp[silver] = d_eff[silver] @ self.mt
+            dp[silver] = d_eff[silver] @ self.mt
         back = dp * p
         back *= 1.0 - p
         back /= n
@@ -340,6 +329,19 @@ class _Objective:
         return loss
 
 
+def _silver_mask(mode, n: int) -> np.ndarray:
+    """Which of `n` samples fit M^T p: none in plain mode, all of a
+    CorrectedMode without a gold mask, else those its mask leaves out."""
+    if not isinstance(mode, CorrectedMode):
+        return np.zeros(n, dtype=bool)
+    if mode.gold_mask is None:
+        return np.ones(n, dtype=bool)
+    gold_mask = np.asarray(mode.gold_mask, dtype=bool)
+    if gold_mask.shape != (n,):
+        raise ValueError("gold_mask must have one entry per training sample")
+    return ~gold_mask
+
+
 def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
           params: AslParams | None = None,
           eval_data: Dataset | None = None) -> tuple[MlpModel, list[EpochStats]]:
@@ -356,13 +358,10 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
     x = data.features
     y = data.labels.astype(bool)
     n = x.shape[0]
+    if n == 0:
+        raise ValueError("cannot train on an empty dataset")
     shuffle_stream = RandomStream(cfg.seed).derive("shuffle")
-
-    gold_mask = None
-    if isinstance(loss_mode, CorrectedMode) and loss_mode.gold_mask is not None:
-        gold_mask = np.asarray(loss_mode.gold_mask, dtype=bool)
-        if gold_mask.shape != (n,):
-            raise ValueError("gold_mask must have one entry per training sample")
+    silver_mask = _silver_mask(loss_mode, n)
     objective = _Objective(model, params, loss_mode)
     theta, grad = objective.theta, objective.grad
     adam = cfg.optimizer == "adam"
@@ -379,11 +378,11 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_stream.permutation(n)
         xs, ys = x[perm], y[perm]
-        gs = gold_mask[perm] if gold_mask is not None else None
+        ss = silver_mask[perm]
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             stop = min(start + cfg.batch_size, n)
-            silver = None if gs is None else (~gs[start:stop]).nonzero()[0]
+            silver = ss[start:stop].nonzero()[0]
             loss = objective.loss(xs[start:stop], ys[start:stop], silver)
             if not math.isfinite(loss):
                 raise ValueError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size + 1}")
@@ -426,11 +425,10 @@ def gradient_check(model: MlpModel, features, labels, params: AslParams,
     Perturbs every parameter of the model; the batch (and a corrected mode's
     gold mask) is capped at 32 samples.
     """
-    x = np.asarray(features, dtype=np.float64)[:32]
+    x = np.asarray(features, dtype=np.float64)
+    silver = np.flatnonzero(_silver_mask(mode, x.shape[0])[:32])
+    x = x[:32]
     y = _binary(labels)[:32]
-    silver = None
-    if isinstance(mode, CorrectedMode) and mode.gold_mask is not None:
-        silver = np.flatnonzero(~np.asarray(mode.gold_mask, dtype=bool)[:32])
     objective = _Objective(model, params, mode)
     objective.loss(x, y, silver)
     analytic = objective.grad.copy()

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import textio
 from .datagen import Dataset
-from .numerics import Interval, RandomStream, Settings, draw_uniform_index, one_of, rule
+from .numerics import Interval, RandomStream, Settings, one_of, rule
 
 KIND_TRUE = "true_row_stochastic"
 KIND_RAW = "estimated_raw"
@@ -154,10 +154,10 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, FlipLog]:
         excluded = current | originals[i]
         if len(excluded) >= k:
             excluded = current
-        try:
-            dst = draw_uniform_index(target_stream, k, excluded)
-        except ValueError:
-            raise ValueError(f"sample {i} has no legal flip target") from None
+        # cardinality is kept and no sample is full, so some target is legal
+        dst = target_stream.randint_below(k)
+        while dst in excluded:
+            dst = target_stream.randint_below(k)
         labels[i, src] = 0
         labels[i, dst] = 1
         log.flips.append((i, src, dst))

@@ -150,20 +150,6 @@ def softmax(v, axis: int = -1):
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def draw_uniform_index(stream: RandomStream, n: int, excluded) -> int:
-    """Uniform index in range(n) outside `excluded`, by rejection resampling.
-
-    Raises ValueError when `excluded` covers all of range(n).
-    """
-    excluded = frozenset(excluded)
-    if sum(1 for e in excluded if 0 <= e < n) >= n:
-        raise ValueError(f"excluded set covers all {n} indices")
-    while True:
-        r = stream.randint_below(n)
-        if r not in excluded:
-            return r
-
-
 # A field rule takes a setting's value and returns what is wrong with it, or None.
 
 class Interval(NamedTuple):

@@ -312,8 +312,24 @@ class TestErrors:
         code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "gen-data"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {cfg}:13: gen.n must be at most")
         assert "Traceback" not in err
+
+    def test_empty_training_set_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
+        # a trusted fraction this close to 1 leaves the silver split empty
+        out = tmp_path / "run"
+        cfg = tmp_path / "all-gold.cfg"
+        cfg.write_text(cfg_file.read_text() + "split.trusted_fraction = 0.999\n")
+        run(["--config", cfg, "--out", out, "gen-data"])
+        assert read_dataset(out / "silver_clean.mlnl").n == 0
+        run(["--config", cfg, "--out", out, "inject-noise"])
+        capsys.readouterr()
+        code = main(["--config", str(cfg), "--out", str(out), "train-silver"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: cannot train on an empty dataset" in err
+        assert "Traceback" not in err
+        assert not (out / "silver_model.mlpm").exists()
 
     def test_diverging_training_exits_one(self, tmp_path, cfg_file, capsys):
         # features of scale 1e4 give gradient entries above 1.8, so one SGD

@@ -309,7 +309,7 @@ class TestKeyTable:
             dataclasses.replace(ExperimentConfig().gen, **{field: value})
 
     @pytest.mark.parametrize("field", ["n", "d", "k", "epochs", "batch_size",
-                                       "single_label_limit", "seed"])
+                                       "single_label_limit", "seed", "hidden"])
     def test_integer_fields_reject_non_integers(self, field):
         build = {"n": lambda v: GenConfig(n=v, d=2, k=4),
                  "d": lambda v: GenConfig(n=10, d=v, k=4),
@@ -317,7 +317,8 @@ class TestKeyTable:
                  "epochs": lambda v: TrainConfig(epochs=v),
                  "batch_size": lambda v: TrainConfig(batch_size=v),
                  "single_label_limit": lambda v: ExperimentConfig(single_label_limit=v),
-                 "seed": lambda v: ExperimentConfig(seed=v)}[field]
+                 "seed": lambda v: ExperimentConfig(seed=v),
+                 "hidden": lambda v: ExperimentConfig(hidden=(4, v))}[field]
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got 10\.5$"):
             build(10.5)
         build(np.int64(3))  # numpy integers are integers

@@ -289,6 +289,12 @@ class TestTrain:
             train(init_model([4, 8, 3], "tanh", 1.0, seed=16), ds, mode,
                   TrainConfig(epochs=1, batch_size=32, lr=1e-3, seed=17))
 
+    def test_empty_training_set_rejected(self):
+        empty = Dataset(np.zeros((0, 4)), np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="cannot train on an empty dataset"):
+            train(init_model([4, 8, 3], "tanh", 1.0, seed=26), empty, "asl",
+                  TrainConfig(epochs=1, batch_size=32, seed=27))
+
     def test_no_float_warning_below_the_margin(self):
         # an output bias of -8 keeps every probability below the margin, where
         # pow(p_m, gamma_minus - 1) would divide by zero without a placeholder
@@ -474,12 +480,13 @@ class TestStepOracle:
         x = rng.normal(scale=2.0, size=(n, d))
         y = (rng.uniform(size=(n, k)) < 0.4).astype(np.float64)
         params = AslParams(gp, gm, margin, 1e-7)
-        silver = None
+        silver = np.arange(0)
         if mode_kind == "asl":
             mode = batch_mode = "asl"
         else:
             c = rng.uniform(0.0, 1.0, size=(k, k)) + np.eye(k) * rng.uniform(0, 3)
             gold = None
+            silver = np.arange(n)
             if mode_kind == "corrected":
                 gold = rng.uniform(size=n) < rng.uniform(0.0, 1.0)
                 silver = np.flatnonzero(~gold)

@@ -114,6 +114,46 @@ class TestInject:
         with pytest.raises(ValueError, match="clean"):
             inject(noisy, NoiseSpec(0.1, seed=3))
 
+    def test_forced_targets(self):
+        # K=3, labels {0,1}: the first flip must land on 2; the second then
+        # sees original + current cover all K, drops the original-label
+        # exclusion and must land on 0. eta < 1 rounds to all 100 positives.
+        n = 50
+        labels = np.zeros((n, 3), dtype=np.uint8)
+        labels[:, :2] = 1
+        _, log = inject(Dataset(np.zeros((n, 2)), labels), NoiseSpec(0.999, seed=13))
+        assert log.flips == [f for i in range(n) for f in ((i, 0, 2), (i, 1, 0))]
+
+    def test_targets_avoid_current_and_original_labels(self):
+        ds = toy_clean(n=300, k=5, seed=14, card=3)
+        _, log = inject(ds, NoiseSpec(0.8, seed=15))
+        state = ds.labels.copy()
+        restored = 0
+        for i, src, dst in log.flips:
+            assert state[i, dst] == 0, "target is currently positive"
+            if ds.labels[i, dst]:
+                assert (ds.labels[i] | state[i]).all(), "flipped-away label restored"
+                restored += 1
+            state[i, src] = 0
+            state[i, dst] = 1
+        assert restored > 0  # the dropped exclusion was exercised
+
+    def test_targets_uniform_over_legal_labels(self):
+        # K=6, labels {0,1}: a sample's first flip has the 4 legal targets
+        # 2..5; chi^2 critical value for df=3 at p=0.001 is 16.27
+        n = 20000
+        labels = np.zeros((n, 6), dtype=np.uint8)
+        labels[:, :2] = 1
+        _, log = inject(Dataset(np.zeros((n, 2)), labels), NoiseSpec(0.5, seed=16))
+        first = {}
+        for i, _, dst in log.flips:
+            first.setdefault(i, dst)
+        counts = np.bincount(list(first.values()), minlength=6)
+        assert counts[:2].sum() == 0
+        expected = len(first) / 4
+        chi2 = float(((counts[2:] - expected) ** 2 / expected).sum())
+        assert chi2 < 16.27
+
     def test_bernoulli_mode_flip_rate(self):
         ds = toy_clean(n=3000, seed=11)
         total = int(ds.labels.sum())

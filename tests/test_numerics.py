@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlnl.numerics import RandomStream, draw_uniform_index, sigmoid, softmax
+from mlnl.numerics import RandomStream, sigmoid, softmax
 
 
 class TestSigmoid:
@@ -99,32 +99,6 @@ class TestRandomStream:
     def test_choice_without_replacement(self):
         c = RandomStream(12).choice(50, 20)
         assert len(set(c.tolist())) == 20
-
-
-class TestDrawUniformIndex:
-    def test_forced_single_candidate(self):
-        s = RandomStream(0)
-        assert all(draw_uniform_index(s, 2, {0}) == 1 for _ in range(25))
-
-    def test_empty_complement_rejected(self):
-        with pytest.raises(ValueError):
-            draw_uniform_index(RandomStream(0), 3, {0, 1, 2})
-
-    def test_never_returns_excluded(self):
-        s = RandomStream(77)
-        excluded = {1, 3}
-        draws = [draw_uniform_index(s, 6, excluded) for _ in range(2000)]
-        assert not (set(draws) & excluded)
-
-    def test_chi_square_uniformity(self):
-        # 50k draws over 5 bins; chi^2 critical value for df=4 at p=0.001 is 18.47
-        s = RandomStream(2024)
-        counts = np.zeros(5)
-        for _ in range(50000):
-            counts[draw_uniform_index(s, 5, set())] += 1
-        expected = 10000.0
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < 18.47
 
 
 @settings(max_examples=25)
