@@ -10,6 +10,8 @@ noise scale.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
 import warnings
@@ -22,7 +24,8 @@ from .numerics import Interval, RandomStream, Settings, integer, rule
 
 FILE_MAGIC = "MLNL"
 FILE_VERSION = "v1"
-_WRITE_CHUNK_ROWS = 4096  # dataset rows are turned into Python floats this many at a time
+_WRITE_CHUNK_ROWS = 1024  # dataset rows are formatted this many at a time
+_READ_RANGE_BYTES = 1 << 20  # a dataset is parsed in byte ranges of at least this size
 MAX_CLASSES = 1000  # bounds a config's or a dataset header's K; the largest K in use is 20
 MAX_SAMPLES = 1_000_000  # bounds a config's n; the largest n in use is 30000
 
@@ -246,10 +249,15 @@ def strip_single_label(ds: Dataset) -> tuple[Dataset, Dataset]:
 
 
 def split_gold_silver(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Uniform seeded split into a trusted gold set and the silver remainder."""
+    """Uniform seeded split into a trusted gold set and the silver remainder.
+    The silver set may not be empty; the gold set may, since the `true_matrix`
+    and `none` methods never read it."""
     if ds.tag != "clean":
         raise ValueError("split_gold_silver expects a clean dataset")
     n_gold = int(round(spec.trusted_fraction * ds.n))
+    if n_gold == ds.n:
+        raise ValueError(f"trusted_fraction {spec.trusted_fraction!r} leaves no silver "
+                         f"samples of {ds.n}")
     stream = RandomStream(spec.seed).derive("gold-split")
     perm = stream.permutation(ds.n)
     gold_idx = np.sort(perm[:n_gold])
@@ -291,35 +299,38 @@ def write_dataset(ds: Dataset, path) -> None:
     """Write the text dataset format: `# tag=<tag>`, the header
     `MLNL v1 <N> <d> <K>`, then one line per sample with its d features as
     `%.17g` separated by single spaces, ` | `, and its positive label indices
-    in ascending order separated by single spaces."""
+    in ascending order separated by single spaces. Chunks of rows are
+    formatted on every usable core; the bytes do not depend on how many."""
     row_format = " ".join(["%.17g"] * ds.num_features) + " | %s"
     k = ds.num_classes
     label_rows = ds.labels.tobytes()
     label_text: dict[bytes, str] = {}  # each distinct label row is formatted once
 
-    def lines():
-        yield f"# tag={ds.tag}"
-        yield f"{FILE_MAGIC} {FILE_VERSION} {ds.n} {ds.num_features} {k}"
-        for start in range(0, ds.n, _WRITE_CHUNK_ROWS):
-            for i, feats in enumerate(ds.features[start:start + _WRITE_CHUNK_ROWS].tolist(), start):
-                key = label_rows[i * k:(i + 1) * k]
-                text = label_text.get(key)
-                if text is None:
-                    text = label_text[key] = " ".join(str(j) for j, on in enumerate(key) if on)
-                yield row_format % (*feats, text)
+    def _format_rows(start: int) -> str:
+        rows = []
+        for i, feats in enumerate(ds.features[start:start + _WRITE_CHUNK_ROWS].tolist(), start):
+            key = label_rows[i * k:(i + 1) * k]
+            text = label_text.get(key)
+            if text is None:
+                text = label_text[key] = " ".join(str(j) for j, on in enumerate(key) if on)
+            rows.append(row_format % (*feats, text))
+        return "\n".join(rows)
 
-    textio.write_lines(path, lines())
+    header = [f"# tag={ds.tag}", f"{FILE_MAGIC} {FILE_VERSION} {ds.n} {ds.num_features} {k}"]
+    chunks = textio.ordered_map(_format_rows, range(0, ds.n, _WRITE_CHUNK_ROWS))
+    with contextlib.closing(chunks):
+        textio.write_lines(path, itertools.chain(header, chunks))
 
 
 def _parse_label_indices(label_part: str, k: int) -> list[int]:
     """Strictly ascending label indices in [0, k)."""
     try:
-        indices = [int(t) for t in label_part.split()]
+        indices = list(map(int, label_part.split()))
     except ValueError:
         raise ValueError(f"unparsable label indices {label_part.strip()!r}") from None
     if not indices:
         raise ValueError("sample has no positive labels")
-    if any(a >= b for a, b in zip(indices, indices[1:])):
+    if indices != sorted(set(indices)):
         raise ValueError("label indices must be strictly ascending")
     for j in (indices[0], indices[-1]):
         if not 0 <= j < k:
@@ -327,14 +338,34 @@ def _parse_label_indices(label_part: str, k: int) -> list[int]:
     return indices
 
 
+def _data_ranges(path, size: int, header_line: int) -> list[tuple[int, int, int]]:
+    """(start, end, lines to skip) of byte ranges that cover the file, each of
+    at least _READ_RANGE_BYTES but the last and each cut just after a `\\n`.
+    The first starts at byte 0 and skips the lines up to the header, which lie
+    within the file's first `header_line` physical lines."""
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for _ in range(header_line):
+            fh.readline()
+        target = max(fh.tell(), _READ_RANGE_BYTES)
+        while target < size:
+            fh.seek(target - 1)
+            fh.readline()
+            if fh.tell() >= size:
+                break
+            cuts.append(fh.tell())
+            target = cuts[-1] + _READ_RANGE_BYTES
+    cuts.append(size)
+    return [(start, end, header_line if start == 0 else 0)
+            for start, end in zip(cuts, cuts[1:])]
+
+
 def read_dataset(path) -> Dataset:
     """Read the text dataset format; a malformed file raises ValueError at
-    `path:line`."""
+    `path:line`. Byte ranges of the data are parsed on every usable core."""
     lines = textio.numbered_lines(path)
     tag = "clean"
     lineno = None  # the line being judged; None judges the whole file
-    pattern_ids: dict[str, int] = {}  # each distinct label text is checked once
-    patterns, pattern_of_row, line_of_row = [], [], []
     try:
         for lineno, header in lines:
             if not header.startswith("#"):
@@ -345,6 +376,7 @@ def read_dataset(path) -> Dataset:
         else:
             lineno = None
             raise ValueError("no header line found")
+        lines.close()
         header_line = lineno
         parts = header.split()
         if len(parts) != 5 or parts[0] != FILE_MAGIC or parts[1] != FILE_VERSION:
@@ -361,23 +393,27 @@ def read_dataset(path) -> Dataset:
         if n * (2 * d + 1) > size:
             raise ValueError(f"{n} rows of {d} features cannot fit in a file of {size} bytes")
         features = np.empty((n, d), dtype=np.float64)
-        for lineno, s in lines:
-            if s.startswith("#"):
-                raise ValueError("comments are only allowed before the header")
-            row = len(line_of_row)
-            if row >= n:
-                raise ValueError(f"more than {n} data rows")
-            feat_part, bar, label_part = s.partition("|")
-            if not bar:
-                raise ValueError("missing '|' separator")
-            features[row] = textio.float_row(feat_part, d, "features")
-            pid = pattern_ids.get(label_part)
-            if pid is None:
-                patterns.append(_parse_label_indices(label_part, k))
-                pid = pattern_ids[label_part] = len(patterns) - 1
-            pattern_of_row.append(pid)
-            line_of_row.append(lineno)
+        label_texts, line_of_row = [], []
+        first = 0  # the lines of the ranges before this one
+
+        def parse(bounds):
+            return _parse_range(path, bounds, n, d, k)
+
         lineno = None
+        ranges = textio.ordered_map(parse, _data_ranges(path, size, header_line))
+        with contextlib.closing(ranges):
+            for block, texts, rows, count, problem in ranges:
+                row = len(line_of_row)
+                if row + len(rows) > n:
+                    lineno = first + rows[n - row]
+                    raise ValueError(f"more than {n} data rows")
+                if problem is not None:
+                    lineno = first + problem[0]
+                    raise ValueError(problem[1])
+                features[row:row + len(rows)] = block
+                label_texts += texts
+                line_of_row += [first + r for r in rows]
+                first += count
         if len(line_of_row) != n:
             raise ValueError(f"expected {n} data rows, found {len(line_of_row)}")
         finite = np.isfinite(features).all(axis=1)
@@ -385,11 +421,48 @@ def read_dataset(path) -> Dataset:
             lineno = line_of_row[int(np.argmin(finite))]
             raise ValueError("features must be finite")
         lineno = header_line  # K sizes the labels; no file size bounds it
-        pattern_labels = np.zeros((len(patterns), k), dtype=np.uint8)
-        for pid, indices in enumerate(patterns):
-            pattern_labels[pid, indices] = 1
+        pattern_ids: dict[str, int] = {}  # each distinct label text is parsed once
+        pattern_of_row = [pattern_ids.setdefault(t, len(pattern_ids)) for t in label_texts]
+        pattern_labels = np.zeros((len(pattern_ids), k), dtype=np.uint8)
+        for text, pid in pattern_ids.items():
+            pattern_labels[pid, _parse_label_indices(text, k)] = 1
         labels = pattern_labels[np.array(pattern_of_row, dtype=np.intp)]
         lineno = None  # Dataset rejects an unknown tag
         return Dataset(features, labels, tag=tag)
     except (ValueError, MemoryError) as e:
         raise textio.located(path, lineno, e) from None
+
+
+def _parse_range(path, bounds: tuple[int, int, int], n: int, d: int, k: int):
+    """The data rows of the byte range `bounds` = (start, end, lines to skip),
+    numbered from its start, parsed until its first problem or its (n+1)-th row:
+    (features block, label texts, line of each row, count of lines read,
+    (line, message) of the first problem or None). A row that fails to parse
+    has a line but no features or label text."""
+    start, end, skip = bounds
+    block = np.empty((min(n, (end - start) // (2 * d + 1)), d), dtype=np.float64)
+    texts, rows = [], []
+    checked = set()  # each distinct label text is checked once
+    lineno = 0
+    try:
+        for lineno, s in textio.numbered_lines(path, start, end, blank=True):
+            if lineno <= skip or not s:
+                continue
+            if s.startswith("#"):
+                raise ValueError("comments are only allowed before the header")
+            rows.append(lineno)
+            if len(rows) > n:
+                break
+            feat_part, bar, label_part = s.partition("|")
+            if not bar:
+                raise ValueError("missing '|' separator")
+            block[len(texts)] = textio.float_row(feat_part, d, "features")
+            if label_part not in checked:
+                _parse_label_indices(label_part, k)
+                checked.add(label_part)
+            texts.append(label_part)
+    except textio.TextFileError as e:  # a line that is not UTF-8
+        return block[:len(texts)], texts, rows, lineno, (e.line, e.reason)
+    except ValueError as e:
+        return block[:len(texts)], texts, rows, lineno, (lineno, str(e))
+    return block[:len(texts)], texts, rows, lineno, None

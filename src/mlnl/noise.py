@@ -145,22 +145,30 @@ def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, FlipLog]:
         chosen = np.flatnonzero(mask)
 
     target_stream = stream.derive("targets")
-    originals: dict[int, frozenset[int]] = {}
-    for pos_idx in chosen:
-        i, src = int(positions[pos_idx, 0]), int(positions[pos_idx, 1])
-        if i not in originals:
-            originals[i] = frozenset(np.flatnonzero(ds.labels[i]).tolist())
-        current = frozenset(np.flatnonzero(labels[i]).tolist())
-        excluded = current | originals[i]
-        if len(excluded) >= k:
-            excluded = current
+    # every sample's original labels as a plain-int bitmask: bit j is label j
+    width = (k + 7) // 8
+    packed = np.packbits(ds.labels, axis=1, bitorder="little").tobytes()
+    originals = [int.from_bytes(packed[o:o + width], "little")
+                 for o in range(0, len(packed), width)]
+    everything = (1 << k) - 1
+    current: dict[int, int] = {}  # the masks of the samples flipped so far
+    rows, srcs = positions[chosen].T.tolist()
+    for i, src in zip(rows, srcs):
+        mask = current.get(i, originals[i])
+        excluded = mask | originals[i]
+        if excluded == everything:
+            excluded = mask
         # cardinality is kept and no sample is full, so some target is legal
         dst = target_stream.randint_below(k)
-        while dst in excluded:
+        while excluded >> dst & 1:
             dst = target_stream.randint_below(k)
-        labels[i, src] = 0
-        labels[i, dst] = 1
+        current[i] = mask ^ (1 << src) ^ (1 << dst)
         log.flips.append((i, src, dst))
+    # A flip's source is an original label that no earlier flip touched, so no
+    # flip takes away an earlier flip's target: all of them apply at once.
+    i, src, dst = np.array(log.flips, dtype=np.intp).reshape(-1, 3).T
+    labels[i, src] = 0
+    labels[i, dst] = 1
     return noisy, log
 
 

@@ -1,8 +1,15 @@
 """The text-file layer under every mlnl file: UTF-8 with `\\n` line ends on
 every platform, non-blank lines numbered as `str.splitlines` numbers the
-whole text, and a bad line reported as `path:line: message`."""
+whole text, and a bad line reported as `path:line: message`. `ordered_map`
+spreads the chunks of a large file's formatting or parsing over the cores."""
 
 from __future__ import annotations
+
+import io
+import os
+import sys
+
+_MAX_PROCESSES = 8  # ordered_map's cap on processes, the calling one included
 
 
 class TextFileError(ValueError):
@@ -15,26 +22,37 @@ def write_lines(path, lines) -> None:
         fh.writelines(f"{line}\n" for line in lines)
 
 
-def numbered_lines(path):
-    """Yield (line number, stripped text) for each non-blank line, lazily."""
+def numbered_lines(path, start: int = 0, end: int | None = None, blank: bool = False):
+    """Yield (line number, stripped text) for each non-blank line, lazily; with
+    `blank`, for blank lines too. With `end`, read only the bytes [start, end),
+    which must hold whole `\\n`-ended lines; lines are numbered from `start`."""
     with open(path, "rb") as fh:
+        fh.seek(start)
+        if end is None:
+            physical_lines = fh
+        else:  # ASCII decodes and splits as one piece, numbered the same
+            data = fh.read(end - start)
+            physical_lines = [data] if data.isascii() else io.BytesIO(data)
         lineno = 0
-        for physical in fh:
+        for physical in physical_lines:
             try:
                 text = physical.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise located(path, lineno + 1, f"not UTF-8 text ({e.reason})") from None
             for line in text.splitlines():
                 lineno += 1
-                if line := line.strip():
+                if (line := line.strip()) or blank:
                     yield lineno, line
 
 
 def located(path, lineno: int | None, error) -> TextFileError:
-    """`error` at `path:lineno`, or at `path` when `lineno` is None; unchanged if located."""
+    """`error` at `path:lineno`, or at `path` when `lineno` is None; unchanged if
+    located. The result keeps `lineno` as `.line` and the bare message as `.reason`."""
     if isinstance(error, TextFileError):
         return error
-    return TextFileError(f"{path}: {error}" if lineno is None else f"{path}:{lineno}: {error}")
+    found = TextFileError(f"{path}: {error}" if lineno is None else f"{path}:{lineno}: {error}")
+    found.line, found.reason = lineno, str(error)
+    return found
 
 
 def float_row(text: str, width: int | None, noun: str = "values", sep=None) -> list[float]:
@@ -42,4 +60,61 @@ def float_row(text: str, width: int | None, noun: str = "values", sep=None) -> l
     tokens = text.split(sep)
     if width is not None and len(tokens) != width:
         raise ValueError(f"expected {width} {noun}, got {len(tokens)}")
-    return [float(t) for t in tokens]
+    return list(map(float, tokens))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 off Linux, where no worker is forked."""
+    return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
+
+
+def ordered_map(fn, items):
+    """Yield fn(item) for each of `items`, in order, computed by this process
+    and forked workers: min(usable CPUs, len(items), 8) processes in all.
+
+    Item i goes to process i mod P (this one is 0). Workers inherit `fn` and
+    `items` through fork, so `fn` may be a closure and only results are
+    pickled. A worker blocks on sending a result until this process takes it,
+    and this process takes the workers' results before it starts its own next
+    item, so each worker is on its next item while this one works on its own.
+    A worker's exception is raised here. Every worker is stopped and joined before this generator
+    returns, raises or is closed; close it when abandoning it early.
+    """
+    items = list(items)
+    procs = min(_usable_cpus(), len(items), _MAX_PROCESSES)
+    if procs <= 1:
+        yield from map(fn, items)
+        return
+    import multiprocessing  # here, not at the top: most runs never fork
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for w in range(1, procs):
+            receiver, sender = fork.Pipe(duplex=False)
+            worker = fork.Process(target=_serve, args=(fn, items[w::procs], sender), daemon=True)
+            worker.start()
+            workers.append((worker, receiver))
+            sender.close()
+        for i, item in enumerate(items):
+            if i % procs == 0:
+                yield fn(item)
+                continue
+            ok, result = workers[i % procs - 1][1].recv()
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for worker, receiver in workers:
+            worker.terminate()
+            worker.join()
+            receiver.close()
+
+
+def _serve(fn, items, sender) -> None:
+    """A worker of `ordered_map`: send (True, fn(item)) for each item in
+    order, or (False, exception) for the first that raises."""
+    try:
+        for item in items:
+            sender.send((True, fn(item)))
+    except Exception as e:
+        sender.send((False, e))

@@ -315,16 +315,24 @@ class TestErrors:
         assert err.startswith(f"error: {cfg}:13: gen.n must be at most")
         assert "Traceback" not in err
 
-    def test_empty_training_set_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
-        # a trusted fraction this close to 1 leaves the silver split empty
+    def test_empty_silver_split_exits_one_at_gen_data(self, tmp_path, cfg_file, capsys):
+        # a trusted fraction this close to 1 would leave the silver split empty
         out = tmp_path / "run"
         cfg = tmp_path / "all-gold.cfg"
         cfg.write_text(cfg_file.read_text() + "split.trusted_fraction = 0.999\n")
-        run(["--config", cfg, "--out", out, "gen-data"])
-        assert read_dataset(out / "silver_clean.mlnl").n == 0
-        run(["--config", cfg, "--out", out, "inject-noise"])
+        code = main(["--config", str(cfg), "--out", str(out), "gen-data"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: trusted_fraction 0.999 leaves no silver samples of ")
+        assert "Traceback" not in err
+        assert not (out / "silver_clean.mlnl").exists()
+
+    def test_empty_training_set_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        (out / "silver_noisy.mlnl").write_text("# tag=noisy\nMLNL v1 0 10 5\n")
         capsys.readouterr()
-        code = main(["--config", str(cfg), "--out", str(out), "train-silver"])
+        code = main(["--config", str(cfg_file), "--out", str(out), "train-silver"])
         err = capsys.readouterr().err
         assert code == 1
         assert "error: cannot train on an empty dataset" in err

@@ -188,6 +188,16 @@ class TestSplitGoldSilver:
         joined = np.concatenate([gold.features, silver.features])
         assert np.array_equal(np.sort(joined, axis=0), np.sort(ds.features, axis=0))
 
+    def test_empty_silver_split_refused(self):
+        ds = small_dataset(n=400, seed=4)
+        with pytest.raises(ValueError, match=r"^trusted_fraction 0\.999 leaves no silver "
+                                             r"samples of 400$"):
+            split_gold_silver(ds, SplitSpec(0.999, seed=1))
+
+    def test_empty_gold_split_allowed(self):
+        gold, silver = split_gold_silver(small_dataset(n=40, seed=5), SplitSpec(0.01, seed=1))
+        assert gold.n == 0 and silver.n == 40
+
 
 class TestSingleLabelPool:
     def test_class_with_fewer_keeps_all(self):

@@ -95,7 +95,7 @@ FILE_DIGESTS = {
 
 
 def file_datasets() -> dict[str, Dataset]:
-    """The clean dataset spans more than one 4096-row write chunk."""
+    """The clean dataset spans several 1024-row write chunks."""
     clean = generate(GEN_CASES["k12-rho0.5"]())
     noisy, _ = inject(clean, NoiseSpec(0.4, seed=19))
     feats = np.array([[0.0, -0.0, 1.0, -2.5],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlnl.datagen import Dataset, GenConfig, generate
-from mlnl.noise import (KIND_RAW, KIND_TRUE, CorruptionMatrix, NoiseSpec,
+from mlnl.noise import (KIND_RAW, KIND_TRUE, CorruptionMatrix, FlipLog, NoiseSpec,
                         empirical_matrix, inject, read_matrix, row_normalized,
                         symmetric_matrix, write_matrix)
+from mlnl.numerics import RandomStream
 
 
 def fsum_rows(m):
@@ -159,6 +161,94 @@ class TestInject:
         total = int(ds.labels.sum())
         _, log = inject(ds, NoiseSpec(0.4, seed=12, mode="bernoulli"))
         assert abs(len(log) / total - 0.4) < 0.03
+
+
+def reference_inject(ds, spec):
+    """The per-flip loop `inject` replaced, verbatim: a frozenset of the
+    current and the original labels per flip, targets by scalar draws."""
+    k = ds.num_classes
+    labels = ds.labels.copy()
+    log = FlipLog()
+    positions = np.argwhere(ds.labels == 1)
+    total = positions.shape[0]
+    stream = RandomStream(spec.seed).derive("noise-inject")
+    if spec.mode == "exact_count":
+        chosen = np.sort(stream.choice(total, int(round(spec.eta * total))))
+    else:
+        chosen = np.flatnonzero(stream.uniform(total) < spec.eta)
+    target_stream = stream.derive("targets")
+    originals = {}
+    for pos_idx in chosen:
+        i, src = int(positions[pos_idx, 0]), int(positions[pos_idx, 1])
+        if i not in originals:
+            originals[i] = frozenset(np.flatnonzero(ds.labels[i]).tolist())
+        current = frozenset(np.flatnonzero(labels[i]).tolist())
+        excluded = current | originals[i]
+        if len(excluded) >= k:
+            excluded = current
+        dst = target_stream.randint_below(k)
+        while dst in excluded:
+            dst = target_stream.randint_below(k)
+        labels[i, src] = 0
+        labels[i, dst] = 1
+        log.flips.append((i, src, dst))
+    return labels, log
+
+
+_K8 = GenConfig(n=3000, d=3, k=8, mean_labels_per_sample=2.4, imbalance_exponent=1.0,
+                correlation_strength=0.7, seed=31)
+INJECT_CASES = {
+    **{f"k8-eta{eta}": (_K8, NoiseSpec(eta, seed=41)) for eta in (0.0, 0.2, 0.4, 0.6)},
+    "k20-rho1-eta0.6": (GenConfig(n=4000, d=3, k=20, mean_labels_per_sample=4.0,
+                                  correlation_strength=1.0, seed=32), NoiseSpec(0.6, seed=42)),
+    "k8-bernoulli-eta0.4": (_K8, NoiseSpec(0.4, seed=43, mode="bernoulli")),
+    # 1281 of the 3197 flips land on an original label: the exclusion is dropped
+    "k3-eta0.8": (GenConfig(n=2000, d=3, k=3, mean_labels_per_sample=2.0,
+                            correlation_strength=1.0, seed=33), NoiseSpec(0.8, seed=44)),
+}
+# (flips as int64 sha256, noisy labels sha256), computed with `reference_inject`'s
+# loop inside `inject` before it was rewritten; never re-pin them.
+INJECT_DIGESTS = {
+    "k8-eta0.0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                  "26ef78d797f5b1935b739a50ebd808e59a9ae2dbba50ac9070753108840384b8"),
+    "k8-eta0.2": ("53e21f1b5e310d68e51e33afc0ae2db3b225922734ed1e19d1980a02a4248f2f",
+                  "280c8ab23b922218f26dc084da8e8b03673dde0f71caa3b63c76b6912feb5326"),
+    "k8-eta0.4": ("c04f4082ca11e481692cbd15d01789ef2f26eb1672ca4ed4f93558108b6115ae",
+                  "6c22fc2b4c985478479e3e6dba53af52ee61f705f71b241a0c10e9666ca01bcf"),
+    "k8-eta0.6": ("c107d1007c88e15cb7a4a518e6600e9d8a6a4621986a403cf49202e8ff141841",
+                  "4e77a31f15053cdca1f0ad3cba51ad54d88e1f0f053766e9604ad9b3d7284d2c"),
+    "k20-rho1-eta0.6": ("fd72e798391c5d4de54b4e730fbdaab11c124edd5cc3048ce991a9c02b01e14d",
+                        "c38719f4915a2ce199a916b61a078c94ace773928d4c9b0cb0270175d4c9155d"),
+    "k8-bernoulli-eta0.4": ("071be7237e35c3ab572b0e07f26e191a33cd863d1006bd669170f04c0f1a502b",
+                            "9539984f906109fe772d8713fc8af9d0951d30d7ed9c77b166a60331b47494a9"),
+    "k3-eta0.8": ("2e2ca163d5010321c811597f47f3c180233992e1d85150fe12ab507cd62793fb",
+                  "56d6d994bcee7dafc8f56894f67da8f20fe0a25ec33a80055699d5c3551698e6"),
+}
+
+
+class TestInjectPinned:
+    @pytest.mark.parametrize("name", sorted(INJECT_CASES))
+    def test_flips_and_labels_pinned(self, name):
+        gen_cfg, spec = INJECT_CASES[name]
+        noisy, log = inject(generate(gen_cfg), spec)
+        digests = (hashlib.sha256(np.asarray(log.flips, dtype=np.int64).tobytes()).hexdigest(),
+                   hashlib.sha256(noisy.labels.tobytes()).hexdigest())
+        assert digests == INJECT_DIGESTS[name]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 9), st.integers(0, 40), st.integers(0, 2**32),
+           st.floats(0.0, 0.95), st.sampled_from(["exact_count", "bernoulli"]))
+    def test_matches_the_reference_loop(self, k, n, seed, eta, mode):
+        rng = np.random.default_rng(seed)
+        labels = np.zeros((n, k), dtype=np.uint8)
+        for i in range(n):
+            labels[i, rng.choice(k, size=int(rng.integers(1, k)), replace=False)] = 1
+        ds = Dataset(np.zeros((n, 1)), labels)
+        spec = NoiseSpec(eta, seed=seed, mode=mode)
+        noisy, log = inject(ds, spec)
+        ref_labels, ref_log = reference_inject(ds, spec)
+        assert log.flips == ref_log.flips
+        np.testing.assert_array_equal(noisy.labels, ref_labels)
 
 
 class TestEmpiricalMatrix:
