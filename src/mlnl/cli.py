@@ -115,6 +115,9 @@ def _cmd_train_gold(args, cfg: ExperimentConfig) -> int:
     noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
     test, split = _read_test(out)
     corr = None if args.correction == "none" else noise.read_matrix(args.correction)
+    if corr is not None and corr.k != noisy.num_classes:
+        raise textio.located(args.correction, None, f"correction matrix K={corr.k} does not "
+                             f"match the data's K={noisy.num_classes}")
     g, hist = harness.train_gold(cfg, gold, noisy, corr, test)
     save_model(g, out / "gold_model.mlpm")
     harness.write_metrics_csv(out / "metrics.csv", hist, split)
@@ -125,6 +128,10 @@ def _cmd_train_gold(args, cfg: ExperimentConfig) -> int:
 def _cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     model = load_model(args.model)
     ds = datagen.read_dataset(args.data)
+    takes = (model.weights[0].shape[1], model.weights[-1].shape[0])
+    if takes != (ds.num_features, ds.num_classes):
+        raise ValueError(f"{args.model} takes {takes[0]} features and {takes[1]} classes, "
+                         f"but {args.data} has {ds.num_features} and {ds.num_classes}")
     scores = forward(model, ds.features).p_sig
     report = evaluate(scores, ds.labels)
     print(f"map={report.map!r} cf1={report.cf1!r} of1={report.of1!r}")

@@ -393,8 +393,9 @@ def read_dataset(path) -> Dataset:
         if n * (2 * d + 1) > size:
             raise ValueError(f"{n} rows of {d} features cannot fit in a file of {size} bytes")
         features = np.empty((n, d), dtype=np.float64)
-        label_texts, line_of_row = [], []
-        first = 0  # the lines of the ranges before this one
+        label_blocks = []
+        row = first = 0  # the rows and lines of the ranges before this one
+        non_finite = None  # the line of the first row with a non-finite feature
 
         def parse(bounds):
             return _parse_range(path, bounds, n, d, k)
@@ -402,8 +403,7 @@ def read_dataset(path) -> Dataset:
         lineno = None
         ranges = textio.ordered_map(parse, _data_ranges(path, size, header_line))
         with contextlib.closing(ranges):
-            for block, texts, rows, count, problem in ranges:
-                row = len(line_of_row)
+            for block, labels, rows, bad, count, problem in ranges:
                 if row + len(rows) > n:
                     lineno = first + rows[n - row]
                     raise ValueError(f"more than {n} data rows")
@@ -411,24 +411,17 @@ def read_dataset(path) -> Dataset:
                     lineno = first + problem[0]
                     raise ValueError(problem[1])
                 features[row:row + len(rows)] = block
-                label_texts += texts
-                line_of_row += [first + r for r in rows]
+                label_blocks.append(labels)
+                if non_finite is None and bad is not None:
+                    non_finite = first + bad
+                row += len(rows)
                 first += count
-        if len(line_of_row) != n:
-            raise ValueError(f"expected {n} data rows, found {len(line_of_row)}")
-        finite = np.isfinite(features).all(axis=1)
-        if not finite.all():
-            lineno = line_of_row[int(np.argmin(finite))]
+        if row != n:
+            raise ValueError(f"expected {n} data rows, found {row}")
+        if non_finite is not None:
+            lineno = non_finite
             raise ValueError("features must be finite")
-        lineno = header_line  # K sizes the labels; no file size bounds it
-        pattern_ids: dict[str, int] = {}  # each distinct label text is parsed once
-        pattern_of_row = [pattern_ids.setdefault(t, len(pattern_ids)) for t in label_texts]
-        pattern_labels = np.zeros((len(pattern_ids), k), dtype=np.uint8)
-        for text, pid in pattern_ids.items():
-            pattern_labels[pid, _parse_label_indices(text, k)] = 1
-        labels = pattern_labels[np.array(pattern_of_row, dtype=np.intp)]
-        lineno = None  # Dataset rejects an unknown tag
-        return Dataset(features, labels, tag=tag)
+        return Dataset(features, np.concatenate(label_blocks), tag=tag)
     except (ValueError, MemoryError) as e:
         raise textio.located(path, lineno, e) from None
 
@@ -436,14 +429,14 @@ def read_dataset(path) -> Dataset:
 def _parse_range(path, bounds: tuple[int, int, int], n: int, d: int, k: int):
     """The data rows of the byte range `bounds` = (start, end, lines to skip),
     numbered from its start, parsed until its first problem or its (n+1)-th row:
-    (features block, label texts, line of each row, count of lines read,
-    (line, message) of the first problem or None). A row that fails to parse
-    has a line but no features or label text."""
+    (features, uint8 labels, line of each row, line of the first non-finite
+    row or None, lines read, (line, message) of the first problem or None). A
+    row that fails to parse has a line but no features or labels."""
     start, end, skip = bounds
     block = np.empty((min(n, (end - start) // (2 * d + 1)), d), dtype=np.float64)
-    texts, rows = [], []
-    checked = set()  # each distinct label text is checked once
-    lineno = 0
+    picked, rows = [], []  # each parsed row's label indices, and each row's line
+    indices_of: dict[str, list[int]] = {}  # each distinct label text is parsed once
+    lineno, problem = 0, None
     try:
         for lineno, s in textio.numbered_lines(path, start, end, blank=True):
             if lineno <= skip or not s:
@@ -456,13 +449,19 @@ def _parse_range(path, bounds: tuple[int, int, int], n: int, d: int, k: int):
             feat_part, bar, label_part = s.partition("|")
             if not bar:
                 raise ValueError("missing '|' separator")
-            block[len(texts)] = textio.float_row(feat_part, d, "features")
-            if label_part not in checked:
-                _parse_label_indices(label_part, k)
-                checked.add(label_part)
-            texts.append(label_part)
+            block[len(picked)] = textio.float_row(feat_part, d, "features")
+            indices = indices_of.get(label_part)
+            if indices is None:
+                indices = indices_of[label_part] = _parse_label_indices(label_part, k)
+            picked.append(indices)
     except textio.TextFileError as e:  # a line that is not UTF-8
-        return block[:len(texts)], texts, rows, lineno, (e.line, e.reason)
+        problem = e.line, e.reason
     except ValueError as e:
-        return block[:len(texts)], texts, rows, lineno, (lineno, str(e))
-    return block[:len(texts)], texts, rows, lineno, None
+        problem = lineno, str(e)
+    block = block[:len(picked)]
+    labels = np.zeros((len(picked), k), dtype=np.uint8)
+    labels[np.repeat(np.arange(len(picked)), np.fromiter(map(len, picked), np.intp)),
+           np.fromiter(itertools.chain.from_iterable(picked), np.intp)] = 1
+    finite = np.isfinite(block).all(axis=1)
+    bad = None if finite.all() else rows[int(np.argmin(finite))]
+    return block, labels, rows, bad, lineno, problem

@@ -119,7 +119,7 @@ def _grouped_bar_plot(series, title, xlabel, ylabel) -> list[str]:
         raise ValueError("grouped bars need identical group labels across series")
     ys_all = [y for _, _, ys in series for y in ys]
     y_lo = min(0.0, min(ys_all))
-    y_hi = max(ys_all)
+    y_hi = max(0.0, max(ys_all))  # bars start at 0, so 0 stays in range
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     y_hi *= 1.08

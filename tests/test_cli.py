@@ -291,6 +291,39 @@ class TestErrors:
         assert "bad.csv:5: row 3 does not sum to 1" in err
         assert "Traceback" not in err
 
+    def test_correction_of_another_k_names_its_file(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
+        chat = out / "chat.csv"
+        chat.write_text("# kind=true_row_stochastic K=4\n" + "".join(
+            ",".join("1.0" if i == j else "0.0" for j in range(4)) + "\n" for i in range(4)))
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), "train-gold",
+                     "--correction", str(chat)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {chat}: correction matrix K=4 does not match the data's K=5" in err
+        assert "Traceback" not in err
+        assert not (out / "gold_model.mlpm").exists()
+
+    @pytest.mark.parametrize("layers", [[7, 12, 5], [10, 12, 4]], ids=["features", "classes"])
+    def test_model_and_data_of_other_shapes_are_named(self, tmp_path, cfg_file, capsys,
+                                                      layers):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        ckpt, data = out / "model.mlpm", out / "test.mlnl"
+        save_model(init_model(layers, "tanh", 1.0, seed=1), ckpt)
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), "evaluate",
+                     "--model", str(ckpt), "--data", str(data)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (f"error: {ckpt} takes {layers[0]} features and {layers[-1]} classes, "
+                f"but {data} has 10 and 5") in err
+        assert "Traceback" not in err
+        assert not (out / "eval.csv").exists()
+
     @pytest.mark.parametrize("counts", ["99999999999999 3 4", "6 99999999999999 4",
                                         "6 3 99999999999999"])
     def test_huge_dataset_header_exits_one_without_traceback(self, tmp_path, cfg_file, capsys,

@@ -1,7 +1,9 @@
 import hashlib
+import re
 
 import pytest
 
+from mlnl import svgplot
 from mlnl.svgplot import emit_plot
 
 
@@ -48,6 +50,15 @@ class TestGroupedBar:
             emit_plot([("a", ["x"], [1.0]), ("b", ["y"], [1.0])],
                       "grouped_bar", tmp_path / "b.svg")
 
+    def test_all_negative_bars_hang_from_zero_inside_the_plot(self, tmp_path):
+        path = tmp_path / "b.svg"
+        emit_plot([("m", ["a", "b", "c"], [-1.0, -2.0, -3.0])], "grouped_bar", path)
+        bars = re.findall(r'<rect x="[^"]*" y="([^"]*)" width="[^"]*" height="([^"]*)"',
+                          path.read_text())
+        assert len(bars) == 3
+        for y, height in bars:
+            assert float(y) == svgplot._Y0 and float(y) + float(height) <= svgplot._Y1
+
     def test_deterministic_bytes(self, tmp_path):
         series = [("m", ["g1", "g2", "g3"], [0.3, 0.5, 0.4])]
         p1, p2 = tmp_path / "1.svg", tmp_path / "2.svg"
@@ -76,6 +87,8 @@ class TestValidation:
 
 # SHA-256 of emit_plot output, taken from the per-kind frame code before it
 # was shared; the sweep digests in perfbench reach none of these branches.
+# all-negative-int-bars was re-pinned when the bar plot's y range came to
+# keep 0, so its bars hang from 0 inside the plot area.
 EDGE_CASES = {
     "single-point-line": ([("only", [3], [0.25])], "line",
                           dict(title="one", xlabel="x", ylabel="y")),
@@ -100,7 +113,7 @@ EDGE_DIGESTS = {
     "palette-wraps": "7b3d1f7e89233821c3acd6dd7ac45579643f2b03b044663c5681077dcaddf8a8",
     "negative-and-zero-bars": "032cc18b85eb831db13dfd1faa61b34ce7c04af40181b88d93f7ccfb247ab003",
     "all-zero-bars": "26e346dd0823a640c5d8391aaa99fd1a31057c54f4c2a3a39ab393dbf55f3383",
-    "all-negative-int-bars": "48c327f6767418595b22cbd1551508cf0e2289431c75ef7c7a71d5fc2360f1b9",
+    "all-negative-int-bars": "95e1067c288431328ee5c0932c45e4632d605fd91944f7ec64d4b4c93e410251",
     "markup-line": "f346ef6fba191ed5c59b80e5b5719b7df93752ecc55632f607767cc0716df73c",
     "markup-bars": "1b4fe4a7dfe12fcd00e9c9e6c945c81566d07feb0327069f89d48e80ebee495a",
 }

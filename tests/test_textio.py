@@ -306,6 +306,27 @@ def test_dataset_reader_matches_the_reference_in_small_ranges(tmp_path_factory, 
     check()
 
 
+def test_each_distinct_label_text_is_parsed_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    labels = np.zeros((3000, 5), dtype=np.uint8)
+    labels[np.arange(3000), rng.integers(0, 5, 3000)] = 1
+    labels[rng.random((3000, 5)) < 0.2] = 1
+    rows = Dataset(rng.normal(size=(3000, 2)), labels)
+    path = tmp_path / "rows.mlnl"
+    write_dataset(rows, path)
+    assert os.path.getsize(path) < datagen._READ_RANGE_BYTES  # the file is one range
+    parse, texts = datagen._parse_label_indices, []
+
+    def counted(text, k):
+        texts.append(text)
+        return parse(text, k)
+
+    monkeypatch.setattr(datagen, "_parse_label_indices", counted)
+    monkeypatch.setattr(textio, "_usable_cpus", lambda: 1)
+    assert datagen.datasets_equal(read_dataset(path), rows)
+    assert len(texts) == len(set(texts)) == len(np.unique(labels, axis=0))
+
+
 class TestDatasetIoOnThreeProcesses:
     @pytest.fixture()
     def rows(self):
