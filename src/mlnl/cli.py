@@ -19,7 +19,7 @@ from .harness import ExperimentConfig, parse_config
 from .metrics import evaluate
 # `train` is not called here; it stays bound in this module because
 # perfbench/test_tracer.py checks that the tracer wraps every binding of it.
-from .model import forward, load_model, save_model, train  # noqa: F401
+from .model import MlpModel, forward, load_model, train  # noqa: F401
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -29,21 +29,34 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **overrides)
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _check_shapes(paths, inputs) -> None:
+    """Check that the datasets and checkpoints a subcommand read from
+    `paths` agree on the numbers of features and classes. `inputs` holds
+    what was read from each path, a Dataset or an MlpModel, or None for a
+    file the subcommand did not need; a ValueError names the first input
+    read and the first that disagrees with it."""
+    def shape(obj):
+        if isinstance(obj, MlpModel):
+            return "takes", obj.weights[0].shape[1], obj.weights[-1].shape[0]
+        return "has", obj.num_features, obj.num_classes
+
+    (first, ref), *others = [(path, obj) for path, obj in zip(paths, inputs) if obj is not None]
+    verb, d, k = shape(ref)
+    for path, obj in others:
+        _, d2, k2 = shape(obj)
+        if (d2, k2) != (d, k):
+            raise ValueError(f"{first} {verb} {d} features and {k} classes, "
+                             f"but {path} has {d2} and {k2}")
 
 
 def _cmd_gen_data(args, cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
+    out = harness.run_dir(cfg, cfg.out)
     data = harness.prepare_data(cfg)
     datagen.write_dataset(data.full, out / "dataset_full.mlnl")
     datagen.write_dataset(data.test, out / "test.mlnl")
     datagen.write_dataset(data.gold, out / "gold.mlnl")
     datagen.write_dataset(data.silver_clean, out / "silver_clean.mlnl")
     datagen.write_dataset(data.singles_pool, out / "singles_pool.mlnl")
-    textio.write_lines(out / "resolved.cfg", harness.render_config(cfg))
     print(f"generated N={data.full.n} K={data.full.num_classes} "
           f"gold={data.gold.n} silver={data.silver_clean.n} "
           f"singles_pool={data.singles_pool.n} test={data.test.n} -> {out}")
@@ -51,13 +64,11 @@ def _cmd_gen_data(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_inject_noise(args, cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
+    out = Path(cfg.out)
     eta = args.eta if args.eta is not None else cfg.etas[0]
     silver = datagen.read_dataset(out / "silver_clean.mlnl")
-    noisy, log = harness.inject_noise(cfg, silver, eta)
+    noisy, log, _ = harness.inject_noise(cfg, out, silver, eta)
     datagen.write_dataset(noisy, out / "silver_noisy.mlnl")
-    true_c = noise.symmetric_matrix(silver.num_classes, eta)
-    noise.write_matrix(true_c, out / "true_matrix.csv")
     emp, _ = noise.empirical_matrix(silver, noisy)
     noise.write_matrix(emp, out / "empirical_matrix.csv")
     textio.write_lines(out / "flips.csv",
@@ -66,26 +77,18 @@ def _cmd_inject_noise(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _read_test(out: Path):
-    """The held-out test split if gen-data wrote one; metrics then say "test"."""
-    path = out / "test.mlnl"
-    test = datagen.read_dataset(path) if path.exists() else None
-    return test, "test" if test is not None else "train"
-
-
 def _cmd_train_silver(args, cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
-    noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
-    test, split = _read_test(out)
-    f, hist = harness.train_silver(cfg, noisy, test)
-    save_model(f, out / "silver_model.mlpm")
-    harness.write_metrics_csv(out / "silver_metrics.csv", hist, split)
+    out = Path(cfg.out)
+    paths = out / "silver_noisy.mlnl", out / "test.mlnl"
+    noisy, test = (datagen.read_dataset(p) for p in paths)
+    _check_shapes(paths, (noisy, test))
+    _, hist = harness.train_silver(cfg, out, noisy, test)
     print(f"silver model: {cfg.silver.epochs} epochs, final mAP={hist[-1].report.map:.4f} -> {out}")
     return 0
 
 
 def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
+    out = Path(cfg.out)
     method = "true_matrix" if args.method == "true" else args.method.replace("-", "_")
     eta = f = pool = noisy = None
     if method == "true_matrix":
@@ -99,8 +102,9 @@ def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
         pool = datagen.read_dataset(out / "singles_pool.mlnl")
         if cfg.estimation_set == "silver":
             noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
-    matrix, report = harness.estimate_correction(cfg, method, eta, gold, f, pool, noisy)
-    harness.write_correction(out, matrix, report)
+    names = ("silver_model.mlpm", "gold.mlnl", "singles_pool.mlnl", "silver_noisy.mlnl")
+    _check_shapes([out / name for name in names], (f, gold, pool, noisy))
+    _, report = harness.estimate_correction(cfg, out, method, eta, gold, f, pool, noisy)
     if report is None:
         print(f"true matrix for eta={eta!r} -> {out / 'chat.csv'}")
     else:
@@ -110,32 +114,26 @@ def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_train_gold(args, cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
-    gold = datagen.read_dataset(out / "gold.mlnl")
-    noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
-    test, split = _read_test(out)
+    out = Path(cfg.out)
+    paths = out / "gold.mlnl", out / "silver_noisy.mlnl", out / "test.mlnl"
+    gold, noisy, test = (datagen.read_dataset(p) for p in paths)
+    _check_shapes(paths, (gold, noisy, test))
     corr = None if args.correction == "none" else noise.read_matrix(args.correction)
     if corr is not None and corr.k != noisy.num_classes:
         raise textio.located(args.correction, None, f"correction matrix K={corr.k} does not "
                              f"match the data's K={noisy.num_classes}")
-    g, hist = harness.train_gold(cfg, gold, noisy, corr, test)
-    save_model(g, out / "gold_model.mlpm")
-    harness.write_metrics_csv(out / "metrics.csv", hist, split)
+    _, hist = harness.train_gold(cfg, out, gold, noisy, corr, test)
     print(f"gold model (correction={args.correction}): final mAP={hist[-1].report.map:.4f} -> {out}")
     return 0
 
 
 def _cmd_evaluate(args, cfg: ExperimentConfig) -> int:
-    model = load_model(args.model)
-    ds = datagen.read_dataset(args.data)
-    takes = (model.weights[0].shape[1], model.weights[-1].shape[0])
-    if takes != (ds.num_features, ds.num_classes):
-        raise ValueError(f"{args.model} takes {takes[0]} features and {takes[1]} classes, "
-                         f"but {args.data} has {ds.num_features} and {ds.num_classes}")
-    scores = forward(model, ds.features).p_sig
-    report = evaluate(scores, ds.labels)
+    model, ds = load_model(args.model), datagen.read_dataset(args.data)
+    _check_shapes((args.model, args.data), (model, ds))
+    report = evaluate(forward(model, ds.features).p_sig, ds.labels)
     print(f"map={report.map!r} cf1={report.cf1!r} of1={report.of1!r}")
-    out = _outdir(cfg)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     textio.write_lines(out / "eval.csv",
                        ["map,cf1,of1", f"{report.map!r},{report.cf1!r},{report.of1!r}"])
     return 0

@@ -262,75 +262,91 @@ def training_matrix(report: estimator.EstimationReport, form: str) -> Corruption
 METRICS_HEADER = "epoch,split,map,cf1,of1,loss"
 
 
-def write_metrics_csv(path, history: list[EpochStats], split: str) -> None:
+def write_metrics_csv(path, history: list[EpochStats]) -> None:
     textio.write_lines(path, [METRICS_HEADER, *(
-        f"{row.epoch},{split},{row.report.map!r},{row.report.cf1!r},{row.report.of1!r},"
+        f"{row.epoch},test,{row.report.map!r},{row.report.cf1!r},{row.report.of1!r},"
         f"{row.loss!r}" for row in history)])
+
+
+def run_dir(cfg: ExperimentConfig, outdir) -> Path:
+    """Check `cfg` (an ExperimentConfig stays mutable), make the run
+    directory `outdir` and echo every setting to its resolved.cfg."""
+    cfg.validate()
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    textio.write_lines(out / "resolved.cfg", render_config(cfg))
+    return out
 
 
 # Pipeline stages. run_pipeline and the staged CLI subcommands both run
 # these; each stage takes its seeds from the master seed by label and its
-# layer sizes from the data, so the same inputs give the same bytes however
-# the stages are strung together.
+# layer sizes from the data, and writes its own files into the run directory
+# `out`, so the same inputs give the same bytes however the stages are
+# strung together.
 
-def inject_noise(cfg: ExperimentConfig, silver_clean: Dataset, eta: float):
-    """Corrupt the silver split at noise ratio `eta`; returns (noisy, FlipLog)."""
+def inject_noise(cfg: ExperimentConfig, out: Path, silver_clean: Dataset, eta: float):
+    """Corrupt the silver split at noise ratio `eta` and write the symmetric
+    matrix at `eta` to true_matrix.csv; returns (noisy, FlipLog, that matrix)."""
     spec = NoiseSpec(eta, seed=RandomStream(cfg.seed).derive_seed("noise"), mode=cfg.noise_mode)
-    return noise.inject(silver_clean, spec)
+    noisy, log = noise.inject(silver_clean, spec)
+    true_c = noise.symmetric_matrix(silver_clean.num_classes, eta)
+    noise.write_matrix(true_c, out / "true_matrix.csv")
+    return noisy, log, true_c
 
 
-def _train_stage(cfg: ExperimentConfig, stage: str, data: Dataset, loss_mode,
-                 test: Dataset | None):
+def _train_stage(cfg: ExperimentConfig, out: Path, stage: str, data: Dataset, loss_mode,
+                 test: Dataset, metrics_file: str):
     root = RandomStream(cfg.seed)
     train_cfg = getattr(cfg, stage)
     model0 = init_model([data.num_features, *cfg.hidden, data.num_classes], cfg.activation,
                         train_cfg.init_scale, seed=root.derive_seed(f"{stage}-init"))
     train_cfg = dataclasses.replace(train_cfg, seed=root.derive_seed(f"{stage}-train"))
-    return train(model0, data, loss_mode, train_cfg, cfg.asl, eval_data=test)
+    model, history = train(model0, data, loss_mode, train_cfg, cfg.asl, eval_data=test)
+    save_model(model, out / f"{stage}_model.mlpm")
+    write_metrics_csv(out / metrics_file, history)
+    return model, history
 
 
-def train_silver(cfg: ExperimentConfig, silver_noisy: Dataset, test: Dataset | None):
-    """Plain ASL training on the noisy silver split; returns (model, history)."""
-    return _train_stage(cfg, "silver", silver_noisy, "asl", test)
+def train_silver(cfg: ExperimentConfig, out: Path, silver_noisy: Dataset, test: Dataset):
+    """Plain ASL training on the noisy silver split; writes silver_model.mlpm
+    and silver_metrics.csv and returns (model, history)."""
+    return _train_stage(cfg, out, "silver", silver_noisy, "asl", test, "silver_metrics.csv")
 
 
-def estimate_correction(cfg: ExperimentConfig, method: str, eta: float | None, gold: Dataset,
-                        silver_model: MlpModel | None, singles_pool: Dataset | None,
-                        silver_noisy: Dataset | None):
+def estimate_correction(cfg: ExperimentConfig, out: Path, method: str, eta: float | None,
+                        gold: Dataset, silver_model: MlpModel | None,
+                        singles_pool: Dataset | None, silver_noisy: Dataset | None):
     """The correction matrix `method` trains the gold model with, and the
-    estimation report behind it; returns (matrix or None, report or None).
+    estimation report behind it (written to chat.csv and chat_*); returns
+    (matrix or None, report or None).
 
     galc_slr reads the silver model, the single-label pool and the
     estimation set (gold, or silver_noisy when cfg.estimation_set is
     "silver"); glc reads the silver model and gold; true_matrix only K and
     `eta`, which the other methods ignore.
     """
-    if method == "true_matrix":
-        return noise.symmetric_matrix(gold.num_classes, eta), None
     if method == "none":
         return None, None
-    if method == "galc_slr":
+    if method == "true_matrix":
+        matrix, report = noise.symmetric_matrix(gold.num_classes, eta), None
+    elif method == "galc_slr":
         regs = estimator.compute_regulators(silver_model, singles_pool)
         est_set = gold if cfg.estimation_set == "gold" else silver_noisy
         report = estimator.estimate_galc_slr(silver_model, est_set, regs)
     else:
         report = estimator.estimate_glc(silver_model, gold, cfg.glc_readout)
-    return training_matrix(report, cfg.correction_form), report
-
-
-def write_correction(out: Path, matrix: CorruptionMatrix | None,
-                     report: estimator.EstimationReport | None) -> None:
-    """Write the estimate stage's files (chat_*.csv, chat_info.txt, chat.csv)."""
     if report is not None:
         estimator.write_report(report, out / "chat")
-    if matrix is not None:
-        noise.write_matrix(matrix, out / "chat.csv")
+        matrix = training_matrix(report, cfg.correction_form)
+    noise.write_matrix(matrix, out / "chat.csv")
+    return matrix, report
 
 
-def train_gold(cfg: ExperimentConfig, gold: Dataset, silver_noisy: Dataset,
-               correction: CorruptionMatrix | None, test: Dataset | None):
+def train_gold(cfg: ExperimentConfig, out: Path, gold: Dataset, silver_noisy: Dataset,
+               correction: CorruptionMatrix | None, test: Dataset):
     """Train on gold + noisy silver; with a correction matrix, silver rows fit
-    M^T p and gold rows their own labels. Returns (model, history)."""
+    M^T p and gold rows their own labels. Writes gold_model.mlpm and
+    metrics.csv and returns (model, history)."""
     combined = Dataset(np.concatenate([gold.features, silver_noisy.features]),
                        np.concatenate([gold.labels, silver_noisy.labels]), tag="noisy")
     mode = "asl"
@@ -338,7 +354,7 @@ def train_gold(cfg: ExperimentConfig, gold: Dataset, silver_noisy: Dataset,
         gold_mask = np.zeros(combined.n, dtype=bool)
         gold_mask[:gold.n] = True
         mode = CorrectedMode(correction, gold_mask)
-    return _train_stage(cfg, "gold", combined, mode, test)
+    return _train_stage(cfg, out, "gold", combined, mode, test, "metrics.csv")
 
 
 def _stage(name: str, fn):
@@ -357,38 +373,25 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
     `data` lets sweeps reuse the prepared splits (they depend only on the
     master seed, never on eta or method).
     """
-    cfg.validate()
     method = method or cfg.estimator_method
     if method not in METHODS:
         raise ValueError(f"estimator method must be one of {METHODS}")
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = run_dir(cfg, outdir)
     t0 = time.perf_counter()
     if data is None:
         data = _stage("prepare-data", lambda: prepare_data(cfg))
-    silver_noisy, _ = _stage("inject-noise", lambda: inject_noise(cfg, data.silver_clean, eta))
-    true_c = noise.symmetric_matrix(data.gold.num_classes, eta)
-    noise.write_matrix(true_c, out / "true_matrix.csv")
-
-    f, f_hist = _stage("train-silver", lambda: train_silver(cfg, silver_noisy, data.test))
-    save_model(f, out / "silver_model.mlpm")
-    write_metrics_csv(out / "silver_metrics.csv", f_hist, "test")
-
+    silver_noisy, _, true_c = _stage("inject-noise", lambda: inject_noise(
+        cfg, out, data.silver_clean, eta))
+    f, _ = _stage("train-silver", lambda: train_silver(cfg, out, silver_noisy, data.test))
     corr, report = _stage("estimate", lambda: estimate_correction(
-        cfg, method, eta, data.gold, f, data.singles_pool, silver_noisy))
-    write_correction(out, corr, report)
+        cfg, out, method, eta, data.gold, f, data.singles_pool, silver_noisy))
     frob = None
     if report is not None:
         frob = estimator.compare_matrices(report.raw, true_c).frobenius_distance
     elif corr is not None:
         frob = 0.0
-
-    g, g_hist = _stage("train-gold", lambda: train_gold(
-        cfg, data.gold, silver_noisy, corr, data.test))
-    save_model(g, out / "gold_model.mlpm")
-    write_metrics_csv(out / "metrics.csv", g_hist, "test")
-
-    textio.write_lines(out / "resolved.cfg", render_config(cfg))
+    _, g_hist = _stage("train-gold", lambda: train_gold(
+        cfg, out, data.gold, silver_noisy, corr, data.test))
     return RunRecord(
         method=method, eta=eta,
         final=g_hist[-1].report, history=g_hist, frobenius_to_true=frob,
@@ -401,10 +404,7 @@ SUMMARY_HEADER = "method,eta,map,cf1,of1,frobenius_to_true"
 
 def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
     """Grid over noise ratios and SWEEP_METHODS; emits summary.csv and SVG plots."""
-    cfg.validate()
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    textio.write_lines(out / "resolved.cfg", render_config(cfg))
+    out = run_dir(cfg, outdir)
     data = prepare_data(cfg)
 
     records: list[RunRecord] = []
@@ -514,10 +514,7 @@ def run_ablation(cfg: ExperimentConfig, axis: str, outdir) -> list[RunRecord]:
     if axis not in ABLATIONS:
         raise ValueError(f"axis must be one of {tuple(ABLATIONS)}")
     grid = ABLATIONS[axis]
-    cfg.validate()
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    textio.write_lines(out / "resolved.cfg", render_config(cfg))
+    out = run_dir(cfg, outdir)
     eta = cfg.ablation_eta
     records: list[RunRecord] = []
     rows = ["label,method,eta,map,cf1,of1"]

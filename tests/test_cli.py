@@ -10,7 +10,7 @@ import pytest
 
 from mlnl import cli, estimator
 from mlnl.cli import main
-from mlnl.datagen import read_dataset
+from mlnl.datagen import Dataset, read_dataset, write_dataset
 from mlnl.harness import parse_config, run_pipeline
 from mlnl.model import init_model, save_model
 from mlnl.noise import read_matrix
@@ -324,6 +324,50 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (out / "eval.csv").exists()
 
+    @staticmethod
+    def widen(path, features=0, classes=0):
+        """Rewrite the dataset file `path` with extra features and classes."""
+        ds = read_dataset(path)
+        write_dataset(Dataset(np.pad(ds.features, ((0, 0), (0, features))),
+                              np.pad(ds.labels, ((0, 0), (0, classes))), ds.tag), path)
+
+    @pytest.mark.parametrize("command, widened, extra, named", [
+        (["train-gold", "--correction", "none"], "gold.mlnl", {"classes": 1},
+         ("gold.mlnl", "10 features and 6 classes", "silver_noisy.mlnl", "10 and 5")),
+        (["train-silver"], "test.mlnl", {"features": 1},
+         ("silver_noisy.mlnl", "10 features and 5 classes", "test.mlnl", "11 and 5")),
+    ], ids=["gold-classes", "test-features"])
+    def test_inputs_of_other_shapes_are_named(self, tmp_path, cfg_file, capsys, command,
+                                              widened, extra, named):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
+        self.widen(out / widened, **extra)
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), *command])
+        err = capsys.readouterr().err
+        assert code == 1
+        first, first_shape, second, second_shape = named
+        assert (f"error: {out / first} has {first_shape}, "
+                f"but {out / second} has {second_shape}") in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.mlpm"))
+
+    @pytest.mark.parametrize("command", [["train-silver"], ["train-gold", "--correction", "none"]],
+                             ids=["train-silver", "train-gold"])
+    def test_missing_test_split_exits_one(self, tmp_path, cfg_file, capsys, command):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
+        (out / "test.mlnl").unlink()
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), *command])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(out / "test.mlnl") in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.mlpm"))
+
     @pytest.mark.parametrize("counts", ["99999999999999 3 4", "6 99999999999999 4",
                                         "6 3 99999999999999"])
     def test_huge_dataset_header_exits_one_without_traceback(self, tmp_path, cfg_file, capsys,
@@ -408,25 +452,27 @@ class TestCliMatchesHarness:
     SHARED = ("silver_model.mlpm", "silver_metrics.csv", "true_matrix.csv",
               "gold_model.mlpm", "metrics.csv")
 
-    def staged(self, out, cfg_file, correction):
+    def staged(self, out, cfg_file, method, correction):
         run(["--config", cfg_file, "--out", out, "gen-data"])
         run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
         run(["--config", cfg_file, "--out", out, "train-silver"])
         if correction != "none":
-            run(["--config", cfg_file, "--out", out, "estimate", "--method", "galc-slr"])
+            run(["--config", cfg_file, "--out", out, "estimate",
+                 "--method", method.replace("_", "-")])
             correction = out / "chat.csv"
         run(["--config", cfg_file, "--out", out, "train-gold", "--correction", correction])
 
     @pytest.mark.parametrize("method, correction", [("galc_slr", "chat.csv"),
+                                                    ("glc", "chat.csv"),
                                                     ("none", "none")])
     def test_same_bytes(self, tmp_path, cfg_file, method, correction):
         cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
-        self.staged(cli_out, cfg_file, correction)
+        self.staged(cli_out, cfg_file, method, correction)
         run_pipeline(parse_config(cfg_file), 0.3, lib_out, method=method)
         names = self.SHARED
-        if method == "galc_slr":
-            names += ("chat.csv", "chat_raw.csv", "chat_scaled.csv")
-        assert sorted(p.name for p in lib_out.glob("chat*.csv")) == \
+        if method != "none":
+            names += ("chat.csv", "chat_raw.csv", "chat_scaled.csv", "chat_info.txt")
+        assert sorted(p.name for p in lib_out.glob("chat*")) == \
             sorted(n for n in names if n.startswith("chat"))
         for name in names:
             assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
@@ -504,10 +550,28 @@ class TestTooling:
                     writers.append(f"{path.name}:{node.lineno}")
         assert writers == []
 
+    def test_no_module_imports_a_name_it_never_uses(self):
+        """Every name a module imports is read somewhere in it. cli.train is
+        the one exception: perfbench's tracer checks that binding."""
+        unused = []
+        for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                        getattr(node, "module", None) != "__future__":
+                    unused += [f"{path.stem}.{name}" for name in
+                               ((a.asname or a.name).split(".")[0] for a in node.names)
+                               if name not in used]
+        assert unused == ["cli.train"]
+
     def test_configs_are_checked_where_built(self):
         """Building a config object runs its validate(), so the package calls
-        validate() only there, in GenConfig's override, and in the three
-        entry points that take an ExperimentConfig, which stays mutable."""
+        validate() only there, in GenConfig's override, and in
+        harness.run_dir, which every entry point that takes an
+        ExperimentConfig runs first, since that config stays mutable."""
         def validate_calls(node, scope):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
@@ -520,6 +584,5 @@ class TestTooling:
         found = [scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
                  for scope in validate_calls(ast.parse(path.read_text(encoding="utf-8")),
                                              path.stem)]
-        assert sorted(found) == ["datagen.GenConfig.validate", "harness.run_ablation",
-                                 "harness.run_pipeline", "harness.run_sweep",
+        assert sorted(found) == ["datagen.GenConfig.validate", "harness.run_dir",
                                  "numerics.Settings.__post_init__"]
