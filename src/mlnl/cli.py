@@ -90,23 +90,24 @@ def _cmd_train_silver(args, cfg: ExperimentConfig) -> int:
 def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     method = "true_matrix" if args.method == "true" else args.method.replace("-", "_")
-    eta = f = pool = noisy = None
+    true_c = f = pool = noisy = None
     if method == "true_matrix":
-        eta = noise.read_matrix(out / "true_matrix.csv").eta
-        if eta is None:
-            raise textio.located(out / "true_matrix.csv", None, "header has no eta=")
+        true_c = noise.read_matrix(out / "true_matrix.csv")
     else:
         f = load_model(out / "silver_model.mlpm")
     gold = datagen.read_dataset(out / "gold.mlnl")
+    if true_c is not None and true_c.k != gold.num_classes:
+        raise ValueError(f"{out / 'true_matrix.csv'} has K={true_c.k}, "
+                         f"but {out / 'gold.mlnl'} has {gold.num_classes} classes")
     if method == "galc_slr":
         pool = datagen.read_dataset(out / "singles_pool.mlnl")
         if cfg.estimation_set == "silver":
             noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
     names = ("silver_model.mlpm", "gold.mlnl", "singles_pool.mlnl", "silver_noisy.mlnl")
     _check_shapes([out / name for name in names], (f, gold, pool, noisy))
-    _, report = harness.estimate_correction(cfg, out, method, eta, gold, f, pool, noisy)
+    _, report = harness.estimate_correction(cfg, out, method, true_c, gold, f, pool, noisy)
     if report is None:
-        print(f"true matrix for eta={eta!r} -> {out / 'chat.csv'}")
+        print(f"true matrix for eta={true_c.eta!r} -> {out / 'chat.csv'}")
     else:
         print(f"{method} estimate ({cfg.correction_form}) -> {out / 'chat.csv'} "
               f"(fallback classes: {report.fallback_classes or 'none'})")
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("train-silver", help="train the silver classifier on noisy data")
     p = sub.add_parser("estimate", help="estimate the corruption matrix")
     p.add_argument("--method", required=True, choices=["galc-slr", "glc", "true"],
-                   help="true: the symmetric matrix at the eta inject-noise used")
+                   help="true: the matrix inject-noise wrote to true_matrix.csv")
     p = sub.add_parser("train-gold", help="train the final classifier")
     p.add_argument("--correction", required=True,
                    help="correction matrix CSV path, or 'none' for the plain baseline")

@@ -24,6 +24,7 @@ from .numerics import Interval, RandomStream, Settings, integer, rule
 
 FILE_MAGIC = "MLNL"
 FILE_VERSION = "v1"
+TAGS = ("clean", "noisy")
 _WRITE_CHUNK_ROWS = 1024  # dataset rows are formatted this many at a time
 _READ_RANGE_BYTES = 1 << 20  # a dataset is parsed in byte ranges of at least this size
 MAX_CLASSES = 1000  # bounds a config's or a dataset header's K; the largest K in use is 20
@@ -45,7 +46,7 @@ class Dataset:
             raise ValueError("features and labels must be 2-D")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
-        if self.tag not in ("clean", "noisy"):
+        if self.tag not in TAGS:
             raise ValueError(f"unknown tag {self.tag!r}")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
@@ -373,6 +374,8 @@ def read_dataset(path) -> Dataset:
             body = header[1:].strip()
             if body.startswith("tag="):
                 tag = body[4:].strip()
+                if tag not in TAGS:
+                    raise ValueError(f"unknown tag {tag!r}")
         else:
             lineno = None
             raise ValueError("no header line found")

@@ -313,22 +313,23 @@ def train_silver(cfg: ExperimentConfig, out: Path, silver_noisy: Dataset, test: 
     return _train_stage(cfg, out, "silver", silver_noisy, "asl", test, "silver_metrics.csv")
 
 
-def estimate_correction(cfg: ExperimentConfig, out: Path, method: str, eta: float | None,
-                        gold: Dataset, silver_model: MlpModel | None,
-                        singles_pool: Dataset | None, silver_noisy: Dataset | None):
+def estimate_correction(cfg: ExperimentConfig, out: Path, method: str,
+                        true_matrix: CorruptionMatrix | None, gold: Dataset,
+                        silver_model: MlpModel | None, singles_pool: Dataset | None,
+                        silver_noisy: Dataset | None):
     """The correction matrix `method` trains the gold model with, and the
     estimation report behind it (written to chat.csv and chat_*); returns
     (matrix or None, report or None).
 
     galc_slr reads the silver model, the single-label pool and the
     estimation set (gold, or silver_noisy when cfg.estimation_set is
-    "silver"); glc reads the silver model and gold; true_matrix only K and
-    `eta`, which the other methods ignore.
+    "silver"); glc reads the silver model and gold; true_matrix trains with
+    `true_matrix`, the matrix inject_noise wrote, which the others ignore.
     """
     if method == "none":
         return None, None
     if method == "true_matrix":
-        matrix, report = noise.symmetric_matrix(gold.num_classes, eta), None
+        matrix, report = true_matrix, None
     elif method == "galc_slr":
         regs = estimator.compute_regulators(silver_model, singles_pool)
         est_set = gold if cfg.estimation_set == "gold" else silver_noisy
@@ -384,12 +385,11 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
         cfg, out, data.silver_clean, eta))
     f, _ = _stage("train-silver", lambda: train_silver(cfg, out, silver_noisy, data.test))
     corr, report = _stage("estimate", lambda: estimate_correction(
-        cfg, out, method, eta, data.gold, f, data.singles_pool, silver_noisy))
+        cfg, out, method, true_c, data.gold, f, data.singles_pool, silver_noisy))
     frob = None
-    if report is not None:
-        frob = estimator.compare_matrices(report.raw, true_c).frobenius_distance
-    elif corr is not None:
-        frob = 0.0
+    if corr is not None:
+        estimate = corr if report is None else report.raw
+        frob = estimator.compare_matrices(estimate, true_c).frobenius_distance
     _, g_hist = _stage("train-gold", lambda: train_gold(
         cfg, out, data.gold, silver_noisy, corr, data.test))
     return RunRecord(
@@ -425,6 +425,8 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
     textio.write_lines(out / "summary.csv", rows)
     if failures:
         textio.write_lines(out / "failures.log", failures)
+    else:  # a clean sweep keeps no failures.log of an earlier sweep
+        (out / "failures.log").unlink(missing_ok=True)
     if records:
         plot_sweep(out)
     return records

@@ -2,9 +2,9 @@
 with rejection resampling, and empirical corruption measurement.
 
 Row-sum exactness convention: a row "sums to exactly 1" when math.fsum of its
-entries equals 1.0. Constructors achieve this by letting the diagonal absorb
-the exact normalization residual (computed in rational arithmetic), which
-moves the diagonal by at most one ulp.
+entries equals 1.0. Every constructor achieves this through `_stochastic_rows`,
+which lets one pivot entry per row absorb the exact normalization residual
+(computed in rational arithmetic), moving that entry by at most one ulp.
 """
 
 from __future__ import annotations
@@ -92,10 +92,22 @@ class FlipLog:
         return len(self.flips)
 
 
-def _exact_residual_row(row: np.ndarray, pivot: int) -> None:
-    """Adjust row[pivot] in place so math.fsum(row) == 1.0 exactly."""
-    others = [Fraction(v) for j, v in enumerate(row.tolist()) if j != pivot]
-    row[pivot] = float(1 - sum(others, Fraction(0)))
+def _stochastic_rows(m: np.ndarray, fallback=None) -> np.ndarray:
+    """`m` with each row's pivot entry set so that math.fsum of the row is
+    exactly 1.0. Without `fallback` the pivot is the diagonal (and `m` is
+    changed in place); with it, each row is first divided by its sum, or
+    replaced by `fallback`'s row when that sum is not positive, and the pivot
+    is the row's largest entry."""
+    if fallback is None:
+        pivots = range(m.shape[0])
+    else:
+        sums = m.sum(axis=1, keepdims=True)
+        fall = sums <= 0
+        m = np.where(fall, fallback, m / np.where(fall, 1.0, sums))
+        pivots = m.argmax(axis=1).tolist()
+    for i, (row, pivot) in enumerate(zip(m.tolist(), pivots)):
+        m[i, pivot] = float(1 - sum(map(Fraction, row[:pivot] + row[pivot + 1:])))
+    return m
 
 
 def symmetric_matrix(k: int, eta: float) -> CorruptionMatrix:
@@ -103,12 +115,9 @@ def symmetric_matrix(k: int, eta: float) -> CorruptionMatrix:
     if k < 2:
         raise ValueError("symmetric_matrix requires K >= 2")
     NoiseSpec(eta)  # its rule rejects an eta outside ETA_RANGE
-    off = eta / (k - 1)
-    m = np.full((k, k), off, dtype=np.float64)
+    m = np.full((k, k), eta / (k - 1), dtype=np.float64)
     np.fill_diagonal(m, 1.0 - eta)
-    for i in range(k):
-        _exact_residual_row(m[i], i)
-    return CorruptionMatrix(m, KIND_TRUE, eta=eta)
+    return CorruptionMatrix(_stochastic_rows(m), KIND_TRUE, eta=eta)
 
 
 def inject(ds: Dataset, spec: NoiseSpec) -> tuple[Dataset, FlipLog]:
@@ -205,15 +214,7 @@ def empirical_matrix(clean: Dataset, noisy: Dataset) -> tuple[CorruptionMatrix, 
 
     # a class without clean positives has an all-zero count row
     missing = np.flatnonzero(clean.labels.sum(axis=0) == 0).tolist()
-    rows = np.zeros_like(counts)
-    for i in range(k):
-        total = counts[i].sum()
-        if total <= 0:
-            rows[i, i] = 1.0
-            continue
-        rows[i] = counts[i] / total
-        _exact_residual_row(rows[i], int(np.argmax(rows[i])))
-    return CorruptionMatrix(rows, KIND_TRUE), missing
+    return CorruptionMatrix(_stochastic_rows(counts, np.eye(k)), KIND_TRUE), missing
 
 
 def row_normalized(cm: CorruptionMatrix) -> CorruptionMatrix:
@@ -222,15 +223,7 @@ def row_normalized(cm: CorruptionMatrix) -> CorruptionMatrix:
     Rows with non-positive sums fall back to uniform. The result is tagged
     row-stochastic only if all entries land in [0, 1]; otherwise it stays raw.
     """
-    m = cm.matrix.copy()
-    k = cm.k
-    for i in range(k):
-        s = m[i].sum()
-        if s <= 0:
-            m[i] = 1.0 / k
-        else:
-            m[i] = m[i] / s
-        _exact_residual_row(m[i], int(np.argmax(m[i])))
+    m = _stochastic_rows(cm.matrix, 1.0 / cm.k)
     kind = KIND_TRUE if (np.all(m >= 0) and np.all(m <= 1)) else KIND_RAW
     return CorruptionMatrix(m, kind, eta=cm.eta)
 
@@ -247,15 +240,19 @@ def write_matrix(cm: CorruptionMatrix, path) -> None:
 def read_matrix(path) -> CorruptionMatrix:
     """Read the CSV form, whose first non-blank line may be the `#` header; a
     malformed file raises ValueError at `path:line`."""
-    kind, eta = KIND_RAW, None
+    kind, k, eta = KIND_RAW, None, None
     rows, row_lines = [], []
-    lineno = None  # the line being judged; None judges the whole file
+    lineno = header_line = None  # the line being judged; None judges the whole file
     try:
         for i, (lineno, text) in enumerate(textio.numbered_lines(path)):
             if i == 0 and text.startswith("#"):
                 fields = dict(token.partition("=")[::2] for token in text[1:].split())
                 kind = fields.get("kind", KIND_RAW)
+                if kind not in _KINDS:
+                    raise ValueError(f"unknown kind {kind!r}")
+                k = int(fields["K"]) if "K" in fields else None
                 eta = float(fields["eta"]) if "eta" in fields else None
+                header_line = lineno
                 continue
             rows.append(textio.float_row(text, len(rows[0]) if rows else None, sep=","))
             row_lines.append(lineno)
@@ -263,6 +260,9 @@ def read_matrix(path) -> CorruptionMatrix:
         m = np.asarray(rows, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix is not square ({m.shape})")
+        if k is not None and k != m.shape[0]:
+            lineno = header_line
+            raise ValueError(f"header says K={k}, but the matrix has {m.shape[0]} rows")
         problem = _invalid_row(m, kind)
         if problem is not None:
             lineno = row_lines[problem[0]]

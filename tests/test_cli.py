@@ -101,6 +101,18 @@ class TestStagedWorkflow:
         assert cm.kind == "true_row_stochastic"
         assert (out / "chat.csv").read_bytes() == (out / "true_matrix.csv").read_bytes()
 
+    def test_true_matrix_without_eta_is_copied(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        run(["--config", cfg_file, "--out", out, "inject-noise"])
+        true_csv = out / "true_matrix.csv"
+        lines = true_csv.read_text().splitlines()
+        true_csv.write_text("# kind=true_row_stochastic K=5\n" + "\n".join(lines[1:]) + "\n")
+        capsys.readouterr()
+        run(["--config", cfg_file, "--out", out, "estimate", "--method", "true"])
+        assert (out / "chat.csv").read_bytes() == true_csv.read_bytes()
+        assert f"true matrix for eta=None -> {out / 'chat.csv'}" in capsys.readouterr().out
+
     def test_no_final_sigmoid_flag(self, tmp_path, cfg_file):
         out = tmp_path / "run"
         cfg = tmp_path / "raw.cfg"
@@ -151,6 +163,24 @@ class TestSweepAndPlot:
         err = capsys.readouterr().err
         assert f"error: {out / 'summary.csv'}:2: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, lineno, problem", [
+        ("method,eta,map\nnone,0.0,0.5\n", 1, "expected the header "),
+        ("none,0.0,0.5,0.5,0.5\n", 2, "expected 6 fields, got 5"),
+        ("glc,0.0,0.5,0.5,0.5,\n", 2, "method must be one of "),
+    ], ids=["header", "fields", "method"])
+    def test_plot_names_the_line_of_a_bad_summary(self, tmp_path, capsys, text, lineno,
+                                                  problem):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        if lineno > 1:
+            text = "method,eta,map,cf1,of1,frobenius_to_true\n" + text
+        (out / "summary.csv").write_text(text)
+        assert main(["--out", str(out), "plot"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {out / 'summary.csv'}:{lineno}: {problem}" in err
+        assert "Traceback" not in err
+        assert list(out.glob("*.svg")) == []
 
     def test_failed_cell_makes_the_sweep_exit_one(self, tmp_path, cfg_file, capsys,
                                                   monkeypatch):
@@ -224,18 +254,18 @@ class TestErrors:
         assert blocker.read_text() == "not a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "exp.cfg"]
 
-    def test_true_matrix_without_eta_exits_one(self, tmp_path, cfg_file, capsys):
+    def test_true_matrix_of_another_k_exits_one(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "run"
         run(["--config", cfg_file, "--out", out, "gen-data"])
         run(["--config", cfg_file, "--out", out, "inject-noise"])
         true_csv = out / "true_matrix.csv"
-        lines = true_csv.read_text().splitlines()
-        true_csv.write_text("# kind=true_row_stochastic K=5\n" + "\n".join(lines[1:]) + "\n")
+        true_csv.write_text("# kind=true_row_stochastic K=4 eta=0.0\n" + "".join(
+            ",".join("1.0" if i == j else "0.0" for j in range(4)) + "\n" for i in range(4)))
         capsys.readouterr()
         code = main(["--config", str(cfg_file), "--out", str(out), "estimate", "--method", "true"])
         err = capsys.readouterr().err
         assert code == 1
-        assert f"error: {true_csv}: header has no eta=" in err
+        assert f"error: {true_csv} has K=4, but {out / 'gold.mlnl'} has 5 classes" in err
         assert "Traceback" not in err
         assert not (out / "chat.csv").exists()
 
@@ -462,10 +492,7 @@ class TestCliMatchesHarness:
             correction = out / "chat.csv"
         run(["--config", cfg_file, "--out", out, "train-gold", "--correction", correction])
 
-    @pytest.mark.parametrize("method, correction", [("galc_slr", "chat.csv"),
-                                                    ("glc", "chat.csv"),
-                                                    ("none", "none")])
-    def test_same_bytes(self, tmp_path, cfg_file, method, correction):
+    def same_bytes(self, tmp_path, cfg_file, method, correction):
         cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
         self.staged(cli_out, cfg_file, method, correction)
         run_pipeline(parse_config(cfg_file), 0.3, lib_out, method=method)
@@ -477,6 +504,16 @@ class TestCliMatchesHarness:
         for name in names:
             assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
 
+    @pytest.mark.parametrize("method, correction", [("galc_slr", "chat.csv"),
+                                                    ("glc", "chat.csv"),
+                                                    ("none", "none")])
+    def test_same_bytes(self, tmp_path, cfg_file, method, correction):
+        self.same_bytes(tmp_path, cfg_file, method, correction)
+
+    def test_same_bytes_with_the_silver_estimation_set(self, tmp_path, cfg_file):
+        cfg = tmp_path / "silver.cfg"
+        cfg.write_text(cfg_file.read_text() + "estimator.estimation_set = silver\n")
+        self.same_bytes(tmp_path, cfg, "galc_slr", "chat.csv")
 
     def test_true_matrix_uses_the_injected_eta(self, tmp_path, cfg_file):
         # inject-noise --eta 0.4 overrides noise.eta = 0.3; estimate --method

@@ -244,6 +244,12 @@ class TestDatasetFile:
         write_dataset(noisy, path)
         assert read_dataset(path).tag == "noisy"
 
+    def test_unknown_tag_cites_its_line(self, tmp_path):
+        path = tmp_path / "dirty.mlnl"
+        path.write_text("# tag=dirty\nMLNL v1 1 2 2\n0.5 1.0 | 0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: unknown tag 'dirty'$"):
+            read_dataset(path)
+
     def test_wellformed_header_parses(self, tmp_path):
         text = ("# a comment\n"
                 "MLNL v1 3 2 4\n"

@@ -373,6 +373,11 @@ class TestRunPipeline:
         if method == "true_matrix":
             assert rec.frobenius_to_true == 0.0
 
+    def test_unknown_method_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="estimator method must be one of"):
+            run_pipeline(tiny_config(), 0.3, tmp_path / "x", method="bogus")
+        assert not (tmp_path / "x").exists()
+
     def test_metrics_csv_schema(self, tmp_path):
         cfg = tiny_config()
         run_pipeline(cfg, 0.3, tmp_path / "r", method="none")
@@ -442,6 +447,12 @@ class TestRunSweep:
         assert len(summary) == 10
         svgs = list(tmp_path.glob("*.svg"))
         assert len(svgs) >= 4
+
+    def test_clean_sweep_removes_an_earlier_failures_log(self, tmp_path):
+        (tmp_path / "failures.log").write_text("eta=0.0 method=galc_slr: an earlier failure\n")
+        records = run_sweep(tiny_config(etas=(0.0,)), tmp_path)
+        assert len(records) == len(harness.SWEEP_METHODS)
+        assert not (tmp_path / "failures.log").exists()
 
     def test_replay_byte_identical_summary(self, tmp_path):
         cfg = tiny_config(etas=(0.0, 0.3))

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlnl import noise
 from mlnl.datagen import Dataset, GenConfig, generate
 from mlnl.noise import (KIND_RAW, KIND_TRUE, CorruptionMatrix, FlipLog, NoiseSpec,
                         empirical_matrix, inject, read_matrix, row_normalized,
@@ -313,6 +316,19 @@ class TestMatrixFile:
         with pytest.raises(ValueError, match="square"):
             read_matrix(path)
 
+    def test_unknown_kind_cites_the_header_line(self, tmp_path):
+        path = tmp_path / "kind.csv"
+        path.write_text("# kind=banana K=2\n0.5,0.5\n0.5,0.5\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: unknown kind 'banana'$"):
+            read_matrix(path)
+
+    def test_header_k_of_another_size_cites_the_header_line(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_text("# kind=estimated_raw K=5\n0.5,0.5\n0.5,0.5\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: header says K=5, "
+                                             r"but the matrix has 2 rows$"):
+            read_matrix(path)
+
     def test_ragged_row_cites_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("# kind=estimated_raw K=2\n0.5,0.5\n0.25\n")
@@ -334,6 +350,41 @@ class TestMatrixFile:
         path.write_text(f"# kind={kind} K=3\n0.5,0.25,0.25\n0.25,{bad},0.25\n{bad},0.25,0.25\n")
         with pytest.raises(ValueError, match=r"range\.csv:3: (corruption|row-stochastic|sigmoid)"):
             read_matrix(path)
+
+
+def reference_stochastic_rows(m, fallback=None):
+    """The per-row loop that `_stochastic_rows` replaced: without `fallback`
+    the diagonal absorbs the exact residual; with it, each row is divided by
+    its own sum, or replaced by the fallback row, and its largest entry
+    absorbs the residual."""
+    out = m.copy()
+    for i in range(m.shape[0]):
+        pivot = i
+        if fallback is not None:
+            total = m[i].sum()
+            out[i] = fallback[i] if total <= 0 else m[i] / total
+            pivot = int(np.argmax(out[i]))
+        others = [Fraction(v) for j, v in enumerate(out[i].tolist()) if j != pivot]
+        out[i, pivot] = float(1 - sum(others, Fraction(0)))
+    return out
+
+
+class TestStochasticRows:
+    @pytest.mark.parametrize("k", [2, 7, 8, 9, 33, 130])
+    def test_same_bytes_as_the_per_row_loop(self, k):
+        # numpy sums a row of K >= 8 pairwise in blocks of 8, and splits K > 128
+        rng = np.random.default_rng(k)
+        m = rng.normal(size=(k, k)) * 10.0 ** rng.integers(-6, 7, size=(k, 1))
+        positive = rng.random(k) < 0.5
+        m[positive] = np.abs(m[positive])  # mixed-sign rows may sum to <= 0
+        m[0] = 0.0
+        for fallback in (np.eye(k), np.full((k, k), 1.0 / k)):
+            got = noise._stochastic_rows(m, fallback)
+            assert got.tobytes() == reference_stochastic_rows(m, fallback).tobytes()
+        sym = np.full((k, k), 0.3 / (k - 1))
+        np.fill_diagonal(sym, 0.7)
+        assert noise._stochastic_rows(sym.copy()).tobytes() == \
+            reference_stochastic_rows(sym).tobytes()
 
 
 class TestRowNormalized:

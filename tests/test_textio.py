@@ -204,7 +204,8 @@ def reference_label_indices(label_part, k):
 
 def reference_read_dataset(path):
     """`read_dataset` as it was before it read byte ranges in parallel: one
-    pass over the numbered lines, verbatim."""
+    pass over the numbered lines, verbatim but for the tag, which is now
+    judged at its own line."""
     lines = textio.numbered_lines(path)
     tag = "clean"
     lineno = None  # the line being judged; None judges the whole file
@@ -217,6 +218,8 @@ def reference_read_dataset(path):
             body = header[1:].strip()
             if body.startswith("tag="):
                 tag = body[4:].strip()
+                if tag not in ("clean", "noisy"):
+                    raise ValueError(f"unknown tag {tag!r}")
         else:
             lineno = None
             raise ValueError("no header line found")
@@ -264,7 +267,7 @@ def reference_read_dataset(path):
         for pid, indices in enumerate(patterns):
             pattern_labels[pid, indices] = 1
         labels = pattern_labels[np.array(pattern_of_row, dtype=np.intp)]
-        lineno = None  # Dataset rejects an unknown tag
+        lineno = None
         return Dataset(features, labels, tag=tag)
     except (ValueError, MemoryError) as e:
         raise textio.located(path, lineno, e) from None
