@@ -140,25 +140,30 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    records = harness.run_sweep(cfg, cfg.out)
+def _report_grid(kind: str, records, cells: int, table: Path) -> int:
+    """Print each finished cell of a sweep or ablation grid and where its
+    table went; a failed cell is counted on stderr and makes the exit code 1."""
     for rec in records:
         print(f"{rec.method:12s} eta={rec.eta!r} mAP={rec.final.map:.4f} "
               f"({rec.wall_seconds:.1f}s)")
-    print(f"summary -> {Path(cfg.out) / 'summary.csv'}")
-    cells = len(cfg.etas) * len(harness.SWEEP_METHODS)
+    print(f"{table.stem} -> {table}")
     if len(records) < cells:
-        print(f"error: {cells - len(records)} of {cells} sweep cells failed; "
-              f"see {Path(cfg.out) / 'failures.log'}", file=sys.stderr)
+        print(f"error: {cells - len(records)} of {cells} {kind} cells failed; "
+              f"see {table.parent / 'failures.log'}", file=sys.stderr)
         return 1
     return 0
 
 
+def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
+    return _report_grid("sweep", harness.run_sweep(cfg, cfg.out),
+                        len(cfg.etas) * len(harness.SWEEP_METHODS), Path(cfg.out) / "summary.csv")
+
+
 def _cmd_ablate(args, cfg: ExperimentConfig) -> int:
-    records = harness.run_ablation(cfg, args.axis, cfg.out)
-    for rec in records:
-        print(f"{rec.method:12s} eta={rec.eta!r} mAP={rec.final.map:.4f}")
-    return 0
+    grid = harness.ABLATIONS[args.axis]
+    return _report_grid("ablation", harness.run_ablation(cfg, args.axis, cfg.out),
+                        len(grid.values) * len(grid.methods),
+                        Path(cfg.out) / f"ablation_{args.axis}.csv")
 
 
 def _cmd_plot(args, cfg: ExperimentConfig) -> int:
@@ -176,43 +181,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("gen-data", help="generate and split the synthetic dataset")
-    p = sub.add_parser("inject-noise", help="corrupt the silver split")
+    def command(name, run, text):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        return p
+
+    command("gen-data", _cmd_gen_data, "generate and split the synthetic dataset")
+    p = command("inject-noise", _cmd_inject_noise, "corrupt the silver split")
     p.add_argument("--eta", type=float, help="noise ratio (default: first of noise.eta)")
-    sub.add_parser("train-silver", help="train the silver classifier on noisy data")
-    p = sub.add_parser("estimate", help="estimate the corruption matrix")
+    command("train-silver", _cmd_train_silver, "train the silver classifier on noisy data")
+    p = command("estimate", _cmd_estimate, "estimate the corruption matrix")
     p.add_argument("--method", required=True, choices=["galc-slr", "glc", "true"],
                    help="true: the matrix inject-noise wrote to true_matrix.csv")
-    p = sub.add_parser("train-gold", help="train the final classifier")
+    p = command("train-gold", _cmd_train_gold, "train the final classifier")
     p.add_argument("--correction", required=True,
                    help="correction matrix CSV path, or 'none' for the plain baseline")
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
+    p = command("evaluate", _cmd_evaluate, "evaluate a checkpoint on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    sub.add_parser("sweep", help="full grid over noise ratios and methods")
-    p = sub.add_parser("ablate", help="ablation grid")
+    command("sweep", _cmd_sweep, "full grid over noise ratios and methods")
+    p = command("ablate", _cmd_ablate, "ablation grid")
     p.add_argument("--axis", required=True, choices=list(harness.ABLATIONS))
-    sub.add_parser("plot", help="re-render a sweep's SVG plots from its --out directory")
+    command("plot", _cmd_plot, "re-render a sweep's SVG plots from its --out directory")
     return parser
-
-
-_HANDLERS = {
-    "gen-data": _cmd_gen_data,
-    "inject-noise": _cmd_inject_noise,
-    "train-silver": _cmd_train_silver,
-    "estimate": _cmd_estimate,
-    "train-gold": _cmd_train_gold,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-    "ablate": _cmd_ablate,
-    "plot": _cmd_plot,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args, _load_config(args))
+        return args.run(args, _load_config(args))
     except (ValueError, RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

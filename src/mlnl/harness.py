@@ -402,33 +402,37 @@ _METHOD_LABELS = {"none": "ASL baseline", "galc_slr": "GALC-SLR", "true_matrix":
 SUMMARY_HEADER = "method,eta,map,cf1,of1,frobenius_to_true"
 
 
-def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
-    """Grid over noise ratios and SWEEP_METHODS; emits summary.csv and SVG plots."""
+def _run_grid(cfg: ExperimentConfig, outdir, cells) -> list[tuple[str, RunRecord]]:
+    """Run each cell (config, eta, method, run directory, label) through
+    run_pipeline under `cfg`'s run directory `outdir`, with one prepare_data
+    per run of cells that share a config. A failed cell is skipped and named
+    in failures.log; returns the (label, record) of every cell that finished."""
     out = run_dir(cfg, outdir)
-    data = prepare_data(cfg)
-
-    records: list[RunRecord] = []
-    failures: list[str] = []
-    rows = [SUMMARY_HEADER]
-    for eta in cfg.etas:
-        for method in SWEEP_METHODS:
-            try:
-                rec = run_pipeline(cfg, eta, out / f"eta{eta!r}_{method}", method=method,
-                                   data=data)
-            except Exception as e:
-                failures.append(f"eta={eta!r} method={method}: {e}")
-                continue
-            records.append(rec)
-            frob = "" if rec.frobenius_to_true is None else repr(rec.frobenius_to_true)
-            rows.append(f"{method},{eta!r},{rec.final.map!r},{rec.final.cf1!r},"
-                        f"{rec.final.of1!r},{frob}")
-    textio.write_lines(out / "summary.csv", rows)
+    done, failures = [], []
+    data_cfg = data = None
+    for sub, eta, method, rundir, label in cells:
+        if sub is not data_cfg:
+            data_cfg, data = sub, _stage("prepare-data", lambda: prepare_data(sub))
+        try:
+            done.append((label, run_pipeline(sub, eta, out / rundir, method=method, data=data)))
+        except Exception as e:
+            failures.append(f"{label} method={method}: {e}")
     if failures:
         textio.write_lines(out / "failures.log", failures)
-    else:  # a clean sweep keeps no failures.log of an earlier sweep
+    else:  # a clean grid keeps no failures.log of an earlier grid
         (out / "failures.log").unlink(missing_ok=True)
+    return done
+
+
+def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
+    """Grid over noise ratios and SWEEP_METHODS; emits summary.csv and SVG plots."""
+    records = [rec for _, rec in _run_grid(cfg, outdir, [
+        (cfg, e, m, f"eta{e!r}_{m}", f"eta={e!r}") for e in cfg.etas for m in SWEEP_METHODS])]
+    textio.write_lines(Path(outdir) / "summary.csv", [SUMMARY_HEADER, *(
+        f"{r.method},{r.eta!r},{r.final.map!r},{r.final.cf1!r},{r.final.of1!r},"
+        f"{'' if r.frobenius_to_true is None else repr(r.frobenius_to_true)}" for r in records)])
     if records:
-        plot_sweep(out)
+        plot_sweep(outdir)
     return records
 
 
@@ -512,26 +516,23 @@ ABLATIONS = {
 
 def run_ablation(cfg: ExperimentConfig, axis: str, outdir) -> list[RunRecord]:
     """One ABLATIONS grid at the fixed ablation noise ratio: every value of
-    the axis's field with every one of its methods; the first failure raises."""
+    the axis's field with every one of its methods; the SVG needs every cell."""
     if axis not in ABLATIONS:
         raise ValueError(f"axis must be one of {tuple(ABLATIONS)}")
     grid = ABLATIONS[axis]
-    out = run_dir(cfg, outdir)
     eta = cfg.ablation_eta
-    records: list[RunRecord] = []
-    rows = ["label,method,eta,map,cf1,of1"]
+    cells = []
     for value, group in zip(grid.values, grid.groups):
         sub = dataclasses.replace(cfg, **{grid.field: value})
-        data = _stage("prepare-data", lambda: prepare_data(sub))
-        for method in grid.methods:
-            rundir = grid.rundir.format(value=value, group=group, method=method)
-            rec = run_pipeline(sub, eta, out / rundir, method=method, data=data)
-            records.append(rec)
-            rows.append(f"{group},{method},{eta!r},{rec.final.map!r},"
-                        f"{rec.final.cf1!r},{rec.final.of1!r}")
-    series = [(_METHOD_LABELS[m], grid.groups, [r.final.map for r in records if r.method == m])
-              for m in grid.methods]
-    svgplot.emit_plot(series, "grouped_bar", out / f"ablation_{axis}.svg",
-                      title=f"{grid.title} at eta={eta!r}", xlabel=grid.xlabel, ylabel="mAP")
-    textio.write_lines(out / f"ablation_{axis}.csv", rows)
-    return records
+        cells += [(sub, eta, m, grid.rundir.format(value=value, group=group, method=m), group)
+                  for m in grid.methods]
+    done = _run_grid(cfg, outdir, cells)
+    textio.write_lines(Path(outdir) / f"ablation_{axis}.csv", ["label,method,eta,map,cf1,of1", *(
+        f"{group},{r.method},{eta!r},{r.final.map!r},{r.final.cf1!r},{r.final.of1!r}"
+        for group, r in done)])
+    if len(done) == len(cells):
+        series = [(_METHOD_LABELS[m], grid.groups, [r.final.map for _, r in done if r.method == m])
+                  for m in grid.methods]
+        svgplot.emit_plot(series, "grouped_bar", Path(outdir) / f"ablation_{axis}.svg",
+                          title=f"{grid.title} at eta={eta!r}", xlabel=grid.xlabel, ylabel="mAP")
+    return [rec for _, rec in done]

@@ -269,6 +269,24 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (out / "chat.csv").exists()
 
+    @pytest.mark.parametrize("eta", ["nan", "7"])
+    def test_true_matrix_with_an_eta_out_of_range_exits_one(self, tmp_path, cfg_file, capsys,
+                                                            eta):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        run(["--config", cfg_file, "--out", out, "inject-noise"])
+        true_csv = out / "true_matrix.csv"
+        lines = true_csv.read_text().splitlines()
+        true_csv.write_text(f"# kind=true_row_stochastic K=5 eta={eta}\n" + "\n".join(lines[1:])
+                            + "\n")
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), "estimate", "--method", "true"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {true_csv}:1: eta must be in [0,1), got {float(eta)!r}" in err
+        assert "Traceback" not in err
+        assert not (out / "chat.csv").exists()
+
     def test_missing_file_reported(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "train-silver"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -474,6 +492,24 @@ class TestAblateCommand:
         run(["--config", cfg_path, "--out", out, "ablate", "--axis", "limit"])
         assert (out / "ablation_limit.svg").exists()
 
+    def test_failed_cells_make_the_ablation_exit_one(self, tmp_path, cfg_file, capsys,
+                                                     monkeypatch):
+        def fail(model, pool):
+            raise ValueError("regulators unavailable")
+
+        monkeypatch.setattr(estimator, "compute_regulators", fail)
+        out = tmp_path / "ab"
+        code = main(["--config", str(cfg_file), "--out", str(out), "ablate", "--axis", "limit"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: 3 of 3 ablation cells failed; see {out / 'failures.log'}" in err
+        assert "Traceback" not in err
+        assert (out / "failures.log").read_text().splitlines() == [
+            f"{label} method=galc_slr: pipeline stage 'estimate' failed: regulators unavailable"
+            for label in ("L10", "L50", "unlimited")]
+        assert (out / "ablation_limit.csv").read_text() == "label,method,eta,map,cf1,of1\n"
+        assert not (out / "ablation_limit.svg").exists()
+
 
 class TestCliMatchesHarness:
     """The staged subcommands and `run_pipeline` are one pipeline: the same
@@ -531,6 +567,13 @@ class TestCliMatchesHarness:
             assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand of cli.build_parser(), by name."""
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 class TestTooling:
     """Entry points start: a broken import fails here, not for a user."""
 
@@ -549,22 +592,37 @@ class TestTooling:
     def test_help_exits_zero(self, argv):
         self.help_exits_zero(argv)
 
-    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    @pytest.mark.parametrize("command", sorted(subcommands()))
     def test_subcommand_help_exits_zero(self, command):
         self.help_exits_zero(["-m", "mlnl", command, "--help"])
 
-    @staticmethod
-    def subparsers():
-        parser = cli.build_parser()
-        (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return subcommands.choices
-
     def test_estimate_takes_only_method(self):
-        options = [s for a in self.subparsers()["estimate"]._actions for s in a.option_strings]
+        options = [s for a in subcommands()["estimate"]._actions for s in a.option_strings]
         assert sorted(options) == ["--help", "--method", "-h"]
 
     def test_every_subcommand_has_one_handler(self):
-        assert sorted(self.subparsers()) == sorted(cli._HANDLERS)
+        handlers = {name: p.get_default("run") for name, p in subcommands().items()}
+        assert {name: getattr(run, "__name__", None) for name, run in handlers.items()} == {
+            name: "_cmd_" + name.replace("-", "_") for name in handlers}
+
+    def test_one_grid_loop_runs_every_grid(self):
+        """In harness.py only _run_grid names run_pipeline and failures.log,
+        so sweeps and ablations cannot grow a second grid loop with its own
+        rules for data preparation and failed cells."""
+        def grid_steps(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from grid_steps(child, child.name)
+                    continue
+                if isinstance(child, ast.Name) and child.id == "run_pipeline":
+                    yield scope, "run_pipeline"
+                if isinstance(child, ast.Constant) and child.value == "failures.log":
+                    yield scope, "failures.log"
+                yield from grid_steps(child, scope)
+
+        tree = ast.parse((self.ROOT / "src" / "mlnl" / "harness.py").read_text(encoding="utf-8"))
+        assert sorted(set(grid_steps(tree, "harness"))) == [("_run_grid", "failures.log"),
+                                                            ("_run_grid", "run_pipeline")]
 
     def test_only_textio_writes_files(self):
         """Every file the package writes goes through textio.write_lines, so

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mlnl import harness, textio
+from mlnl import estimator, harness, textio
 from mlnl.datagen import Dataset, GenConfig, SplitSpec
 from mlnl.estimator import estimate_glc
 from mlnl.harness import (CONFIG_KEYS, ExperimentConfig, parse_config, prepare_data,
@@ -468,8 +468,9 @@ class TestRunSweep:
 
 @pytest.fixture(scope="module")
 def ablation(tmp_path_factory):
-    """Run an ablation axis once on the tiny config at eta 0.3; returns
-    (config, output directory, records, prepare_data calls)."""
+    """Run an ablation axis once on the tiny config at eta 0.3, in a directory
+    that holds the failures.log of an earlier run; returns (config, output
+    directory, records, prepare_data calls)."""
     runs = {}
 
     def run(axis):
@@ -477,6 +478,7 @@ def ablation(tmp_path_factory):
             cfg = tiny_config(etas=(0.3,))
             cfg.ablation_eta = 0.3
             out = tmp_path_factory.mktemp(axis)
+            (out / "failures.log").write_text("L10 method=galc_slr: an earlier failure\n")
             calls = []
             with pytest.MonkeyPatch.context() as mp:
                 prepare = harness.prepare_data
@@ -523,6 +525,29 @@ class TestRunAblation:
     def test_each_variant_prepares_its_data_once(self, ablation):
         assert ablation("trusted")[3] == 2
         assert ablation("limit")[3] == 3
+
+    def test_clean_ablation_removes_an_earlier_failures_log(self, ablation):
+        _, out, _, _ = ablation("limit")
+        assert not (out / "failures.log").exists()
+
+    def test_failed_cells_are_skipped_and_logged(self, ablation, tmp_path, monkeypatch):
+        def fail(model, pool):
+            raise ValueError("regulators unavailable")
+
+        monkeypatch.setattr(estimator, "compute_regulators", fail)
+        cfg = tiny_config(etas=(0.3,))
+        cfg.ablation_eta = 0.3
+        records = run_ablation(cfg, "trusted", tmp_path)
+        assert [(r.method, r.final.map) for r in records] == [
+            (r.method, r.final.map) for r in ablation("trusted")[2] if r.method == "true_matrix"]
+        # the cells that finished give the bytes of a clean ablation's cells
+        clean = (ablation("trusted")[1] / "ablation_trusted.csv").read_text().splitlines()
+        assert (tmp_path / "ablation_trusted.csv").read_text().splitlines() == [
+            row for row in clean if ",galc_slr," not in row]
+        assert (tmp_path / "failures.log").read_text().splitlines() == [
+            f"{label} method=galc_slr: pipeline stage 'estimate' failed: regulators unavailable"
+            for label in ("tf=0.05", "tf=0.1")]
+        assert not (tmp_path / "ablation_trusted.svg").exists()
 
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="axis"):

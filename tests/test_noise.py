@@ -329,6 +329,14 @@ class TestMatrixFile:
                                              r"but the matrix has 2 rows$"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("eta", ["nan", "7", "-0.5", "1.0"])
+    def test_eta_outside_its_range_cites_the_header_line(self, tmp_path, eta):
+        path = tmp_path / "eta.csv"
+        path.write_text(f"# kind=true_row_stochastic K=2 eta={eta}\n0.5,0.5\n0.5,0.5\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: eta must be in "
+                                             rf"\[0,1\), got {re.escape(repr(float(eta)))}$"):
+            read_matrix(path)
+
     def test_ragged_row_cites_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("# kind=estimated_raw K=2\n0.5,0.5\n0.25\n")
