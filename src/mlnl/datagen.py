@@ -300,8 +300,8 @@ def write_dataset(ds: Dataset, path) -> None:
     """Write the text dataset format: `# tag=<tag>`, the header
     `MLNL v1 <N> <d> <K>`, then one line per sample with its d features as
     `%.17g` separated by single spaces, ` | `, and its positive label indices
-    in ascending order separated by single spaces. Chunks of rows are
-    formatted on every usable core; the bytes do not depend on how many."""
+    in ascending order separated by single spaces. Forked workers format chunks
+    of rows and this process writes them; the bytes do not depend on how many."""
     row_format = " ".join(["%.17g"] * ds.num_features) + " | %s"
     k = ds.num_classes
     label_rows = ds.labels.tobytes()
@@ -363,7 +363,7 @@ def _data_ranges(path, size: int, header_line: int) -> list[tuple[int, int, int]
 
 def read_dataset(path) -> Dataset:
     """Read the text dataset format; a malformed file raises ValueError at
-    `path:line`. Byte ranges of the data are parsed on every usable core."""
+    `path:line`. Forked workers parse byte ranges of the data; this process joins them."""
     lines = textio.numbered_lines(path)
     tag = "clean"
     lineno = None  # the line being judged; None judges the whole file

@@ -239,6 +239,9 @@ def prepare_data(cfg: ExperimentConfig) -> SplitArtifacts:
 
     multi_train, singles_train = datagen.strip_single_label(train_all)
     multi_test, _ = datagen.strip_single_label(test_all)
+    if multi_test.n == 0:
+        raise ValueError(f"test_fraction {cfg.test_fraction!r} leaves no multi-label test "
+                         f"samples of {full.n}")
 
     split = SplitSpec(cfg.trusted_fraction, seed=root.derive_seed("gold-split"))
     gold, silver_clean = datagen.split_gold_silver(multi_train, split)
@@ -433,6 +436,9 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
         f"{'' if r.frobenius_to_true is None else repr(r.frobenius_to_true)}" for r in records)])
     if records:
         plot_sweep(outdir)
+    else:  # a grid that draws no plot keeps none of an earlier grid's
+        for svg in Path(outdir).glob("sweep_*.svg"):
+            svg.unlink()
     return records
 
 
@@ -458,35 +464,44 @@ def _read_csv(path, header: str, parse_row) -> list:
     return rows
 
 
+def _finite(name: str, text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _summary_row(fields):
     method, eta, *scores = fields
     if method not in SWEEP_METHODS:
         raise ValueError(f"method must be one of {SWEEP_METHODS}, got {method!r}")
-    return method, float(eta), dict(zip(("map", "cf1", "of1"), map(float, scores[:3])))
+    return method, _finite("eta", eta), {
+        metric: _finite(metric, text) for metric, text in zip(("map", "cf1", "of1"), scores)}
 
 
 def plot_sweep(outdir) -> None:
     """Draw a sweep directory's SVGs from its files: the MAP, CF1 and OF1
     curves from summary.csv, and the per-epoch test mAP of every method's run
-    at the highest noise ratio from that run's metrics.csv."""
+    at the highest noise ratio from that run's metrics.csv. Every file is read,
+    and a non-finite eta or score rejected at path:line, before any SVG is drawn."""
     out = Path(outdir)
     cells: dict[str, dict[float, dict[str, float]]] = {}
     for method, eta, scores in _read_csv(out / "summary.csv", SUMMARY_HEADER, _summary_row):
         cells.setdefault(method, {})[eta] = scores
     methods = [m for m in SWEEP_METHODS if m in cells]
+    top = max(max(c) for c in cells.values())
+    memo_series = []
+    for m in methods:
+        if top in cells[m]:
+            epochs = _read_csv(out / f"eta{top!r}_{m}" / "metrics.csv", METRICS_HEADER,
+                               lambda f: (int(f[0]), _finite("map", f[2])))
+            memo_series.append((_METHOD_LABELS[m], *zip(*epochs)))
     for metric in ("map", "cf1", "of1"):
         series = [(_METHOD_LABELS[m], list(cells[m]), [s[metric] for s in cells[m].values()])
                   for m in methods]
         svgplot.emit_plot(series, "line", out / f"sweep_{metric}.svg",
                           title=f"{metric.upper()} vs noise ratio",
                           xlabel="noise ratio", ylabel=metric.upper())
-    top = max(max(c) for c in cells.values())
-    memo_series = []
-    for m in methods:
-        if top in cells[m]:
-            epochs = _read_csv(out / f"eta{top!r}_{m}" / "metrics.csv", METRICS_HEADER,
-                               lambda f: (int(f[0]), float(f[2])))
-            memo_series.append((_METHOD_LABELS[m], *zip(*epochs)))
     svgplot.emit_plot(memo_series, "line", out / "sweep_memorization.svg",
                       title=f"Test mAP per epoch at eta={top!r}",
                       xlabel="epoch", ylabel="mAP")
@@ -530,9 +545,12 @@ def run_ablation(cfg: ExperimentConfig, axis: str, outdir) -> list[RunRecord]:
     textio.write_lines(Path(outdir) / f"ablation_{axis}.csv", ["label,method,eta,map,cf1,of1", *(
         f"{group},{r.method},{eta!r},{r.final.map!r},{r.final.cf1!r},{r.final.of1!r}"
         for group, r in done)])
+    svg = Path(outdir) / f"ablation_{axis}.svg"
     if len(done) == len(cells):
         series = [(_METHOD_LABELS[m], grid.groups, [r.final.map for _, r in done if r.method == m])
                   for m in grid.methods]
-        svgplot.emit_plot(series, "grouped_bar", Path(outdir) / f"ablation_{axis}.svg",
+        svgplot.emit_plot(series, "grouped_bar", svg,
                           title=f"{grid.title} at eta={eta!r}", xlabel=grid.xlabel, ylabel="mAP")
+    else:  # a grid that draws no plot keeps none of an earlier grid's
+        svg.unlink(missing_ok=True)
     return [rec for _, rec in done]

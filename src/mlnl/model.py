@@ -470,7 +470,10 @@ def load_model(path) -> MlpModel:
         lineno, text = next(lines, (lineno + 1, None))
         if text is None:
             raise ValueError("checkpoint ends before its last bias line")
-        return textio.float_row(text, width)
+        row = textio.float_row(text, width)
+        if not all(map(math.isfinite, row)):
+            raise ValueError("non-finite parameter")
+        return row
 
     try:
         lineno, head = next(lines, (None, ""))

@@ -9,7 +9,7 @@ import io
 import os
 import sys
 
-_MAX_PROCESSES = 8  # ordered_map's cap on processes, the calling one included
+_MAX_PROCESSES = 8  # ordered_map's cap on worker processes
 
 
 class TextFileError(ValueError):
@@ -69,16 +69,15 @@ def _usable_cpus() -> int:
 
 
 def ordered_map(fn, items):
-    """Yield fn(item) for each of `items`, in order, computed by this process
-    and forked workers: min(usable CPUs, len(items), 8) processes in all.
+    """Yield fn(item) for each of `items`, in order. With P = min(usable CPUs,
+    len(items), 8) above 1, P forked workers compute every item and this
+    process only collects their results; otherwise it maps inline.
 
-    Item i goes to process i mod P (this one is 0). Workers inherit `fn` and
-    `items` through fork, so `fn` may be a closure and only results are
-    pickled. A worker blocks on sending a result until this process takes it,
-    and this process takes the workers' results before it starts its own next
-    item, so each worker is on its next item while this one works on its own.
-    A worker's exception is raised here. Every worker is stopped and joined before this generator
-    returns, raises or is closed; close it when abandoning it early.
+    Item i goes to worker i mod P. Workers inherit `fn` and `items` through
+    fork, so `fn` may be a closure and only results are pickled. A worker
+    blocks on sending a result until this process takes it. A worker's
+    exception is raised here. Every worker is stopped and joined before this
+    generator returns, raises or is closed; close it when abandoning it early.
     """
     items = list(items)
     procs = min(_usable_cpus(), len(items), _MAX_PROCESSES)
@@ -89,17 +88,14 @@ def ordered_map(fn, items):
     fork = multiprocessing.get_context("fork")
     workers = []
     try:
-        for w in range(1, procs):
+        for w in range(procs):
             receiver, sender = fork.Pipe(duplex=False)
             worker = fork.Process(target=_serve, args=(fn, items[w::procs], sender), daemon=True)
             worker.start()
             workers.append((worker, receiver))
             sender.close()
-        for i, item in enumerate(items):
-            if i % procs == 0:
-                yield fn(item)
-                continue
-            ok, result = workers[i % procs - 1][1].recv()
+        for i in range(len(items)):
+            ok, result = workers[i % procs][1].recv()
             if not ok:
                 raise result
             yield result

@@ -168,7 +168,8 @@ class TestSweepAndPlot:
         ("method,eta,map\nnone,0.0,0.5\n", 1, "expected the header "),
         ("none,0.0,0.5,0.5,0.5\n", 2, "expected 6 fields, got 5"),
         ("glc,0.0,0.5,0.5,0.5,\n", 2, "method must be one of "),
-    ], ids=["header", "fields", "method"])
+        ("none,0.0,nan,0.5,0.5,\n", 2, "map must be finite, got nan"),
+    ], ids=["header", "fields", "method", "nan-map"])
     def test_plot_names_the_line_of_a_bad_summary(self, tmp_path, capsys, text, lineno,
                                                   problem):
         out = tmp_path / "sweep"
@@ -179,6 +180,20 @@ class TestSweepAndPlot:
         assert main(["--out", str(out), "plot"]) == 1
         err = capsys.readouterr().err
         assert f"error: {out / 'summary.csv'}:{lineno}: {problem}" in err
+        assert "Traceback" not in err
+        assert list(out.glob("*.svg")) == []
+
+    def test_plot_names_the_line_of_a_non_finite_epoch_score(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        (out / "eta0.3_none").mkdir(parents=True)
+        (out / "summary.csv").write_text("method,eta,map,cf1,of1,frobenius_to_true\n"
+                                         "none,0.0,0.5,0.5,0.5,\nnone,0.3,0.4,0.4,0.4,\n")
+        metrics = out / "eta0.3_none" / "metrics.csv"
+        metrics.write_text("epoch,split,map,cf1,of1,loss\n1,test,0.3,0.3,0.3,0.9\n"
+                           "2,test,inf,0.4,0.4,0.8\n")
+        assert main(["--out", str(out), "plot"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {metrics}:3: map must be finite, got inf" in err
         assert "Traceback" not in err
         assert list(out.glob("*.svg")) == []
 
@@ -304,6 +319,24 @@ class TestErrors:
         assert code == 1
         assert "model.mlpm:4: checkpoint ends" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_checkpoint_parameter_exits_one(self, tmp_path, cfg_file, capsys, value):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        ckpt = out / "model.mlpm"
+        save_model(init_model([10, 12, 5], "tanh", 1.0, seed=1), ckpt)
+        lines = ckpt.read_text().splitlines()
+        lines[1] = value + " " + lines[1].split(" ", 1)[1]
+        ckpt.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), "evaluate",
+                     "--model", str(ckpt), "--data", str(out / "test.mlnl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {ckpt}:2: non-finite parameter" in err
+        assert "Traceback" not in err
+        assert not (out / "eval.csv").exists()
 
     def test_non_finite_feature_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "run"
@@ -451,6 +484,20 @@ class TestErrors:
         assert err.startswith("error: trusted_fraction 0.999 leaves no silver samples of ")
         assert "Traceback" not in err
         assert not (out / "silver_clean.mlnl").exists()
+
+    def test_empty_test_split_exits_one_at_gen_data(self, tmp_path, capsys):
+        # 1% of 40 samples rounds to a test split of none
+        out = tmp_path / "run"
+        cfg = tmp_path / "no-test.cfg"
+        cfg.write_text("gen.n = 40\ngen.d = 4\ngen.k = 4\ngen.mean_labels = 2.0\n"
+                       "data.test_fraction = 0.01\n")
+        code = main(["--config", str(cfg), "--out", str(out), "gen-data"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: test_fraction 0.01 leaves no multi-label test samples "
+                              "of 40")
+        assert "Traceback" not in err
+        assert not list(out.glob("*.mlnl"))
 
     def test_empty_training_set_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "run"
@@ -623,6 +670,25 @@ class TestTooling:
         tree = ast.parse((self.ROOT / "src" / "mlnl" / "harness.py").read_text(encoding="utf-8"))
         assert sorted(set(grid_steps(tree, "harness"))) == [("_run_grid", "failures.log"),
                                                             ("_run_grid", "run_pipeline")]
+
+    def test_only_textio_starts_processes(self):
+        """Only textio.ordered_map runs work in other processes or threads, so
+        any parallel stage reuses it rather than a second pool."""
+        starters = ("multiprocessing", "concurrent.futures", "threading", "subprocess", "os.fork")
+        found = []
+        for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Attribute) and node.attr == "fork":
+                    names = [f"{getattr(node.value, 'id', '')}.fork"]
+                else:
+                    continue
+                found += [f"{path.name}:{name}" for name in names
+                          if any(f"{name}.".startswith(f"{s}.") for s in starters)]
+        assert found == ["textio.py:multiprocessing"]
 
     def test_only_textio_writes_files(self):
         """Every file the package writes goes through textio.write_lines, so

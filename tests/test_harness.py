@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -454,6 +455,19 @@ class TestRunSweep:
         assert len(records) == len(harness.SWEEP_METHODS)
         assert not (tmp_path / "failures.log").exists()
 
+    def test_failed_rerun_removes_the_earlier_plots(self, tmp_path, monkeypatch):
+        cfg = tiny_config(etas=(0.0,))
+        run_sweep(cfg, tmp_path)
+        assert len(list(tmp_path.glob("sweep_*.svg"))) == 4
+
+        def fail(*args, **kwargs):
+            raise ValueError("no cell finishes")
+
+        monkeypatch.setattr(harness, "run_pipeline", fail)
+        assert run_sweep(cfg, tmp_path) == []
+        assert (tmp_path / "summary.csv").read_text() == harness.SUMMARY_HEADER + "\n"
+        assert not list(tmp_path.glob("*.svg"))
+
     def test_replay_byte_identical_summary(self, tmp_path):
         cfg = tiny_config(etas=(0.0, 0.3))
         run_sweep(cfg, tmp_path / "a")
@@ -548,6 +562,19 @@ class TestRunAblation:
             f"{label} method=galc_slr: pipeline stage 'estimate' failed: regulators unavailable"
             for label in ("tf=0.05", "tf=0.1")]
         assert not (tmp_path / "ablation_trusted.svg").exists()
+
+    def test_failed_rerun_removes_the_earlier_svg(self, ablation, tmp_path, monkeypatch):
+        cfg, clean, _, _ = ablation("trusted")
+        shutil.copytree(clean, tmp_path / "rerun")
+        assert (tmp_path / "rerun" / "ablation_trusted.svg").exists()
+
+        def fail(model, pool):
+            raise ValueError("regulators unavailable")
+
+        monkeypatch.setattr(estimator, "compute_regulators", fail)
+        assert len(run_ablation(cfg, "trusted", tmp_path / "rerun")) == 2
+        assert (tmp_path / "rerun" / "failures.log").exists()
+        assert not list((tmp_path / "rerun").glob("*.svg"))
 
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="axis"):

@@ -144,11 +144,11 @@ class TestOrderedMap:
         monkeypatch.setattr(textio, "_usable_cpus", lambda: 3)
 
     def test_results_in_item_order_from_every_process(self):
-        parent = os.getpid()
         results = list(textio.ordered_map(lambda i: (i * i, os.getpid()), range(10)))
         assert [r for r, _ in results] == [i * i for i in range(10)]
         pids = [pid for _, pid in results]
-        assert pids[::3] == [parent] * 4 and len(set(pids)) == 3
+        assert len(set(pids)) == 3 and os.getpid() not in pids
+        assert pids == [pids[i % 3] for i in range(10)]
 
     def test_inline_for_one_item(self):
         assert list(textio.ordered_map(lambda i: os.getpid(), [0])) == [os.getpid()]
