@@ -170,11 +170,12 @@ def render_config(cfg: ExperimentConfig) -> list[str]:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a `key = value` config file; unknown keys and bad types/ranges
-    are rejected with the offending line; missing keys take defaults. A rule
-    that relates two settings is judged on the whole file."""
+    """Parse a `key = value` config file; unknown or repeated keys and bad
+    types/ranges are rejected with the offending line; missing keys take
+    defaults. A rule that relates two settings is judged on the whole file."""
     default = ExperimentConfig()
     values: dict[str, dict] = {}  # section ("" for the top level) -> field -> value
+    first_line: dict[str, int] = {}  # key name -> the line that set it
     lineno = None  # the line being judged; None judges the whole file
     try:
         for lineno, s in textio.numbered_lines(path):
@@ -186,6 +187,9 @@ def parse_config(path) -> ExperimentConfig:
             key = _KEYS_BY_NAME.get(name)
             if key is None:
                 raise ValueError(f"unknown key {name!r}")
+            if name in first_line:
+                raise ValueError(f"key {name!r} repeats line {first_line[name]}")
+            first_line[name] = lineno
             try:
                 value = key.parse(text)
             except (ValueError, TypeError) as e:
@@ -321,14 +325,16 @@ def estimate_correction(cfg: ExperimentConfig, out: Path, method: str,
                         silver_model: MlpModel | None, singles_pool: Dataset | None,
                         silver_noisy: Dataset | None):
     """The correction matrix `method` trains the gold model with, and the
-    estimation report behind it (written to chat.csv and chat_*); returns
-    (matrix or None, report or None).
+    estimation report behind it (written to chat.csv and chat_* once an earlier
+    estimate's are removed); returns (matrix or None, report or None).
 
     galc_slr reads the silver model, the single-label pool and the
     estimation set (gold, or silver_noisy when cfg.estimation_set is
     "silver"); glc reads the silver model and gold; true_matrix trains with
     `true_matrix`, the matrix inject_noise wrote, which the others ignore.
     """
+    for path in [out / "chat.csv", *out.glob("chat_*")]:  # chat_* is write_report's
+        path.unlink(missing_ok=True)
     if method == "none":
         return None, None
     if method == "true_matrix":
@@ -405,12 +411,17 @@ _METHOD_LABELS = {"none": "ASL baseline", "galc_slr": "GALC-SLR", "true_matrix":
 SUMMARY_HEADER = "method,eta,map,cf1,of1,frobenius_to_true"
 
 
-def _run_grid(cfg: ExperimentConfig, outdir, cells) -> list[tuple[str, RunRecord]]:
+def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, RunRecord]]:
     """Run each cell (config, eta, method, run directory, label) through
     run_pipeline under `cfg`'s run directory `outdir`, with one prepare_data
-    per run of cells that share a config. A failed cell is skipped and named
-    in failures.log; returns the (label, record) of every cell that finished."""
+    per run of cells that share a config, once an earlier grid's files (those
+    matching the glob patterns `outputs`, and failures.log) are removed. A failed
+    cell is skipped and named in failures.log; returns the (label, record) of
+    every cell that finished."""
     out = run_dir(cfg, outdir)
+    for pattern in (*outputs, "failures.log"):
+        for path in out.glob(pattern):
+            path.unlink()
     done, failures = [], []
     data_cfg = data = None
     for sub, eta, method, rundir, label in cells:
@@ -422,23 +433,18 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells) -> list[tuple[str, RunRecord
             failures.append(f"{label} method={method}: {e}")
     if failures:
         textio.write_lines(out / "failures.log", failures)
-    else:  # a clean grid keeps no failures.log of an earlier grid
-        (out / "failures.log").unlink(missing_ok=True)
     return done
 
 
 def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
     """Grid over noise ratios and SWEEP_METHODS; emits summary.csv and SVG plots."""
-    records = [rec for _, rec in _run_grid(cfg, outdir, [
-        (cfg, e, m, f"eta{e!r}_{m}", f"eta={e!r}") for e in cfg.etas for m in SWEEP_METHODS])]
+    cells = [(cfg, e, m, f"eta{e!r}_{m}", f"eta={e!r}") for e in cfg.etas for m in SWEEP_METHODS]
+    records = [rec for _, rec in _run_grid(cfg, outdir, cells, ("summary.csv", "sweep_*.svg"))]
     textio.write_lines(Path(outdir) / "summary.csv", [SUMMARY_HEADER, *(
         f"{r.method},{r.eta!r},{r.final.map!r},{r.final.cf1!r},{r.final.of1!r},"
         f"{'' if r.frobenius_to_true is None else repr(r.frobenius_to_true)}" for r in records)])
     if records:
         plot_sweep(outdir)
-    else:  # a grid that draws no plot keeps none of an earlier grid's
-        for svg in Path(outdir).glob("sweep_*.svg"):
-            svg.unlink()
     return records
 
 
@@ -479,22 +485,27 @@ def _summary_row(fields):
         metric: _finite(metric, text) for metric, text in zip(("map", "cf1", "of1"), scores)}
 
 
+def _epoch_row(fields):
+    return int(fields[0]), _finite("map", fields[2])
+
+
 def plot_sweep(outdir) -> None:
     """Draw a sweep directory's SVGs from its files: the MAP, CF1 and OF1
-    curves from summary.csv, and the per-epoch test mAP of every method's run
-    at the highest noise ratio from that run's metrics.csv. Every file is read,
-    and a non-finite eta or score rejected at path:line, before any SVG is drawn."""
+    curves from summary.csv, with each method's points in noise-ratio order,
+    and the per-epoch test mAP of every method's run at the highest noise ratio
+    from that run's metrics.csv. Every file is read, and a non-finite eta or
+    score rejected at path:line, before any SVG is drawn."""
     out = Path(outdir)
     cells: dict[str, dict[float, dict[str, float]]] = {}
-    for method, eta, scores in _read_csv(out / "summary.csv", SUMMARY_HEADER, _summary_row):
+    for method, eta, scores in sorted(
+            _read_csv(out / "summary.csv", SUMMARY_HEADER, _summary_row), key=lambda r: r[1]):
         cells.setdefault(method, {})[eta] = scores
     methods = [m for m in SWEEP_METHODS if m in cells]
     top = max(max(c) for c in cells.values())
     memo_series = []
     for m in methods:
         if top in cells[m]:
-            epochs = _read_csv(out / f"eta{top!r}_{m}" / "metrics.csv", METRICS_HEADER,
-                               lambda f: (int(f[0]), _finite("map", f[2])))
+            epochs = _read_csv(out / f"eta{top!r}_{m}" / "metrics.csv", METRICS_HEADER, _epoch_row)
             memo_series.append((_METHOD_LABELS[m], *zip(*epochs)))
     for metric in ("map", "cf1", "of1"):
         series = [(_METHOD_LABELS[m], list(cells[m]), [s[metric] for s in cells[m].values()])
@@ -541,16 +552,13 @@ def run_ablation(cfg: ExperimentConfig, axis: str, outdir) -> list[RunRecord]:
         sub = dataclasses.replace(cfg, **{grid.field: value})
         cells += [(sub, eta, m, grid.rundir.format(value=value, group=group, method=m), group)
                   for m in grid.methods]
-    done = _run_grid(cfg, outdir, cells)
+    done = _run_grid(cfg, outdir, cells, (f"ablation_{axis}.csv", f"ablation_{axis}.svg"))
     textio.write_lines(Path(outdir) / f"ablation_{axis}.csv", ["label,method,eta,map,cf1,of1", *(
         f"{group},{r.method},{eta!r},{r.final.map!r},{r.final.cf1!r},{r.final.of1!r}"
         for group, r in done)])
-    svg = Path(outdir) / f"ablation_{axis}.svg"
     if len(done) == len(cells):
         series = [(_METHOD_LABELS[m], grid.groups, [r.final.map for _, r in done if r.method == m])
                   for m in grid.methods]
-        svgplot.emit_plot(series, "grouped_bar", svg,
+        svgplot.emit_plot(series, "grouped_bar", Path(outdir) / f"ablation_{axis}.svg",
                           title=f"{grid.title} at eta={eta!r}", xlabel=grid.xlabel, ylabel="mAP")
-    else:  # a grid that draws no plot keeps none of an earlier grid's
-        svg.unlink(missing_ok=True)
     return [rec for _, rec in done]

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,16 @@ def run(args):
     code = main([str(a) for a in args])
     assert code == 0
     return code
+
+
+def write_overridden(cfg_file, path, *lines):
+    """Write `cfg_file` to `path` with `lines` appended. Each line of
+    `cfg_file` that sets a key of `lines` is commented out, since a config
+    file sets each key once, so the appended lines keep their numbers."""
+    keys = {line.partition("=")[0].strip() for line in lines}
+    kept = [f"# {s}" if s.partition("=")[0].strip() in keys else s
+            for s in cfg_file.read_text().splitlines()]
+    path.write_text("\n".join([*kept, *lines]) + "\n")
 
 
 class TestStagedWorkflow:
@@ -100,6 +111,16 @@ class TestStagedWorkflow:
         cm = read_matrix(out / "chat.csv")
         assert cm.kind == "true_row_stochastic"
         assert (out / "chat.csv").read_bytes() == (out / "true_matrix.csv").read_bytes()
+
+    def test_estimate_true_after_glc_leaves_only_chat_csv(self, tmp_path, cfg_file):
+        out = tmp_path / "run"
+        for argv in (["gen-data"], ["inject-noise"], ["train-silver"],
+                     ["estimate", "--method", "glc"]):
+            run(["--config", cfg_file, "--out", out, *argv])
+        assert sorted(p.name for p in out.glob("chat*")) == [
+            "chat.csv", "chat_info.txt", "chat_raw.csv", "chat_scaled.csv"]
+        run(["--config", cfg_file, "--out", out, "estimate", "--method", "true"])
+        assert [p.name for p in out.glob("chat*")] == ["chat.csv"]
 
     def test_true_matrix_without_eta_is_copied(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "run"
@@ -215,6 +236,26 @@ class TestSweepAndPlot:
         summary = (out / "summary.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in summary[1:]] == ["none", "true_matrix"]
 
+    def test_plot_draws_each_method_in_eta_order(self, tmp_path):
+        out = tmp_path / "sweep"
+        rows = [f"{m},{eta},0.{i}5,0.{i}4,0.{i}3," for i, eta in enumerate(("0.6", "0", "0.4"))
+                for m in ("none", "galc_slr")]
+        out.mkdir()
+        (out / "summary.csv").write_text("\n".join(
+            ["method,eta,map,cf1,of1,frobenius_to_true", *rows]) + "\n")
+        for m in ("none", "galc_slr"):
+            (out / f"eta0.6_{m}").mkdir()
+            (out / f"eta0.6_{m}" / "metrics.csv").write_text(
+                "epoch,split,map,cf1,of1,loss\n1,test,0.3,0.3,0.3,0.9\n")
+        run(["--out", out, "plot"])
+        for metric in ("map", "cf1", "of1"):
+            svg = (out / f"sweep_{metric}.svg").read_text()
+            lines = re.findall(r'<polyline points="([^"]*)"', svg)
+            assert len(lines) == 2
+            for points in lines:
+                xs = [float(xy.split(",")[0]) for xy in points.split()]
+                assert len(xs) == 3 and xs == sorted(xs) and len(set(xs)) == 3, (metric, xs)
+
     def test_seed_override_changes_outputs(self, tmp_path, cfg_file):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["--config", cfg_file, "--out", a, "--seed", 1, "gen-data"])
@@ -235,10 +276,19 @@ class TestErrors:
         assert main(["--config", str(bad), "gen-data"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_repeated_config_key_exits_one(self, tmp_path, cfg_file, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(cfg_file.read_text() + "seed = 5\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "gen-data"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:13: key 'seed' repeats line 12" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_non_finite_config_value_exits_one_without_traceback(self, tmp_path, cfg_file,
                                                                   capsys):
         cfg = tmp_path / "nan.cfg"
-        cfg.write_text(cfg_file.read_text() + "gen.mean_labels = nan\n")
+        write_overridden(cfg_file, cfg, "gen.mean_labels = nan")
         out = tmp_path / "run"
         assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 1
         err = capsys.readouterr().err
@@ -466,7 +516,7 @@ class TestErrors:
 
     def test_config_too_large_to_allocate_exits_one(self, tmp_path, cfg_file, capsys):
         cfg = tmp_path / "huge.cfg"
-        cfg.write_text(cfg_file.read_text() + "gen.n = 99999999999999\n")
+        write_overridden(cfg_file, cfg, "gen.n = 99999999999999")
         code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "gen-data"])
         err = capsys.readouterr().err
         assert code == 1
@@ -477,7 +527,7 @@ class TestErrors:
         # a trusted fraction this close to 1 would leave the silver split empty
         out = tmp_path / "run"
         cfg = tmp_path / "all-gold.cfg"
-        cfg.write_text(cfg_file.read_text() + "split.trusted_fraction = 0.999\n")
+        write_overridden(cfg_file, cfg, "split.trusted_fraction = 0.999")
         code = main(["--config", str(cfg), "--out", str(out), "gen-data"])
         err = capsys.readouterr().err
         assert code == 1
@@ -516,8 +566,8 @@ class TestErrors:
         # step with lr = 1e308 overflows parameters to inf
         out = tmp_path / "run"
         cfg = tmp_path / "diverge.cfg"
-        cfg.write_text(cfg_file.read_text() + "silver.optimizer = sgd\nsilver.lr = 1e308\n"
-                       "silver.batch_size = 100000\ngen.feature_noise_sigma = 1e4\n")
+        write_overridden(cfg_file, cfg, "silver.optimizer = sgd", "silver.lr = 1e308",
+                         "silver.batch_size = 100000", "gen.feature_noise_sigma = 1e4")
         run(["--config", cfg, "--out", out, "gen-data"])
         run(["--config", cfg, "--out", out, "inject-noise", "--eta", 0.3])
         capsys.readouterr()
@@ -670,6 +720,25 @@ class TestTooling:
         tree = ast.parse((self.ROOT / "src" / "mlnl" / "harness.py").read_text(encoding="utf-8"))
         assert sorted(set(grid_steps(tree, "harness"))) == [("_run_grid", "failures.log"),
                                                             ("_run_grid", "run_pipeline")]
+
+    def test_only_the_grid_loop_and_the_estimate_remove_files(self):
+        """In harness.py only _run_grid and estimate_correction remove files:
+        each removes the files it owns before it runs, so no output step
+        grows its own rule for what an earlier run left."""
+        removers = ("unlink", "remove", "rmdir", "rmtree")
+
+        def removals(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from removals(child, child.name)
+                    continue
+                if isinstance(child, ast.Call) and \
+                        getattr(child.func, "attr", getattr(child.func, "id", None)) in removers:
+                    yield scope
+                yield from removals(child, scope)
+
+        tree = ast.parse((self.ROOT / "src" / "mlnl" / "harness.py").read_text(encoding="utf-8"))
+        assert sorted(set(removals(tree, "harness"))) == ["_run_grid", "estimate_correction"]
 
     def test_only_textio_starts_processes(self):
         """Only textio.ordered_map runs work in other processes or threads, so

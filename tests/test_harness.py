@@ -85,6 +85,13 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r":2: noise.eta repeats the value"):
             parse_config(path)
 
+    def test_repeated_key_cites_both_lines(self, tmp_path):
+        path = tmp_path / "a.cfg"
+        path.write_text("seed = 1\n# the same key again\nseed = 2\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: "
+                                             r"key 'seed' repeats line 1$"):
+            parse_config(path)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_u64_cites_line(self, tmp_path, seed):
         path = tmp_path / "a.cfg"
@@ -420,6 +427,25 @@ class TestRunPipeline:
         cm = read_matrix(tmp_path / "g" / "chat.csv")
         assert cm.k == cfg.gen.k
 
+    @pytest.mark.parametrize("method", ["none", "galc_slr"])
+    def test_estimate_removes_an_earlier_estimate(self, tmp_path, monkeypatch, method):
+        # a none run, and a galc_slr run that fails, leave no chat* file behind
+        for name in ("chat.csv", "chat_raw.csv", "chat_scaled.csv", "chat_info.txt"):
+            (tmp_path / name).write_text("an earlier estimate\n")
+
+        def fail(model, pool):
+            raise ValueError("regulators unavailable")
+
+        monkeypatch.setattr(estimator, "compute_regulators", fail)
+        if method == "none":
+            assert harness.estimate_correction(tiny_config(), tmp_path, method,
+                                               None, None, None, None, None) == (None, None)
+        else:
+            with pytest.raises(ValueError, match="regulators unavailable"):
+                harness.estimate_correction(tiny_config(), tmp_path, method,
+                                            None, None, None, None, None)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainingMatrix:
     def test_forms(self):
@@ -467,6 +493,20 @@ class TestRunSweep:
         assert run_sweep(cfg, tmp_path) == []
         assert (tmp_path / "summary.csv").read_text() == harness.SUMMARY_HEADER + "\n"
         assert not list(tmp_path.glob("*.svg"))
+
+    def test_failed_preparation_leaves_no_earlier_outputs(self, tmp_path, monkeypatch):
+        cfg = tiny_config(etas=(0.0,))
+        run_sweep(cfg, tmp_path)
+        (tmp_path / "failures.log").write_text("eta=0.0 method=none: an earlier failure\n")
+
+        def fail(c):
+            raise ValueError("no data")
+
+        monkeypatch.setattr(harness, "prepare_data", fail)
+        with pytest.raises(RuntimeError, match="pipeline stage 'prepare-data' failed: no data"):
+            run_sweep(cfg, tmp_path)
+        # only resolved.cfg is left; the cells' run directories are theirs to clean
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["resolved.cfg"]
 
     def test_replay_byte_identical_summary(self, tmp_path):
         cfg = tiny_config(etas=(0.0, 0.3))
@@ -575,6 +615,21 @@ class TestRunAblation:
         assert len(run_ablation(cfg, "trusted", tmp_path / "rerun")) == 2
         assert (tmp_path / "rerun" / "failures.log").exists()
         assert not list((tmp_path / "rerun").glob("*.svg"))
+
+    def test_failed_preparation_leaves_no_earlier_outputs(self, ablation, tmp_path,
+                                                           monkeypatch):
+        cfg, clean, _, _ = ablation("trusted")
+        shutil.copytree(clean, tmp_path / "rerun")
+        (tmp_path / "rerun" / "failures.log").write_text("tf=0.05 method=galc_slr: earlier\n")
+
+        def fail(c):
+            raise ValueError("no data")
+
+        monkeypatch.setattr(harness, "prepare_data", fail)
+        with pytest.raises(RuntimeError, match="pipeline stage 'prepare-data' failed: no data"):
+            run_ablation(cfg, "trusted", tmp_path / "rerun")
+        assert sorted(p.name for p in (tmp_path / "rerun").iterdir() if p.is_file()) == [
+            "resolved.cfg"]
 
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="axis"):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlnl import datagen, textio
+from mlnl import datagen, harness, textio
 from mlnl.datagen import (FILE_MAGIC, FILE_VERSION, MAX_CLASSES, Dataset, read_dataset,
                           write_dataset)
 from mlnl.harness import parse_config, render_config
@@ -74,6 +74,16 @@ def _checkpoint_text(tmp_path_factory):
     return path.read_text()
 
 
+def _write_summary(rows, path):
+    textio.write_lines(path, [harness.SUMMARY_HEADER, *(
+        f"{method},{eta!r},{s['map']!r},{s['cf1']!r},{s['of1']!r}," for method, eta, s in rows)])
+
+
+def _write_epochs(rows, path):
+    textio.write_lines(path, [harness.METRICS_HEADER, *(
+        f"{epoch},test,{score!r},0.0,0.0,0.0" for epoch, score in rows)])
+
+
 FORMATS = {
     "dataset": (
         "# tag=noisy\nMLNL v1 3 2 3\n0.5 -1.25 | 0 2\n\n1e-300 2 | 1\n-0 0.125 | 0 1 2\n",
@@ -95,6 +105,17 @@ FORMATS = {
         "estimator.method = glc\nasl.margin = 0.05\nseed = 3\nout = runs/x\n",
         parse_config, lambda cfg, path: textio.write_lines(path, render_config(cfg)),
         render_config),
+    # the sweep CSVs, read with the row parsers that plot_sweep uses
+    "summary": (
+        "method,eta,map,cf1,of1,frobenius_to_true\nnone,0.0,0.5,0.25,0.125,\n"
+        "galc_slr,0.4,0.75,0.5,1e-300,0.0625\ntrue_matrix,0.4,0.625,-0,1,0.0\n",
+        lambda path: harness._read_csv(path, harness.SUMMARY_HEADER, harness._summary_row),
+        _write_summary, repr),
+    "metrics": (
+        "epoch,split,map,cf1,of1,loss\n1,test,0.5,0.25,0.125,0.75\n"
+        "2,test,0.625,0.5,0.25,0.5\n",
+        lambda path: harness._read_csv(path, harness.METRICS_HEADER, harness._epoch_row),
+        _write_epochs, repr),
 }
 POOL = ["", "nan", "1e999", "-1", "99999999999999", "|", "#", "=", ",", "kind=bogus", "eta=x"]
 
