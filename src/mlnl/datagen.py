@@ -70,7 +70,7 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx].copy(), self.labels[idx].copy(), self.tag)
+        return Dataset(self.features[idx], self.labels[idx], self.tag)  # indexing copies
 
     def cardinalities(self) -> np.ndarray:
         return self.labels.sum(axis=1).astype(np.int64)

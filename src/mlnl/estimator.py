@@ -155,16 +155,10 @@ def compare_matrices(a: CorruptionMatrix, b: CorruptionMatrix) -> MatrixComparis
                             mean_offdiagonal=off, diagonal_gap=diag - off)
 
 
-def write_report(report: EstimationReport, prefix) -> dict[str, str]:
+def write_report(report: EstimationReport, prefix) -> None:
     """Write `<prefix>_raw.csv`, `<prefix>_scaled.csv`, `<prefix>_info.txt`."""
-    paths = {
-        "raw": f"{prefix}_raw.csv",
-        "scaled": f"{prefix}_scaled.csv",
-        "info": f"{prefix}_info.txt",
-    }
-    write_matrix(report.raw, paths["raw"])
-    write_matrix(report.scaled, paths["scaled"])
-    textio.write_lines(paths["info"], ["class,count,fallback", *(
+    write_matrix(report.raw, f"{prefix}_raw.csv")
+    write_matrix(report.scaled, f"{prefix}_scaled.csv")
+    textio.write_lines(f"{prefix}_info.txt", ["class,count,fallback", *(
         f"{c},{int(report.counts[c])},{'yes' if c in report.fallback_classes else 'no'}"
         for c in range(report.k))])
-    return paths

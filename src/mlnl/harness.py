@@ -289,7 +289,9 @@ def run_dir(cfg: ExperimentConfig, outdir) -> Path:
 # these; each stage takes its seeds from the master seed by label and its
 # layer sizes from the data, and writes its own files into the run directory
 # `out`, so the same inputs give the same bytes however the stages are
-# strung together.
+# strung together. _STAGE_FILES matches every file they write.
+_STAGE_FILES = ("true_matrix.csv", "silver_*", "chat*", "gold_model.mlpm", "metrics.csv")
+
 
 def inject_noise(cfg: ExperimentConfig, out: Path, silver_clean: Dataset, eta: float):
     """Corrupt the silver split at noise ratio `eta` and write the symmetric
@@ -416,8 +418,8 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
     run_pipeline under `cfg`'s run directory `outdir`, with one prepare_data
     per run of cells that share a config, once an earlier grid's files (those
     matching the glob patterns `outputs`, and failures.log) are removed. A failed
-    cell is skipped and named in failures.log; returns the (label, record) of
-    every cell that finished."""
+    cell is skipped, named in failures.log and left with no stage file beside
+    its resolved.cfg; returns the (label, record) of every cell that finished."""
     out = run_dir(cfg, outdir)
     for pattern in (*outputs, "failures.log"):
         for path in out.glob(pattern):
@@ -431,6 +433,9 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
             done.append((label, run_pipeline(sub, eta, out / rundir, method=method, data=data)))
         except Exception as e:
             failures.append(f"{label} method={method}: {e}")
+            for pattern in _STAGE_FILES:
+                for path in (out / rundir).glob(pattern):
+                    path.unlink()
     if failures:
         textio.write_lines(out / "failures.log", failures)
     return done
@@ -478,9 +483,11 @@ def _finite(name: str, text: str) -> float:
 
 
 def _summary_row(fields):
-    method, eta, *scores = fields
+    method, eta, *scores, frobenius = fields
     if method not in SWEEP_METHODS:
         raise ValueError(f"method must be one of {SWEEP_METHODS}, got {method!r}")
+    if frobenius:  # empty for a run without a correction matrix
+        _finite("frobenius_to_true", frobenius)
     return method, _finite("eta", eta), {
         metric: _finite(metric, text) for metric, text in zip(("map", "cf1", "of1"), scores)}
 
@@ -493,8 +500,8 @@ def plot_sweep(outdir) -> None:
     """Draw a sweep directory's SVGs from its files: the MAP, CF1 and OF1
     curves from summary.csv, with each method's points in noise-ratio order,
     and the per-epoch test mAP of every method's run at the highest noise ratio
-    from that run's metrics.csv. Every file is read, and a non-finite eta or
-    score rejected at path:line, before any SVG is drawn."""
+    from that run's metrics.csv. Every file is read, and a non-finite eta,
+    score or frobenius_to_true rejected at path:line, before any SVG is drawn."""
     out = Path(outdir)
     cells: dict[str, dict[float, dict[str, float]]] = {}
     for method, eta, scores in sorted(

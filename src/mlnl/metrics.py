@@ -8,7 +8,7 @@ with no positive ground truth are excluded from mAP and reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,6 @@ class MetricsReport:
     cf1: float
     of1: float
     per_class_ap: np.ndarray  # NaN for classes without positives
-    threshold: float
-    excluded_classes: list[int] = field(default_factory=list)
 
 
 def average_precision(scores, relevance) -> float:
@@ -94,9 +92,8 @@ def f1_scores(pred_probs, labels, threshold: float = 0.5) -> tuple[float, float]
     return cf1, float(of1)
 
 
-def evaluate(score_matrix, labels, threshold: float = 0.5) -> MetricsReport:
-    """Full multi-label report from probability scores and binary labels."""
-    m, per_class, excluded = mean_ap(score_matrix, labels)
-    cf1, of1 = f1_scores(score_matrix, labels, threshold)
-    return MetricsReport(map=m, cf1=cf1, of1=of1, per_class_ap=per_class,
-                         threshold=threshold, excluded_classes=excluded)
+def evaluate(score_matrix, labels) -> MetricsReport:
+    """Full multi-label report from probability scores and binary labels; F1 at 0.5."""
+    m, per_class, _ = mean_ap(score_matrix, labels)
+    cf1, of1 = f1_scores(score_matrix, labels)
+    return MetricsReport(map=m, cf1=cf1, of1=of1, per_class_ap=per_class)

@@ -419,11 +419,11 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
 
 
 def gradient_check(model: MlpModel, features, labels, params: AslParams,
-                   mode="asl", h: float = 1e-5) -> float:
+                   mode="asl") -> float:
     """Max guarded relative error of analytic vs central-difference gradients.
 
-    Perturbs every parameter of the model; the batch (and a corrected mode's
-    gold mask) is capped at 32 samples.
+    Perturbs every parameter of the model by 1e-5; the batch (and a corrected
+    mode's gold mask) is capped at 32 samples.
     """
     x = np.asarray(features, dtype=np.float64)
     silver = np.flatnonzero(_silver_mask(mode, x.shape[0])[:32])
@@ -434,6 +434,7 @@ def gradient_check(model: MlpModel, features, labels, params: AslParams,
     analytic = objective.grad.copy()
 
     theta = objective.theta
+    h = 1e-5
     fd = np.empty_like(analytic)
     for i in range(theta.size):
         orig = theta[i]

@@ -72,10 +72,8 @@ class RandomStream:
         with np.errstate(over="ignore"):
             return _mix64_vec(np.uint64(self._key) + idx * np.uint64(_GOLDEN))
 
-    def uniform(self, n: int | None = None):
-        """Uniform float64 in [0, 1): top 53 bits of the raw output."""
-        if n is None:
-            return (self.next_u64() >> 11) * _INV_2_53
+    def uniform(self, n: int) -> np.ndarray:
+        """``n`` uniform float64 in [0, 1): top 53 bits of the raw outputs."""
         return (self.u64_block(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def normal(self, n: int) -> np.ndarray:

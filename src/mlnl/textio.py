@@ -71,7 +71,8 @@ def _usable_cpus() -> int:
 def ordered_map(fn, items):
     """Yield fn(item) for each of `items`, in order. With P = min(usable CPUs,
     len(items), 8) above 1, P forked workers compute every item and this
-    process only collects their results; otherwise it maps inline.
+    process only collects their results; otherwise, or when called in a
+    daemonic process such as one of these workers, it maps inline.
 
     Item i goes to worker i mod P. Workers inherit `fn` and `items` through
     fork, so `fn` may be a closure and only results are pickled. A worker
@@ -81,10 +82,13 @@ def ordered_map(fn, items):
     """
     items = list(items)
     procs = min(_usable_cpus(), len(items), _MAX_PROCESSES)
+    if procs > 1:
+        import multiprocessing  # here, not at the top: most runs never fork
+        if multiprocessing.current_process().daemon:  # which may not have children
+            procs = 1
     if procs <= 1:
         yield from map(fn, items)
         return
-    import multiprocessing  # here, not at the top: most runs never fork
     fork = multiprocessing.get_context("fork")
     workers = []
     try:

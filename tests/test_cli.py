@@ -1,5 +1,6 @@
 import argparse
 import ast
+import functools
 import os
 import re
 import subprocess
@@ -190,7 +191,10 @@ class TestSweepAndPlot:
         ("none,0.0,0.5,0.5,0.5\n", 2, "expected 6 fields, got 5"),
         ("glc,0.0,0.5,0.5,0.5,\n", 2, "method must be one of "),
         ("none,0.0,nan,0.5,0.5,\n", 2, "map must be finite, got nan"),
-    ], ids=["header", "fields", "method", "nan-map"])
+        ("galc_slr,0.0,0.5,0.5,0.5,not-a-number\n", 2,
+         "could not convert string to float: 'not-a-number'"),
+        ("galc_slr,0.0,0.5,0.5,0.5,inf\n", 2, "frobenius_to_true must be finite, got inf"),
+    ], ids=["header", "fields", "method", "nan-map", "text-frobenius", "inf-frobenius"])
     def test_plot_names_the_line_of_a_bad_summary(self, tmp_path, capsys, text, lineno,
                                                   problem):
         out = tmp_path / "sweep"
@@ -671,6 +675,43 @@ def subcommands() -> dict[str, argparse.ArgumentParser]:
     return action.choices
 
 
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mlnl"
+
+
+def package_trees() -> dict[str, ast.Module]:
+    """The parsed source of each module of the package, by module name."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+@functools.cache
+def package_reads() -> set[str]:
+    """Every name that the package loads, imports or reads as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else node.name
+            for tree in package_trees().values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, (ast.Attribute, ast.alias))}
+
+
+def private_names() -> list[str]:
+    """`module.name` of each private function, class or constant that a
+    module of the package defines at its top level."""
+    found = []
+    for module, tree in package_trees().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{module}.{name}" for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
 class TestTooling:
     """Entry points start: a broken import fails here, not for a user."""
 
@@ -796,6 +837,12 @@ class TestTooling:
                                ((a.asname or a.name).split(".")[0] for a in node.names)
                                if name not in used]
         assert unused == ["cli.train"]
+
+    @pytest.mark.parametrize("name", private_names())
+    def test_every_private_name_is_read(self, name):
+        """A private module-level name that nothing in the package reads is
+        dead code: delete it rather than keep it in step."""
+        assert name.split(".")[1] in package_reads()
 
     def test_configs_are_checked_where_built(self):
         """Building a config object runs its validate(), so the package calls

@@ -101,7 +101,7 @@ def reference_labels(cards, base_w, aff, rho, stream):
                     mean_a = a[w > 0.0].mean()
                     rel = a / mean_a if mean_a > 0 else np.ones_like(a)
                     w = w * ((1.0 - rho) + rho * rel)
-            u = stream.uniform() * w.sum()
+            u = stream.uniform(1)[0] * w.sum()
             chosen.append(min(int(np.searchsorted(np.cumsum(w), u, side="right")), k - 1))
         labels[i, chosen] = 1
     return labels

@@ -263,9 +263,9 @@ class TestWriteReport:
         pool = single_label_pool(4, seed=20)
         m = init_model([5, 7, 6], "tanh", 1.0, seed=13)
         rep = estimate_galc_slr(m, pool, compute_regulators(m, pool))
-        paths = write_report(rep, tmp_path / "chat")
-        raw = read_matrix(paths["raw"])
-        scaled = read_matrix(paths["scaled"])
+        write_report(rep, tmp_path / "chat")
+        raw = read_matrix(tmp_path / "chat_raw.csv")
+        scaled = read_matrix(tmp_path / "chat_scaled.csv")
         np.testing.assert_array_equal(raw.matrix, rep.raw.matrix)
         np.testing.assert_array_equal(scaled.matrix, rep.scaled.matrix)
         info = (tmp_path / "chat_info.txt").read_text()

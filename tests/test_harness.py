@@ -494,6 +494,23 @@ class TestRunSweep:
         assert (tmp_path / "summary.csv").read_text() == harness.SUMMARY_HEADER + "\n"
         assert not list(tmp_path.glob("*.svg"))
 
+    def test_failed_cell_keeps_no_earlier_stage_file(self, tmp_path, monkeypatch):
+        cfg = tiny_config(etas=(0.3,))
+        run_sweep(cfg, tmp_path)
+        clean = {p.name: p.read_bytes() for p in (tmp_path / "eta0.3_none").iterdir()}
+        assert len(list((tmp_path / "eta0.3_galc_slr").iterdir())) == 10
+
+        def fail(model, pool):
+            raise ValueError("regulators unavailable")
+
+        monkeypatch.setattr(estimator, "compute_regulators", fail)
+        assert [r.method for r in run_sweep(cfg, tmp_path)] == ["none", "true_matrix"]
+        assert (tmp_path / "failures.log").read_text() == (
+            "eta=0.3 method=galc_slr: pipeline stage 'estimate' failed: "
+            "regulators unavailable\n")
+        assert [p.name for p in (tmp_path / "eta0.3_galc_slr").iterdir()] == ["resolved.cfg"]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "eta0.3_none").iterdir()} == clean
+
     def test_failed_preparation_leaves_no_earlier_outputs(self, tmp_path, monkeypatch):
         cfg = tiny_config(etas=(0.0,))
         run_sweep(cfg, tmp_path)
@@ -615,6 +632,8 @@ class TestRunAblation:
         assert len(run_ablation(cfg, "trusted", tmp_path / "rerun")) == 2
         assert (tmp_path / "rerun" / "failures.log").exists()
         assert not list((tmp_path / "rerun").glob("*.svg"))
+        for failed in ("tf0.05_galc_slr", "tf0.1_galc_slr"):
+            assert [p.name for p in (tmp_path / "rerun" / failed).iterdir()] == ["resolved.cfg"]
 
     def test_failed_preparation_leaves_no_earlier_outputs(self, ablation, tmp_path,
                                                            monkeypatch):

@@ -199,7 +199,6 @@ class TestEvaluate:
         assert 0.0 <= rep.map <= 1.0
         assert 0.0 <= rep.cf1 <= 1.0
         assert 0.0 <= rep.of1 <= 1.0
-        assert rep.threshold == 0.5
 
     def test_sample_shuffle_invariance(self):
         rng = np.random.default_rng(10)

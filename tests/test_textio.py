@@ -186,6 +186,17 @@ class TestOrderedMap:
         assert got == [0, 1, 2, 3]
         assert not multiprocessing.active_children()
 
+    def test_nested_call_in_a_worker_maps_inline(self):
+        def fn(i):
+            return list(textio.ordered_map(lambda j: (i + j, os.getpid()), range(3)))
+        results = list(textio.ordered_map(fn, range(6)))
+        assert [[v for v, _ in r] for r in results] == [[i, i + 1, i + 2] for i in range(6)]
+        # each item's inner map ran in the worker that computed the item
+        pids = [{pid for _, pid in r} for r in results]
+        assert all(len(p) == 1 for p in pids) and len(set.union(*pids)) == 3
+        assert os.getpid() not in set.union(*pids)
+        assert not multiprocessing.active_children()
+
     def test_closing_early_stops_the_workers(self):
         results = textio.ordered_map(lambda i: i, range(10))
         assert next(results) == 0
