@@ -11,9 +11,8 @@ from .estimator import (EstimationReport, RegulatorMatrix, compare_matrices,
                         compute_regulators, estimate_galc_slr, estimate_glc)
 from .harness import ExperimentConfig, parse_config, run_ablation, run_pipeline, run_sweep
 from .metrics import MetricsReport, average_precision, evaluate, f1_scores, mean_ap
-from .model import (AslParams, CorrectedMode, MlpModel, TrainConfig, asl_grad, asl_loss,
-                    corrected_loss, forward, gradient_check, init_model, load_model,
-                    save_model, train)
+from .model import (AslParams, CorrectedMode, MlpModel, TrainConfig, asl_loss, forward,
+                    gradient_check, init_model, load_model, save_model, train)
 from .noise import (CorruptionMatrix, FlipLog, NoiseSpec, empirical_matrix, inject,
                     read_matrix, row_normalized, symmetric_matrix, write_matrix)
 from .numerics import RandomStream, sigmoid, softmax

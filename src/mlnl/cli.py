@@ -30,23 +30,27 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _check_shapes(paths, inputs) -> None:
-    """Check that the datasets and checkpoints a subcommand read from
-    `paths` agree on the numbers of features and classes. `inputs` holds
-    what was read from each path, a Dataset or an MlpModel, or None for a
-    file the subcommand did not need; a ValueError names the first input
-    read and the first that disagrees with it."""
+    """Check that the datasets, checkpoints and matrices a subcommand read
+    from `paths` agree on the numbers of features and classes. `inputs`
+    holds what was read from each path: a Dataset, an MlpModel, a
+    CorruptionMatrix, which has only a number of classes and so must not
+    come first, or None for a file the subcommand did not need. A
+    ValueError names the first input and the first that disagrees with it."""
     def shape(obj):
         if isinstance(obj, MlpModel):
             return "takes", obj.weights[0].shape[1], obj.weights[-1].shape[0]
+        if isinstance(obj, noise.CorruptionMatrix):
+            return "has", None, obj.k
         return "has", obj.num_features, obj.num_classes
 
     (first, ref), *others = [(path, obj) for path, obj in zip(paths, inputs) if obj is not None]
     verb, d, k = shape(ref)
     for path, obj in others:
         _, d2, k2 = shape(obj)
-        if (d2, k2) != (d, k):
+        if k2 != k or d2 not in (d, None):
+            has = f"{k2} classes" if d2 is None else f"{d2} and {k2}"
             raise ValueError(f"{first} {verb} {d} features and {k} classes, "
-                             f"but {path} has {d2} and {k2}")
+                             f"but {path} has {has}")
 
 
 def _cmd_gen_data(args, cfg: ExperimentConfig) -> int:
@@ -96,15 +100,13 @@ def _cmd_estimate(args, cfg: ExperimentConfig) -> int:
     else:
         f = load_model(out / "silver_model.mlpm")
     gold = datagen.read_dataset(out / "gold.mlnl")
-    if true_c is not None and true_c.k != gold.num_classes:
-        raise ValueError(f"{out / 'true_matrix.csv'} has K={true_c.k}, "
-                         f"but {out / 'gold.mlnl'} has {gold.num_classes} classes")
     if method == "galc_slr":
         pool = datagen.read_dataset(out / "singles_pool.mlnl")
         if cfg.estimation_set == "silver":
             noisy = datagen.read_dataset(out / "silver_noisy.mlnl")
-    names = ("silver_model.mlpm", "gold.mlnl", "singles_pool.mlnl", "silver_noisy.mlnl")
-    _check_shapes([out / name for name in names], (f, gold, pool, noisy))
+    names = ("silver_model.mlpm", "gold.mlnl", "singles_pool.mlnl", "silver_noisy.mlnl",
+             "true_matrix.csv")
+    _check_shapes([out / name for name in names], (f, gold, pool, noisy, true_c))
     _, report = harness.estimate_correction(cfg, out, method, true_c, gold, f, pool, noisy)
     if report is None:
         print(f"true matrix for eta={true_c.eta!r} -> {out / 'chat.csv'}")
@@ -118,11 +120,8 @@ def _cmd_train_gold(args, cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     paths = out / "gold.mlnl", out / "silver_noisy.mlnl", out / "test.mlnl"
     gold, noisy, test = (datagen.read_dataset(p) for p in paths)
-    _check_shapes(paths, (gold, noisy, test))
     corr = None if args.correction == "none" else noise.read_matrix(args.correction)
-    if corr is not None and corr.k != noisy.num_classes:
-        raise textio.located(args.correction, None, f"correction matrix K={corr.k} does not "
-                             f"match the data's K={noisy.num_classes}")
+    _check_shapes((*paths, args.correction), (gold, noisy, test, corr))
     _, hist = harness.train_gold(cfg, out, gold, noisy, corr, test)
     print(f"gold model (correction={args.correction}): final mAP={hist[-1].report.map:.4f} -> {out}")
     return 0

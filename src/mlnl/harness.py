@@ -476,7 +476,10 @@ def _read_csv(path, header: str, parse_row) -> list:
 
 
 def _finite(name: str, text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {text!r}") from None
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value

@@ -232,32 +232,6 @@ def asl_loss(p_sig, y, params: AslParams):
     return float(per) if per.ndim == 0 else per
 
 
-def asl_grad(logits, y, params: AslParams):
-    """Analytic gradient of asl_loss(sigmoid(logits), y) w.r.t. the logits."""
-    p = sigmoid(np.asarray(logits, dtype=np.float64))
-    _, d = _asl_terms_and_slopes(p, _binary(y), params)
-    return d * p * (1.0 - p)
-
-
-def corrected_loss(c_hat, logits, y_noisy, params: AslParams):
-    """Loss and logit gradient of the corrected objective L(M^T sigmoid(z), y);
-    the matrix is used as given, and q = M^T p is only clipped."""
-    z = np.asarray(logits, dtype=np.float64)
-    yv = _binary(y_noisy)
-    single = z.ndim == 1
-    zb = z[None, :] if single else z
-    yb = yv[None, :] if single else yv
-    m = CorrectedMode(c_hat).effective_matrix(zb.shape[1])
-
-    p = sigmoid(zb)
-    terms, dq = _asl_terms_and_slopes(p @ m, yb, params)
-    loss = terms.sum(axis=-1)
-    grad = (dq @ m.T) * p * (1.0 - p)
-    if single:
-        return float(loss[0]), grad[0]
-    return loss, grad
-
-
 def _split(buf: np.ndarray, model: MlpModel) -> tuple[list, list]:
     """Views of `buf` shaped like the model's weights, then its biases."""
     views, off = [], 0

@@ -192,9 +192,11 @@ class TestSweepAndPlot:
         ("glc,0.0,0.5,0.5,0.5,\n", 2, "method must be one of "),
         ("none,0.0,nan,0.5,0.5,\n", 2, "map must be finite, got nan"),
         ("galc_slr,0.0,0.5,0.5,0.5,not-a-number\n", 2,
-         "could not convert string to float: 'not-a-number'"),
+         "frobenius_to_true must be a number, got 'not-a-number'"),
         ("galc_slr,0.0,0.5,0.5,0.5,inf\n", 2, "frobenius_to_true must be finite, got inf"),
-    ], ids=["header", "fields", "method", "nan-map", "text-frobenius", "inf-frobenius"])
+        ("none,zero,0.5,0.5,0.5,\n", 2, "eta must be a number, got 'zero'"),
+    ], ids=["header", "fields", "method", "nan-map", "text-frobenius", "inf-frobenius",
+            "text-eta"])
     def test_plot_names_the_line_of_a_bad_summary(self, tmp_path, capsys, text, lineno,
                                                   problem):
         out = tmp_path / "sweep"
@@ -334,7 +336,8 @@ class TestErrors:
         code = main(["--config", str(cfg_file), "--out", str(out), "estimate", "--method", "true"])
         err = capsys.readouterr().err
         assert code == 1
-        assert f"error: {true_csv} has K=4, but {out / 'gold.mlnl'} has 5 classes" in err
+        assert (f"error: {out / 'gold.mlnl'} has 10 features and 5 classes, "
+                f"but {true_csv} has 4 classes") in err
         assert "Traceback" not in err
         assert not (out / "chat.csv").exists()
 
@@ -438,7 +441,8 @@ class TestErrors:
                      "--correction", str(chat)])
         err = capsys.readouterr().err
         assert code == 1
-        assert f"error: {chat}: correction matrix K=4 does not match the data's K=5" in err
+        assert (f"error: {out / 'gold.mlnl'} has 10 features and 5 classes, "
+                f"but {chat} has 4 classes") in err
         assert "Traceback" not in err
         assert not (out / "gold_model.mlpm").exists()
 

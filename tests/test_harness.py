@@ -1,9 +1,13 @@
 import dataclasses
 import hashlib
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,20 @@ def tiny_config(seed=9, etas=(0.0, 0.3)) -> ExperimentConfig:
         silver=TrainConfig(epochs=3, batch_size=32, lr=2e-3),
         gold=TrainConfig(epochs=3, batch_size=32, lr=2e-3),
         hidden=(16,), seed=seed)
+
+
+def dispatched_cpu_features() -> dict:
+    """numpy's map of SIMD feature name to whether this desk dispatches it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+# numpy's AVX-512 dispatch levels: switching them off, and OpenBLAS to its
+# Haswell kernels, makes a process compute as on an AVX2 desk
+AVX512_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
 def tree_digest(root) -> str:
@@ -535,6 +553,39 @@ class TestRunSweep:
         # plots from its in-memory records; never re-pin
         assert tree_digest(tmp_path / "a") == \
             "c86859ebb74422078d8a73f0b1d95c516e4f1e0b3a254c597a1e20b21c6aa3ae"
+
+
+    @pytest.mark.skipif(not all(dispatched_cpu_features().get(f) for f in AVX512_FEATURES),
+                        reason=f"numpy does not dispatch {', '.join(AVX512_FEATURES)} here")
+    def test_rank_metrics_hold_on_an_emulated_avx2_desk(self, tmp_path):
+        """The sweep's summary.csv and the epoch, split, map, cf1 and of1
+        columns of every metrics file are the same bytes without AVX-512;
+        the loss column, checkpoints and matrices may round differently."""
+        cfg = tmp_path / "tiny.cfg"
+        textio.write_lines(cfg, render_config(tiny_config()))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        desks = {"native": env, "avx2": dict(env, OPENBLAS_CORETYPE="Haswell",
+                                             NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_FEATURES))}
+        for desk, desk_env in desks.items():
+            done = subprocess.run([sys.executable, "-m", "mlnl", "--config", str(cfg),
+                                   "--out", str(tmp_path / desk), "sweep"],
+                                  env=desk_env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+
+        def rank_bytes(root):
+            files = {"summary.csv": (root / "summary.csv").read_bytes()}
+            for path in sorted(root.glob("*/*metrics.csv")):
+                files[path.relative_to(root).as_posix()] = [
+                    line.split(b",")[:5] for line in path.read_bytes().splitlines()]
+            return files
+
+        native = rank_bytes(tmp_path / "native")
+        assert sum(name.endswith("/metrics.csv") for name in native) == \
+            len(tiny_config().etas) * len(harness.SWEEP_METHODS)
+        assert rank_bytes(tmp_path / "avx2") == native
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mlnl.datagen import Dataset
 from mlnl.model import (AslParams, CorrectedMode, MlpModel, TrainConfig, _Objective,
-                        asl_grad, asl_loss, corrected_loss, forward, gradient_check,
-                        init_model, load_model, save_model, train)
+                        asl_loss, forward, gradient_check, init_model, load_model, save_model,
+                        train)
 from mlnl.numerics import sigmoid
 
 BCE = AslParams(gamma_plus=0.0, gamma_minus=0.0, margin=0.0, clamp_eps=1e-7)
@@ -115,17 +115,38 @@ def rel_err(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)))
 
 
+def sample_objective(z, y, params, c=None):
+    """Loss and logit gradient of the trainer's objective on one sample.
+
+    A one-layer model with a K x K identity weight and a zero bias has its
+    input as its logits, so on the one-row batch `z` the objective's mean
+    loss is the per-sample loss and its bias gradient is the gradient with
+    respect to the logits. With a matrix `c` the row is silver: it fits
+    c^T sigmoid(z) to `y`.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    k = z.size
+    mode = "asl" if c is None else CorrectedMode(c)
+    objective = _Objective(MlpModel([np.eye(k)], [np.zeros(k)]), params, mode)
+    silver = np.arange(0 if c is None else 1)
+    loss = objective.loss(z[None, :], np.asarray(y).astype(bool)[None, :], silver)
+    return loss, objective.grad_b[0].copy()
+
+
 class TestAslGrad:
+    """The plain objective's gradient with respect to the logits."""
+
     def test_bce_gradient_identity(self):
         rng = np.random.default_rng(4)
         z = rng.normal(size=7)
         y = (rng.uniform(size=7) < 0.5).astype(float)
-        np.testing.assert_allclose(asl_grad(z, y, BCE), sigmoid(z) - y, atol=1e-12)
+        _, grad = sample_objective(z, y, BCE)
+        np.testing.assert_allclose(grad, sigmoid(z) - y, atol=1e-12)
 
     def test_flat_below_margin(self):
         params = AslParams(0.0, 4.0, 0.3, 1e-7)
         z = np.array([-2.0, -1.5])  # p = .12, .18 both < .3
-        np.testing.assert_array_equal(asl_grad(z, np.zeros(2), params), [0.0, 0.0])
+        np.testing.assert_array_equal(sample_objective(z, np.zeros(2), params)[1], [0.0, 0.0])
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(5)
@@ -137,21 +158,25 @@ class TestAslGrad:
                                rng.uniform(0.0, 0.3), 1e-7)
             if not margin_safe(sigmoid(z), params):
                 continue
-            a = asl_grad(z, y, params)
+            _, a = sample_objective(z, y, params)
             f = fd_wrt_logits(lambda zz: asl_loss(sigmoid(zz), y, params), z)
             assert rel_err(a, f) < 1e-4
             checked += 1
 
 
 class TestCorrectedLoss:
+    """The corrected objective L(M^T sigmoid(z), y) and its logit gradient."""
+
     def test_identity_matrix_equals_plain(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(5, 4))
         y = (rng.uniform(size=(5, 4)) < 0.5).astype(float)
         params = AslParams()
-        loss_c, grad_c = corrected_loss(np.eye(4), z, y, params)
-        np.testing.assert_array_equal(loss_c, asl_loss(sigmoid(z), y, params))
-        np.testing.assert_array_equal(grad_c, asl_grad(z, y, params))
+        for zi, yi in zip(z, y):
+            loss_c, grad_c = sample_objective(zi, yi, params, np.eye(4))
+            loss_p, grad_p = sample_objective(zi, yi, params)
+            assert loss_c == loss_p == asl_loss(sigmoid(zi), yi, params)
+            np.testing.assert_array_equal(grad_c, grad_p)
 
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(7)
@@ -166,8 +191,8 @@ class TestCorrectedLoss:
                                rng.uniform(0.0, 0.2), 1e-7)
             if not margin_safe(sigmoid(z) @ c, params):
                 continue
-            _, grad = corrected_loss(c, z, y, params)
-            f = fd_wrt_logits(lambda zz: corrected_loss(c, zz, y, params)[0], z)
+            _, grad = sample_objective(z, y, params, c)
+            f = fd_wrt_logits(lambda zz: sample_objective(zz, y, params, c)[0], z)
             assert rel_err(grad, f) < 1e-4
             checked += 1
 
@@ -183,7 +208,7 @@ class TestCorrectedLoss:
         for y in (np.eye(k)[0], np.eye(k)[2]):
             z = rng.normal(size=k)
             p = sigmoid(z)
-            loss, grad = corrected_loss(c, z, y, params)
+            loss, grad = sample_objective(z, y, params, c)
             q = p @ c
             np.testing.assert_allclose(q, p.sum() * row, atol=1e-12)
             per_p = grad / (p * (1 - p))
