@@ -339,26 +339,22 @@ def _parse_label_indices(label_part: str, k: int) -> list[int]:
     return indices
 
 
-def _data_ranges(path, size: int, header_line: int) -> list[tuple[int, int, int]]:
-    """(start, end, lines to skip) of byte ranges that cover the file, each of
-    at least _READ_RANGE_BYTES but the last and each cut just after a `\\n`.
-    The first starts at byte 0 and skips the lines up to the header, which lie
-    within the file's first `header_line` physical lines."""
-    cuts = [0]
+def _data_ranges(path, size: int, header_line: int) -> list[tuple[int, int]]:
+    """(start, end) of byte ranges that cover the file after its header line,
+    each of at least _READ_RANGE_BYTES but the last and each cut just after
+    a `\\n`."""
     with open(path, "rb") as fh:
         for _ in range(header_line):
             fh.readline()
-        target = max(fh.tell(), _READ_RANGE_BYTES)
-        while target < size:
+        cuts = [fh.tell()]
+        while (target := cuts[-1] + _READ_RANGE_BYTES) < size:
             fh.seek(target - 1)
             fh.readline()
             if fh.tell() >= size:
                 break
             cuts.append(fh.tell())
-            target = cuts[-1] + _READ_RANGE_BYTES
     cuts.append(size)
-    return [(start, end, header_line if start == 0 else 0)
-            for start, end in zip(cuts, cuts[1:])]
+    return list(zip(cuts, cuts[1:]))
 
 
 def read_dataset(path) -> Dataset:
@@ -397,7 +393,7 @@ def read_dataset(path) -> Dataset:
             raise ValueError(f"{n} rows of {d} features cannot fit in a file of {size} bytes")
         features = np.empty((n, d), dtype=np.float64)
         label_blocks = []
-        row = first = 0  # the rows and lines of the ranges before this one
+        row, first = 0, header_line  # the rows and lines before this range
         non_finite = None  # the line of the first row with a non-finite feature
 
         def parse(bounds):
@@ -429,20 +425,20 @@ def read_dataset(path) -> Dataset:
         raise textio.located(path, lineno, e) from None
 
 
-def _parse_range(path, bounds: tuple[int, int, int], n: int, d: int, k: int):
-    """The data rows of the byte range `bounds` = (start, end, lines to skip),
-    numbered from its start, parsed until its first problem or its (n+1)-th row:
-    (features, uint8 labels, line of each row, line of the first non-finite
-    row or None, lines read, (line, message) of the first problem or None). A
-    row that fails to parse has a line but no features or labels."""
-    start, end, skip = bounds
+def _parse_range(path, bounds: tuple[int, int], n: int, d: int, k: int):
+    """The data rows of the byte range `bounds` = (start, end), numbered from
+    its start, parsed until its first problem or its (n+1)-th row: (features,
+    uint8 labels, line of each row, line of the first non-finite row or None,
+    lines read, (line, message) of the first problem or None). A row that
+    fails to parse has a line but no features or labels."""
+    start, end = bounds
     block = np.empty((min(n, (end - start) // (2 * d + 1)), d), dtype=np.float64)
     picked, rows = [], []  # each parsed row's label indices, and each row's line
     indices_of: dict[str, list[int]] = {}  # each distinct label text is parsed once
     lineno, problem = 0, None
     try:
         for lineno, s in textio.numbered_lines(path, start, end, blank=True):
-            if lineno <= skip or not s:
+            if not s:
                 continue
             if s.startswith("#"):
                 raise ValueError("comments are only allowed before the header")

@@ -322,6 +322,11 @@ def train_silver(cfg: ExperimentConfig, out: Path, silver_noisy: Dataset, test: 
     return _train_stage(cfg, out, "silver", silver_noisy, "asl", test, "silver_metrics.csv")
 
 
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"estimator method must be one of {METHODS}, got {method!r}")
+
+
 def estimate_correction(cfg: ExperimentConfig, out: Path, method: str,
                         true_matrix: CorruptionMatrix | None, gold: Dataset,
                         silver_model: MlpModel | None, singles_pool: Dataset | None,
@@ -335,6 +340,7 @@ def estimate_correction(cfg: ExperimentConfig, out: Path, method: str,
     "silver"); glc reads the silver model and gold; true_matrix trains with
     `true_matrix`, the matrix inject_noise wrote, which the others ignore.
     """
+    _check_method(method)  # before an earlier estimate is removed
     for path in [out / "chat.csv", *out.glob("chat_*")]:  # chat_* is write_report's
         path.unlink(missing_ok=True)
     if method == "none":
@@ -386,8 +392,7 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
     master seed, never on eta or method).
     """
     method = method or cfg.estimator_method
-    if method not in METHODS:
-        raise ValueError(f"estimator method must be one of {METHODS}")
+    _check_method(method)
     out = run_dir(cfg, outdir)
     t0 = time.perf_counter()
     if data is None:
@@ -496,7 +501,11 @@ def _summary_row(fields):
 
 
 def _epoch_row(fields):
-    return int(fields[0]), _finite("map", fields[2])
+    try:
+        epoch = int(fields[0])
+    except ValueError:
+        raise ValueError(f"epoch must be an integer, got {fields[0]!r}") from None
+    return epoch, _finite("map", fields[2])
 
 
 def plot_sweep(outdir) -> None:

@@ -304,10 +304,12 @@ class _Objective:
 
 
 def _silver_mask(mode, n: int) -> np.ndarray:
-    """Which of `n` samples fit M^T p: none in plain mode, all of a
+    """Which of `n` samples fit M^T p: none in "asl" mode, all of a
     CorrectedMode without a gold mask, else those its mask leaves out."""
-    if not isinstance(mode, CorrectedMode):
+    if isinstance(mode, str) and mode == "asl":
         return np.zeros(n, dtype=bool)
+    if not isinstance(mode, CorrectedMode):
+        raise ValueError(f"loss mode must be 'asl' or a CorrectedMode, got {mode!r}")
     if mode.gold_mask is None:
         return np.ones(n, dtype=bool)
     gold_mask = np.asarray(mode.gold_mask, dtype=bool)

@@ -1,7 +1,8 @@
-"""The text-file layer under every mlnl file: UTF-8 with `\\n` line ends on
-every platform, non-blank lines numbered as `str.splitlines` numbers the
-whole text, and a bad line reported as `path:line: message`. `ordered_map`
-spreads the chunks of a large file's formatting or parsing over the cores."""
+"""The text-file layer under every mlnl file: UTF-8 text in which a line is
+what `\\n` ends, on every platform. Lines are stripped (so a `\\r\\n` file
+reads as a `\\n` one) and numbered as `grep -n` numbers them, and a bad line
+is reported as `path:line: message`. `ordered_map` spreads the chunks of a
+large file's formatting or parsing over the cores."""
 
 from __future__ import annotations
 
@@ -28,21 +29,14 @@ def numbered_lines(path, start: int = 0, end: int | None = None, blank: bool = F
     which must hold whole `\\n`-ended lines; lines are numbered from `start`."""
     with open(path, "rb") as fh:
         fh.seek(start)
-        if end is None:
-            physical_lines = fh
-        else:  # ASCII decodes and splits as one piece, numbered the same
-            data = fh.read(end - start)
-            physical_lines = [data] if data.isascii() else io.BytesIO(data)
-        lineno = 0
-        for physical in physical_lines:
+        lines = fh if end is None else io.BytesIO(fh.read(end - start))
+        for lineno, raw in enumerate(lines, start=1):
             try:
-                text = physical.decode("utf-8")
+                line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as e:
-                raise located(path, lineno + 1, f"not UTF-8 text ({e.reason})") from None
-            for line in text.splitlines():
-                lineno += 1
-                if (line := line.strip()) or blank:
-                    yield lineno, line
+                raise located(path, lineno, f"not UTF-8 text ({e.reason})") from None
+            if line or blank:
+                yield lineno, line
 
 
 def located(path, lineno: int | None, error) -> TextFileError:

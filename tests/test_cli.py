@@ -210,17 +210,21 @@ class TestSweepAndPlot:
         assert "Traceback" not in err
         assert list(out.glob("*.svg")) == []
 
-    def test_plot_names_the_line_of_a_non_finite_epoch_score(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row, problem", [
+        ("2,test,inf,0.4,0.4,0.8", "map must be finite, got inf"),
+        ("one,test,0.4,0.4,0.4,0.8", "epoch must be an integer, got 'one'"),
+    ], ids=["inf-map", "text-epoch"])
+    def test_plot_names_the_line_of_a_non_finite_epoch_score(self, tmp_path, capsys, row,
+                                                             problem):
         out = tmp_path / "sweep"
         (out / "eta0.3_none").mkdir(parents=True)
         (out / "summary.csv").write_text("method,eta,map,cf1,of1,frobenius_to_true\n"
                                          "none,0.0,0.5,0.5,0.5,\nnone,0.3,0.4,0.4,0.4,\n")
         metrics = out / "eta0.3_none" / "metrics.csv"
-        metrics.write_text("epoch,split,map,cf1,of1,loss\n1,test,0.3,0.3,0.3,0.9\n"
-                           "2,test,inf,0.4,0.4,0.8\n")
+        metrics.write_text(f"epoch,split,map,cf1,of1,loss\n1,test,0.3,0.3,0.3,0.9\n{row}\n")
         assert main(["--out", str(out), "plot"]) == 1
         err = capsys.readouterr().err
-        assert f"error: {metrics}:3: map must be finite, got inf" in err
+        assert f"error: {metrics}:3: {problem}" in err
         assert "Traceback" not in err
         assert list(out.glob("*.svg")) == []
 
@@ -824,6 +828,16 @@ class TestTooling:
                 if name in ("write_text", "write_bytes") or (name == "open" and not reads):
                     writers.append(f"{path.name}:{node.lineno}")
         assert writers == []
+
+    def test_no_module_splits_lines_its_own_way(self):
+        """No module calls .splitlines(): textio.numbered_lines, where a line
+        is what \\n ends, is the one line rule of every reader."""
+        calls = []
+        for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "splitlines":
+                    calls.append(f"{path.name}:{node.lineno}")
+        assert calls == []
 
     def test_no_module_imports_a_name_it_never_uses(self):
         """Every name a module imports is read somewhere in it. cli.train is

@@ -464,6 +464,13 @@ class TestRunPipeline:
                                             None, None, None, None, None)
         assert list(tmp_path.iterdir()) == []
 
+    def test_estimate_rejects_an_unknown_method_before_removing_anything(self, tmp_path):
+        (tmp_path / "chat.csv").write_text("an earlier estimate\n")
+        with pytest.raises(ValueError, match="estimator method must be one of .*got 'bogus'"):
+            harness.estimate_correction(tiny_config(), tmp_path, "bogus",
+                                        None, None, None, None, None)
+        assert [p.name for p in tmp_path.iterdir()] == ["chat.csv"]
+
 
 class TestTrainingMatrix:
     def test_forms(self):

@@ -314,6 +314,15 @@ class TestTrain:
             train(init_model([4, 8, 3], "tanh", 1.0, seed=16), ds, mode,
                   TrainConfig(epochs=1, batch_size=32, lr=1e-3, seed=17))
 
+    @pytest.mark.parametrize("mode", ["bogus", "ASL", None, np.eye(3)],
+                             ids=["bogus", "upper-case", "none", "matrix"])
+    def test_unknown_loss_mode_rejected(self, mode):
+        ds, model = toy_dataset(seed=15), init_model([4, 8, 3], "tanh", 1.0, seed=16)
+        with pytest.raises(ValueError, match="loss mode must be 'asl' or a CorrectedMode, got "):
+            train(model, ds, mode, TrainConfig(epochs=1, batch_size=32, lr=1e-3, seed=17))
+        with pytest.raises(ValueError, match="loss mode must be 'asl' or a CorrectedMode, got "):
+            gradient_check(model, ds.features, ds.labels, BCE, mode)
+
     def test_empty_training_set_rejected(self):
         empty = Dataset(np.zeros((0, 4)), np.zeros((0, 3)))
         with pytest.raises(ValueError, match="cannot train on an empty dataset"):

@@ -41,11 +41,12 @@ class TestNumberedLines:
     @settings(max_examples=200)
     @given(st.lists(st.sampled_from(["a", "b c", " ", "#", "é", "\n", "\r", "\r\n", "\x0c",
                                      "\x1c", "\x85", " "]), max_size=30))
-    def test_numbered_as_splitlines_numbers_the_whole_text(self, tmp_path_factory, parts):
+    def test_numbered_as_grep_numbers_the_whole_text(self, tmp_path_factory, parts):
+        # only \n ends a line; \r, \x0c, \x1c, \x85 and the like stay in theirs
         text = "".join(parts)
         path = tmp_path_factory.mktemp("lines") / "t.txt"
         path.write_bytes(text.encode("utf-8"))
-        expected = [(i, s.strip()) for i, s in enumerate(text.splitlines(), start=1)
+        expected = [(i, s.strip()) for i, s in enumerate(text.split("\n"), start=1)
                     if s.strip()]
         assert list(textio.numbered_lines(path)) == expected
 
@@ -61,6 +62,32 @@ class TestNumberedLines:
         inner = textio.located(tmp_path / "a", 3, "bad")
         assert textio.located(tmp_path / "a", 9, inner) is inner
         assert str(textio.located("f", None, ValueError("whole"))) == "f: whole"
+
+
+# Per format: its reader, a valid file whose `#` comment holds a character
+# that `str.splitlines` would end a line at, a line of it and the same line
+# made bad, and the error that bad line gives.
+LINE_RULE_CASES = {
+    "dataset": (read_dataset, "# made by\u2028hand\nMLNL v1 2 2 2\n0.5 1 | 0\n1 2 | 1\n",
+                "1 2 | 1", "1 x | 1", "could not convert string to float: 'x'"),
+    "config": (parse_config, "# a\x0cb comment\nseed = 3\n", "seed = 3", "bogus = 3",
+               "unknown key 'bogus'"),
+    "matrix": (read_matrix, "# kind=true_row_stochastic K=2\x0ceta=0.1\n0.9,0.1\n0.1,0.9\n",
+               "0.1,0.9", "0.1,x", "could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_RULE_CASES))
+def test_comment_keeps_its_separators_and_errors_keep_grep_line_numbers(tmp_path, name):
+    read, text, good, bad, problem = LINE_RULE_CASES[name]
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    read(path)  # the comment's separator does not end its line
+    path.write_bytes(text.replace(good, bad).encode("utf-8"))
+    grep_line = text.split("\n").index(good) + 1  # as `grep -n` numbers it
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{grep_line}: "
+                                         rf"{re.escape(problem)}$"):
+        read(path)
 
 
 # One tiny valid file per format, with its reader, its writer and a key that
