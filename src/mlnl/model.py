@@ -353,16 +353,13 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
 
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_stream.permutation(n)
-        xs, ys = x[perm], y[perm]
-        ss = silver_mask[perm]
         total = 0.0
         for start in range(0, n, cfg.batch_size):
-            stop = min(start + cfg.batch_size, n)
-            silver = ss[start:stop].nonzero()[0]
-            loss = objective.loss(xs[start:stop], ys[start:stop], silver)
+            rows = perm[start:start + cfg.batch_size]
+            loss = objective.loss(x[rows], y[rows], silver_mask[rows].nonzero()[0])
             if not math.isfinite(loss):
                 raise ValueError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size + 1}")
-            total += loss * (stop - start)
+            total += loss * len(rows)
             if adam:
                 # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
                 # theta -= lr (m / c1) / (sqrt(v / c2) + eps), element by element

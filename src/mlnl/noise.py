@@ -258,8 +258,10 @@ def read_matrix(path) -> CorruptionMatrix:
             rows.append(textio.float_row(text, len(rows[0]) if rows else None, sep=","))
             row_lines.append(lineno)
         lineno = None
+        if not rows:
+            raise ValueError("no data rows")
         m = np.asarray(rows, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix is not square ({m.shape})")
         if k is not None and k != m.shape[0]:
             lineno = header_line

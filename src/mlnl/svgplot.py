@@ -27,11 +27,10 @@ def _color(i: int) -> str:
     return _PALETTE[i % len(_PALETTE)]
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / max(n - 1, 1)
-    return [lo + i * step for i in range(n)]
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks; callers widen an empty range, so hi > lo."""
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _scale(lo: float, hi: float, p0: float, p1: float):

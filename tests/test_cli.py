@@ -433,6 +433,20 @@ class TestErrors:
         assert "bad.csv:5: row 3 does not sum to 1" in err
         assert "Traceback" not in err
 
+    def test_correction_without_rows_exits_one(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
+        bare = out / "bare.csv"
+        bare.write_text("# kind=true_row_stochastic K=5\n")
+        capsys.readouterr()
+        code = main(["--config", str(cfg_file), "--out", str(out), "train-gold",
+                     "--correction", str(bare)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{bare}: no data rows" in err
+        assert "Traceback" not in err
+
     def test_correction_of_another_k_names_its_file(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "run"
         run(["--config", cfg_file, "--out", out, "gen-data"])
@@ -844,8 +858,6 @@ class TestTooling:
         the one exception: perfbench's tracer checks that binding."""
         unused = []
         for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
-            if path.name == "__init__.py":
-                continue
             tree = ast.parse(path.read_text(encoding="utf-8"))
             used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             for node in ast.walk(tree):

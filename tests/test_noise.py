@@ -316,6 +316,14 @@ class TestMatrixFile:
         with pytest.raises(ValueError, match="square"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("text", ["# kind=estimated_raw K=2\n", ""],
+                             ids=["header_only", "empty"])
+    def test_no_data_rows_named_at_the_file(self, tmp_path, text):
+        path = tmp_path / "none.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no data rows$"):
+            read_matrix(path)
+
     def test_unknown_kind_cites_the_header_line(self, tmp_path):
         path = tmp_path / "kind.csv"
         path.write_text("# kind=banana K=2\n0.5,0.5\n0.5,0.5\n")
