@@ -209,13 +209,16 @@ def parse_config(path) -> ExperimentConfig:
 
 @dataclass
 class SplitArtifacts:
-    """Everything the pipeline needs after data preparation."""
+    """Everything the pipeline needs after data preparation, and the memo of
+    silver training trajectories (see `model.train`) that the runs sharing
+    this object, or the cells of one grid, reuse."""
 
     gold: Dataset
     silver_clean: Dataset
     singles_pool: Dataset
     test: Dataset
     full: Dataset
+    trajectories: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -304,22 +307,26 @@ def inject_noise(cfg: ExperimentConfig, out: Path, silver_clean: Dataset, eta: f
 
 
 def _train_stage(cfg: ExperimentConfig, out: Path, stage: str, data: Dataset, loss_mode,
-                 test: Dataset, metrics_file: str):
+                 test: Dataset, metrics_file: str, memo: dict | None = None):
     root = RandomStream(cfg.seed)
     train_cfg = getattr(cfg, stage)
     model0 = init_model([data.num_features, *cfg.hidden, data.num_classes], cfg.activation,
                         train_cfg.init_scale, seed=root.derive_seed(f"{stage}-init"))
     train_cfg = dataclasses.replace(train_cfg, seed=root.derive_seed(f"{stage}-train"))
-    model, history = train(model0, data, loss_mode, train_cfg, cfg.asl, eval_data=test)
+    model, history = train(model0, data, loss_mode, train_cfg, cfg.asl, eval_data=test,
+                           memo=memo)
     save_model(model, out / f"{stage}_model.mlpm")
     write_metrics_csv(out / metrics_file, history)
     return model, history
 
 
-def train_silver(cfg: ExperimentConfig, out: Path, silver_noisy: Dataset, test: Dataset):
+def train_silver(cfg: ExperimentConfig, out: Path, silver_noisy: Dataset, test: Dataset,
+                 memo: dict | None = None):
     """Plain ASL training on the noisy silver split; writes silver_model.mlpm
-    and silver_metrics.csv and returns (model, history)."""
-    return _train_stage(cfg, out, "silver", silver_noisy, "asl", test, "silver_metrics.csv")
+    and silver_metrics.csv and returns (model, history). With `memo`, a
+    trajectory it holds replaces the batch loop (see `model.train`)."""
+    return _train_stage(cfg, out, "silver", silver_noisy, "asl", test, "silver_metrics.csv",
+                        memo)
 
 
 def _check_method(method: str) -> None:
@@ -389,7 +396,8 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
     """One full run at a given noise ratio; returns the run record.
 
     `data` lets sweeps reuse the prepared splits (they depend only on the
-    master seed, never on eta or method).
+    master seed, never on eta or method), and its memo the silver batch loop
+    of an earlier run with the same inputs.
     """
     method = method or cfg.estimator_method
     _check_method(method)
@@ -399,7 +407,8 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
         data = _stage("prepare-data", lambda: prepare_data(cfg))
     silver_noisy, _, true_c = _stage("inject-noise", lambda: inject_noise(
         cfg, out, data.silver_clean, eta))
-    f, _ = _stage("train-silver", lambda: train_silver(cfg, out, silver_noisy, data.test))
+    f, _ = _stage("train-silver", lambda: train_silver(
+        cfg, out, silver_noisy, data.test, data.trajectories))
     corr, report = _stage("estimate", lambda: estimate_correction(
         cfg, out, method, true_c, data.gold, f, data.singles_pool, silver_noisy))
     frob = None
@@ -421,7 +430,9 @@ SUMMARY_HEADER = "method,eta,map,cf1,of1,frobenius_to_true"
 def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, RunRecord]]:
     """Run each cell (config, eta, method, run directory, label) through
     run_pipeline under `cfg`'s run directory `outdir`, with one prepare_data
-    per run of cells that share a config, once an earlier grid's files (those
+    per run of cells that share a config and one trajectory memo for the
+    whole grid (its keys are contents, so configs that give the same silver
+    split share a silver loop), once an earlier grid's files (those
     matching the glob patterns `outputs`, and failures.log) are removed. A failed
     cell is skipped, named in failures.log and left with no stage file beside
     its resolved.cfg; returns the (label, record) of every cell that finished."""
@@ -429,11 +440,12 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
     for pattern in (*outputs, "failures.log"):
         for path in out.glob(pattern):
             path.unlink()
-    done, failures = [], []
+    done, failures, memo = [], [], {}
     data_cfg = data = None
     for sub, eta, method, rundir, label in cells:
         if sub is not data_cfg:
             data_cfg, data = sub, _stage("prepare-data", lambda: prepare_data(sub))
+            data.trajectories = memo
         try:
             done.append((label, run_pipeline(sub, eta, out / rundir, method=method, data=data)))
         except Exception as e:

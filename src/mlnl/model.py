@@ -18,12 +18,14 @@ views into it), runs one fused loss-and-gradient pass per batch and one
 Adam update over the whole buffer. Every element goes through the same
 float operations in the same order as a per-layer, per-term formulation,
 so results are bit-reproducible across refactors (tests pin the bytes).
+A caller may pass `train` a memo of finished batch loops, keyed on their
+inputs' contents: a repeated training then only evaluates again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -258,6 +260,7 @@ class _Objective:
         self.grad_w, self.grad_b = _split(self.grad, model)
         self.tanh = model.activation == "tanh"
         self.params = params
+        self.m = None  # the correction matrix of a CorrectedMode
         if isinstance(mode, CorrectedMode):
             self.m = mode.effective_matrix(model.num_classes)
             self.mt = self.m.T
@@ -318,27 +321,13 @@ def _silver_mask(mode, n: int) -> np.ndarray:
     return ~gold_mask
 
 
-def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
-          params: AslParams | None = None,
-          eval_data: Dataset | None = None) -> tuple[MlpModel, list[EpochStats]]:
-    """Mini-batch training with a seeded shuffle per epoch.
-
-    `loss_mode` is "asl" or a CorrectedMode whose gold_mask marks trusted
-    samples (trained with plain asymmetric loss against their own labels).
-    Always returns the last-epoch model; per-epoch reports are computed on
-    `eval_data` when given, otherwise on the training data. A non-finite
-    batch loss, or non-finite parameters or evaluation scores after an
-    epoch, raise ValueError.
-    """
-    params = params or AslParams()
-    x = data.features
-    y = data.labels.astype(bool)
+def _trajectory(objective: _Objective, x: np.ndarray, y: np.ndarray,
+                silver_mask: np.ndarray, cfg: TrainConfig):
+    """The batch loop: after each epoch, yield the parameter buffer (the
+    objective's own `theta`, which the next epoch updates in place) and the
+    epoch's loss summed over samples. A non-finite batch loss raises ValueError."""
     n = x.shape[0]
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
     shuffle_stream = RandomStream(cfg.seed).derive("shuffle")
-    silver_mask = _silver_mask(loss_mode, n)
-    objective = _Objective(model, params, loss_mode)
     theta, grad = objective.theta, objective.grad
     adam = cfg.optimizer == "adam"
     if adam:
@@ -346,10 +335,6 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
         mom, vel = np.zeros_like(theta), np.zeros_like(theta)
         tmp, den = np.empty_like(theta), np.empty_like(theta)
         t = 0
-
-    history: list[EpochStats] = []
-    ev_x = eval_data.features if eval_data is not None else x
-    ev_y = eval_data.labels if eval_data is not None else data.labels
 
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_stream.permutation(n)
@@ -381,14 +366,82 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
                 theta -= tmp
             else:
                 theta -= cfg.lr * grad
+        yield theta, total
+
+
+def _trajectory_key(objective: _Objective, x: np.ndarray, y: np.ndarray,
+                    silver_mask: np.ndarray, cfg: TrainConfig) -> str:
+    """SHA-256 of everything `_trajectory` reads: the initial parameters, their
+    shapes and the activation, the training rows, the loss mode, the AslParams
+    and every TrainConfig field but `init_scale`, which only the initial
+    parameters carry."""
+    import hashlib  # here, not at the top: only a call with a memo hashes
+
+    loop_cfg = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "init_scale"}
+    model = objective.model
+    h = hashlib.sha256(repr((model.layer_sizes, model.activation, objective.params,
+                             loop_cfg, objective.m is None)).encode())
+    for a in (objective.theta, x, y, silver_mask, objective.m):
+        if a is not None:
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a)
+    return h.hexdigest()
+
+
+def _recorded(steps, memo: dict, key: str):
+    """`steps` as (snapshot, total) pairs, stored in `memo` under `key` only
+    once the last one has been taken, so a failed training stores nothing."""
+    done = []
+    for theta, total in steps:
+        done.append((theta.copy(), total))
+        yield done[-1]
+    memo[key] = done
+
+
+def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
+          params: AslParams | None = None, eval_data: Dataset | None = None,
+          memo: dict | None = None) -> tuple[MlpModel, list[EpochStats]]:
+    """Mini-batch training with a seeded shuffle per epoch.
+
+    `loss_mode` is "asl" or a CorrectedMode whose gold_mask marks trusted
+    samples (trained with plain asymmetric loss against their own labels).
+    Always returns the last-epoch model; per-epoch reports are computed on
+    `eval_data` when given, otherwise on the training data. A non-finite
+    batch loss, or non-finite parameters or evaluation scores after an
+    epoch, raise ValueError.
+
+    `memo` maps a content key of the batch loop's inputs to that loop's
+    per-epoch parameters and loss totals. A call whose key it holds skips
+    the loop and only evaluates; a call that finishes adds its own. The
+    reports and the model are the same bytes either way.
+    """
+    params = params or AslParams()
+    x = data.features
+    y = data.labels.astype(bool)
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("cannot train on an empty dataset")
+    silver_mask = _silver_mask(loss_mode, n)
+    objective = _Objective(model, params, loss_mode)
+    steps = _trajectory(objective, x, y, silver_mask, cfg)
+    if memo is not None:
+        key = _trajectory_key(objective, x, y, silver_mask, cfg)
+        steps = memo[key] if key in memo else _recorded(steps, memo, key)
+
+    history: list[EpochStats] = []
+    ev_x = eval_data.features if eval_data is not None else x
+    ev_y = eval_data.labels if eval_data is not None else data.labels
+    for epoch, (theta, total) in enumerate(steps, start=1):
         if not np.isfinite(theta).all():
             raise ValueError(f"non-finite parameters after epoch {epoch}")
-        scores = forward(objective.model, ev_x).p_sig
+        current = MlpModel(*_split(theta, model), model.activation)
+        scores = forward(current, ev_x).p_sig
         if not np.isfinite(scores).all():
             raise ValueError(f"non-finite evaluation scores after epoch {epoch}")
         report = evaluate(scores, ev_y)
         history.append(EpochStats(epoch=epoch, loss=total / n, report=report))
-    return objective.model.copy(), history
+    return current.copy(), history
 
 
 def gradient_check(model: MlpModel, features, labels, params: AslParams,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mlnl import estimator, harness, textio
+from mlnl import estimator, harness, model, textio
 from mlnl.datagen import Dataset, GenConfig, SplitSpec
 from mlnl.estimator import estimate_glc
 from mlnl.harness import (CONFIG_KEYS, ExperimentConfig, parse_config, prepare_data,
@@ -470,6 +470,78 @@ class TestRunPipeline:
             harness.estimate_correction(tiny_config(), tmp_path, "bogus",
                                         None, None, None, None, None)
         assert [p.name for p in tmp_path.iterdir()] == ["chat.csv"]
+
+
+@pytest.fixture
+def plain_batches(monkeypatch):
+    """A function giving the number of batches trained with the plain loss
+    so far (a silver stage's, or a `none` run's gold stage's), spied on
+    _Objective.loss, which every batch calls once."""
+    calls = []
+    loss = model._Objective.loss
+
+    def spy(self, *args, **kwargs):
+        if self.m is None:
+            calls.append(None)
+        return loss(self, *args, **kwargs)
+
+    monkeypatch.setattr(model._Objective, "loss", spy)
+    return lambda: len(calls)
+
+
+def silver_batches(cfg: ExperimentConfig, silver: Dataset) -> int:
+    return cfg.silver.epochs * math.ceil(silver.n / cfg.silver.batch_size)
+
+
+class TestSilverReuse:
+    """Runs that share one SplitArtifacts, and the cells of one grid, run
+    each distinct silver batch loop once and still write every file."""
+
+    def test_runs_sharing_data_run_each_silver_loop_once(self, tmp_path, plain_batches):
+        cfg = tiny_config()
+        data = prepare_data(cfg)
+        batches = silver_batches(cfg, data.silver_clean)
+        for eta, method, loops in ((0.3, "galc_slr", 1), (0.3, "true_matrix", 1),
+                                   (0.0, "galc_slr", 2)):
+            run_pipeline(cfg, eta, tmp_path / f"{eta}_{method}", method=method, data=data)
+            assert plain_batches() == loops * batches
+        run_pipeline(cfg, 0.3, tmp_path / "fresh", method="true_matrix")
+        assert tree_digest(tmp_path / "0.3_true_matrix") == tree_digest(tmp_path / "fresh")
+
+    def test_fresh_data_runs_the_silver_loop_again(self, tmp_path, plain_batches):
+        """No trajectory outlives its SplitArtifacts: model and harness keep
+        no module-level cache, so a benchmark that prepares data for each
+        iteration times every loop."""
+        def state():
+            return {(mod.__name__, name): repr(v) if isinstance(v, (dict, list, set)) else id(v)
+                    for mod in (model, harness) for name, v in vars(mod).items()
+                    if not name.startswith("__")}
+
+        cfg = tiny_config()
+        before = state()
+        batches = silver_batches(cfg, prepare_data(cfg).silver_clean)
+        for runs in (1, 2):
+            run_pipeline(cfg, 0.3, tmp_path / str(runs), method="galc_slr")
+            assert plain_batches() == runs * batches
+        assert state() == before
+        assert not [name for mod in (model, harness) for name, v in vars(mod).items()
+                    if hasattr(v, "cache_info")]  # no functools cache either
+
+    @pytest.mark.parametrize("axis,splits", [("limit", 1), ("trusted", 2)])
+    def test_a_grid_runs_each_distinct_silver_loop_once(self, tmp_path, plain_batches, axis,
+                                                        splits):
+        cfg = tiny_config(etas=(0.3,))
+        cfg.ablation_eta = 0.3
+        grid = harness.ABLATIONS[axis]
+        batches = {}  # the silver split's bytes -> its batches per loop
+        for value in grid.values:
+            sub = dataclasses.replace(cfg, **{grid.field: value})
+            silver = prepare_data(sub).silver_clean
+            batches[silver.features.tobytes() + silver.labels.tobytes()] = \
+                silver_batches(sub, silver)
+        assert len(batches) == splits
+        run_ablation(cfg, axis, tmp_path)
+        assert plain_batches() == sum(batches.values())
 
 
 class TestTrainingMatrix:

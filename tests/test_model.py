@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -361,6 +362,157 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite evaluation scores after epoch 1"):
                 train(model, ds, "asl", cfg, eval_data=probe)
+
+
+@pytest.fixture
+def loop_runs(monkeypatch):
+    """A function that makes a call and says whether it ran a batch loop,
+    seen by a spy on _Objective.loss, which the loop calls once per batch."""
+    calls = []
+    loss = _Objective.loss
+
+    def spy(self, *args, **kwargs):
+        calls.append(None)
+        return loss(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Objective, "loss", spy)
+
+    def ran(call) -> bool:
+        before = len(calls)
+        call()
+        return len(calls) > before
+    return ran
+
+
+def bits(model, history) -> list[bytes]:
+    """The bytes of a model's parameters and of each epoch's loss and report."""
+    out = [t.tobytes() for t in model.weights + model.biases]
+    for h in history:
+        r = h.report
+        out += [np.float64([h.loss, r.map, r.cf1, r.of1]).tobytes(), r.per_class_ap.tobytes()]
+    return out
+
+
+def memo_call():
+    """A corrected training's inputs, as a dict of train's arguments, whose
+    gold mask and matrix the variants below can change."""
+    ds = toy_dataset(seed=30)
+    ds = Dataset(ds.features.copy(), ds.labels.copy())
+    mask = np.zeros(ds.n, dtype=bool)
+    mask[:40] = True
+    return {"model": init_model([4, 8, 3], "tanh", 1.0, seed=31), "data": ds,
+            "loss_mode": CorrectedMode(0.7 * np.eye(3) + 0.1, mask),
+            "cfg": TrainConfig(epochs=2, batch_size=32, lr=2e-3, optimizer="adam", seed=32),
+            "params": AslParams()}
+
+
+def _set(arg, **changes):
+    def change(call):
+        call[arg] = dataclasses.replace(call[arg], **changes)
+    return change
+
+
+def _flip_feature_byte(call):
+    call["data"].features.view(np.uint8)[5] ^= 1
+
+
+def _flip_label(call):
+    labels = call["data"].labels
+    labels[3, 1] = 1 - labels[3, 1]
+
+
+def _flip_gold_flag(call):
+    call["loss_mode"].gold_mask[50] = True
+
+
+def _bump_matrix(call):
+    call["loss_mode"].matrix[0, 2] += 1e-3
+
+
+def _bump_weight(call):
+    w = call["model"].weights[0]
+    w[0, 0] = np.nextafter(w[0, 0], np.inf)
+
+
+def _bump_bias(call):
+    call["model"].biases[1][2] = 1e-3
+
+
+def _relu(call):
+    call["model"].activation = "relu"
+
+
+def _plain(call):
+    call["loss_mode"] = "asl"
+
+
+# Each changes one input of the batch loop, in place where it is an array,
+# so that the memo can only tell the calls apart by content.
+KEYED_INPUTS = {
+    "epochs": _set("cfg", epochs=3), "batch_size": _set("cfg", batch_size=16),
+    "lr": _set("cfg", lr=3e-3), "optimizer": _set("cfg", optimizer="sgd"),
+    "seed": _set("cfg", seed=33), "gamma_plus": _set("params", gamma_plus=1.0),
+    "gamma_minus": _set("params", gamma_minus=2.0), "margin": _set("params", margin=0.1),
+    "clamp_eps": _set("params", clamp_eps=1e-6), "feature_byte": _flip_feature_byte,
+    "label": _flip_label, "gold_mask": _flip_gold_flag, "matrix": _bump_matrix,
+    "init_weight": _bump_weight, "init_bias": _bump_bias, "activation": _relu,
+    "loss_mode": _plain,
+}
+
+
+class TestTrajectoryMemo:
+    @pytest.mark.parametrize("change", list(KEYED_INPUTS.values()), ids=list(KEYED_INPUTS))
+    def test_a_changed_input_runs_the_loop_again(self, loop_runs, change):
+        call, memo = memo_call(), {}
+        assert loop_runs(lambda: train(**call, memo=memo))
+        assert not loop_runs(lambda: train(**call, memo=memo))
+        change(call)
+        assert loop_runs(lambda: train(**call, memo=memo))
+        assert len(memo) == 2
+
+    def test_a_hit_evaluates_on_its_own_eval_data(self, loop_runs):
+        call, memo = memo_call(), {}
+        other = toy_dataset(n=90, seed=34)
+        train(**call, memo=memo)
+        # init_scale reaches the loop only through the initial parameters
+        call["cfg"] = dataclasses.replace(call["cfg"], init_scale=5.0)
+        hit = []
+        assert not loop_runs(lambda: hit.append(train(**call, eval_data=other, memo=memo)))
+        fresh = train(**call, eval_data=other)
+        assert bits(*hit[0]) == bits(*fresh)
+
+    def test_a_hit_hands_out_copies(self):
+        call, memo = memo_call(), {}
+        first, _ = train(**call, memo=memo)
+        first.weights[0][:] = 0.0
+        again, _ = train(**call, memo=memo)
+        assert bits(again, []) == bits(train(**call)[0], [])
+
+    @pytest.mark.parametrize("failure", ["loss at", "parameters after", "evaluation scores after"],
+                             ids=["loss", "parameters", "scores"])
+    def test_a_failed_training_is_not_stored(self, loop_runs, failure):
+        toy = toy_dataset(seed=21)
+        cfg = TrainConfig(epochs=2, batch_size=32, lr=0.0, optimizer="sgd", seed=22)
+        # the failing inputs of the two non-finite tests of TestTrain
+        model = MlpModel([np.full((3, 4), 2.0)], [np.zeros(3)], "tanh")
+        probe = Dataset(np.array([[1e308, 1e308, -1e308, -1e308]]), np.array([[1, 0, 0]]))
+        data, eval_data = (probe, None) if failure == "loss at" else (toy, probe)
+        if failure == "parameters after":
+            model = init_model([4, 8, 3], "relu", 1.0, seed=23)
+            data, eval_data = Dataset(toy.features * 1e2, toy.labels), None
+            cfg = dataclasses.replace(cfg, batch_size=data.n, lr=1e308)
+        memo, messages = {}, []
+
+        def fail():
+            with pytest.raises(ValueError, match=f"non-finite {failure} epoch 1") as e:
+                train(model, data, "asl", cfg, eval_data=eval_data, memo=memo)
+            messages.append(str(e.value))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert loop_runs(fail)
+            assert loop_runs(fail)
+        assert memo == {}
+        assert messages[0] == messages[1]
 
 
 class TestCheckpoint:
