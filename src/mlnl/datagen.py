@@ -133,8 +133,7 @@ def _cardinality_support(k: int) -> int:
 def _cardinality_pmf(lam: float, k: int) -> np.ndarray:
     """pmf over cardinalities {1..cmax} of 1 + Poisson(lam), truncated."""
     cmax = _cardinality_support(k)
-    logw = np.array([(c - 1) * math.log(lam) - math.lgamma(c) if lam > 0 else (0.0 if c == 1 else -np.inf)
-                     for c in range(1, cmax + 1)])
+    logw = np.array([(c - 1) * math.log(lam) - math.lgamma(c) for c in range(1, cmax + 1)])
     w = np.exp(logw - logw.max())
     return w / w.sum()
 
@@ -145,7 +144,7 @@ def _solve_cardinality_rate(target_mean: float, k: int) -> float:
     lo, hi = 0.0, 800.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        mean = float(cards @ _cardinality_pmf(mid, k)) if mid > 0 else 1.0
+        mean = float(cards @ _cardinality_pmf(mid, k))
         if mean < target_mean:
             lo = mid
         else:

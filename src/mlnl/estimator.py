@@ -28,28 +28,11 @@ from .numerics import logit, sigmoid
 
 
 @dataclass(eq=False)
-class RegulatorMatrix:
-    """Per-class mean softmax rows plus the sample counts behind them."""
-
-    matrix: np.ndarray        # (K, K); populated rows lie on the simplex
-    counts: np.ndarray        # (K,) samples per class
-    fallback_classes: list[int]  # classes with zero samples (uniform rows)
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(eq=False)
 class EstimationReport:
     raw: CorruptionMatrix
     scaled: CorruptionMatrix
     counts: np.ndarray
     fallback_classes: list[int]
-
-    @property
-    def k(self) -> int:
-        return self.raw.k
 
 
 def _class_sums(labels: np.ndarray, *values: np.ndarray):
@@ -83,30 +66,30 @@ def _report(raw: np.ndarray, counts: np.ndarray, fallback: list[int]) -> Estimat
         counts=counts, fallback_classes=fallback)
 
 
-def compute_regulators(model: MlpModel, pool: Dataset) -> RegulatorMatrix:
-    """Mean softmax prediction per class over a clean single-label pool."""
+def compute_regulators(model: MlpModel, pool: Dataset) -> np.ndarray:
+    """The (K, K) regulator matrix: row c is the mean softmax prediction over
+    the clean single-label pool's samples of class c, uniform if it has none."""
     if pool.n == 0:
         raise ValueError("single-label pool is empty")
     cards = pool.cardinalities()
     if not np.all(cards == 1):
         bad = int(np.argmax(cards != 1))
         raise ValueError(f"pool sample {bad} has {cards[bad]} positives; expected exactly 1")
-    k = pool.num_classes
-    (sums,), counts, fallback = _class_sums(pool.labels, forward(model, pool.features).p_soft)
-    return RegulatorMatrix(_class_means(sums, counts, 1.0 / k), counts, fallback)
+    (sums,), counts, _ = _class_sums(pool.labels, forward(model, pool.features).p_soft)
+    return _class_means(sums, counts, 1.0 / pool.num_classes)
 
 
 def estimate_galc_slr(model: MlpModel, estimation_set: Dataset,
-                      regulators: RegulatorMatrix) -> EstimationReport:
-    """Regulator-corrected corruption estimate over a multi-label estimation set."""
+                      reg: np.ndarray) -> EstimationReport:
+    """Regulator-corrected corruption estimate over a multi-label estimation
+    set; `reg` is the (K, K) matrix of compute_regulators."""
     if estimation_set.n == 0:
         raise ValueError("estimation set is empty")
     k = estimation_set.num_classes
-    if regulators.k != k:
+    if reg.shape != (k, k):
         raise ValueError("regulator matrix does not match class count")
     sig = forward(model, estimation_set.features).p_sig
     y = estimation_set.labels.astype(np.float64)
-    reg = regulators.matrix
     # For samples with class c positive:
     #   sum_i [ sig_i - (y_i @ reg - reg_c) + (card_i - 1) * reg_c ]
     # y_i @ reg is the sum of the regulator rows of sample i's labels.
@@ -161,4 +144,4 @@ def write_report(report: EstimationReport, prefix) -> None:
     write_matrix(report.scaled, f"{prefix}_scaled.csv")
     textio.write_lines(f"{prefix}_info.txt", ["class,count,fallback", *(
         f"{c},{int(report.counts[c])},{'yes' if c in report.fallback_classes else 'no'}"
-        for c in range(report.k))])
+        for c in range(report.raw.k))])

@@ -4,8 +4,9 @@ gold training) that `run_pipeline` and the staged CLI subcommands share,
 noise-ratio sweeps, and ablation grids.
 
 The master seed fans out into labeled sub-streams (datagen / test-split /
-gold-split / single-pool / noise / init / train) so toggling one stage never
-perturbs the others, and paired runs across methods share identical data.
+gold-split / single-pool / noise / silver-init / silver-train / gold-init /
+gold-train) so toggling one stage never perturbs the others, and paired runs
+across methods share identical data.
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ def train_gold(cfg: ExperimentConfig, out: Path, gold: Dataset, silver_noisy: Da
     if correction is not None:
         gold_mask = np.zeros(combined.n, dtype=bool)
         gold_mask[:gold.n] = True
-        mode = CorrectedMode(correction, gold_mask)
+        mode = CorrectedMode(correction.matrix, gold_mask)
     return _train_stage(cfg, out, "gold", combined, mode, test, "metrics.csv")
 
 

@@ -62,19 +62,17 @@ def mean_ap(score_matrix, labels) -> tuple[float, np.ndarray, list[int]]:
     return float(np.nanmean(per_class)), per_class, excluded
 
 
-def f1_scores(pred_probs, labels, threshold: float = 0.5) -> tuple[float, float]:
-    """CF1 and OF1 at the given threshold (prediction positive iff p >= threshold).
+def f1_scores(pred_probs, labels) -> tuple[float, float]:
+    """CF1 and OF1 at threshold 0.5 (prediction positive iff p >= 0.5).
 
     CF1 is the harmonic mean of macro-averaged precision and recall;
     zero-denominator classes contribute 0 to the macro means.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
     p = np.asarray(pred_probs, dtype=np.float64)
     y = np.asarray(labels).astype(bool)
     if p.shape != y.shape or p.ndim != 2:
         raise ValueError("predictions and labels must be 2-D and same shape")
-    pred = p >= threshold
+    pred = p >= 0.5
     tp = (pred & y).sum(axis=0).astype(np.float64)
     fp = (pred & ~y).sum(axis=0).astype(np.float64)
     fn = (~pred & y).sum(axis=0).astype(np.float64)

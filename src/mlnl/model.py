@@ -33,7 +33,6 @@ import numpy as np
 from . import textio
 from .datagen import Dataset
 from .metrics import MetricsReport, evaluate
-from .noise import CorruptionMatrix
 from .numerics import Interval, RandomStream, Settings, integer, one_of, rule, sigmoid, softmax
 
 ACTIVATIONS = ("tanh", "relu")
@@ -112,8 +111,7 @@ class CorrectedMode:
     gold_mask: np.ndarray | None = None  # bool per sample; None = all silver
 
     def effective_matrix(self, k: int) -> np.ndarray:
-        m = self.matrix.matrix if isinstance(self.matrix, CorruptionMatrix) else self.matrix
-        m = np.asarray(m, dtype=np.float64)
+        m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (k, k):
             raise ValueError(f"correction matrix shape {m.shape} does not match K={k}")
         return m

@@ -18,9 +18,18 @@ class TextFileError(ValueError):
 
 
 def write_lines(path, lines) -> None:
-    """Write each of `lines` followed by `\\n`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{line}\n" for line in lines)
+    """Write each of `lines` followed by `\\n`, whole or not at all: they go to
+    `<path>.partial`, which replaces `path` after the last line and is removed
+    if anything raises first, so `path` keeps its earlier bytes, if any."""
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 def numbered_lines(path, start: int = 0, end: int | None = None, blank: bool = False):

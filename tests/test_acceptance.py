@@ -184,7 +184,7 @@ class TestCriterion4MetricsOracles:
                 assert abs(per_class[c] - want) <= 1e-12
                 vals.append(want)
             assert abs(got_map - np.mean(vals)) <= 1e-12
-            got_cf1, got_of1 = f1_scores(scores, y, 0.5)
+            got_cf1, got_of1 = f1_scores(scores, y)
             want_cf1, want_of1 = self._f1_oracle(scores, y, 0.5)
             assert abs(got_cf1 - want_cf1) <= 1e-12
             assert abs(got_of1 - want_of1) <= 1e-12

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import errno
 import functools
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlnl import cli, estimator
+from mlnl import cli, estimator, textio
 from mlnl.cli import main
 from mlnl.datagen import Dataset, read_dataset, write_dataset
 from mlnl.harness import parse_config, run_pipeline
@@ -606,6 +607,67 @@ class TestErrors:
         assert not (out / "silver_model.mlpm").exists()
 
 
+class TestInterruptedWrites:
+    """A write that stops early leaves no file behind: when the k-th
+    textio.write_lines call runs out of disk after one line, the subcommand
+    exits 1 naming that file, no `*.partial` is left, and every file present
+    holds the bytes of a clean run. Each dataset is one chunk, so every line
+    is produced in this process."""
+
+    STEPS = (["gen-data"], ["inject-noise", "--eta", "0.3"])
+
+    @staticmethod
+    def out_of_space_after_one(lines, path):
+        lines = iter(lines)
+        yield next(lines)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    def staged(self, cfg, where, capsys, monkeypatch) -> tuple[list[int], str]:
+        """Run STEPS up to the first that fails, with `--out run` in the new
+        directory `where`, so resolved.cfg reads the same in every run; their
+        exit codes and stderr."""
+        where.mkdir()
+        monkeypatch.chdir(where)
+        capsys.readouterr()
+        codes = []
+        for step in self.STEPS:
+            codes.append(main(["--config", str(cfg), "--out", "run", *step]))
+            if codes[-1]:
+                break
+        return codes, capsys.readouterr().err
+
+    def test_every_write_lands_whole_or_not_at_all(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("gen.n = 120\ngen.d = 4\ngen.k = 4\ngen.mean_labels = 2.0\nseed = 3\n")
+        real = textio.write_lines
+        calls = []
+
+        def write_lines(path, lines):
+            calls.append(path)
+            if len(calls) == failing + 1:
+                lines = self.out_of_space_after_one(lines, path)
+            real(path, lines)
+
+        monkeypatch.setattr(textio, "write_lines", write_lines)
+        failing = -1
+        codes, _ = self.staged(cfg, tmp_path / "clean", capsys, monkeypatch)
+        assert codes == [0, 0]
+        clean = {p.name: p.read_bytes() for p in (tmp_path / "clean" / "run").iterdir()}
+        writes = len(calls)
+        assert writes >= 10
+
+        for failing in range(writes):
+            calls.clear()
+            codes, err = self.staged(cfg, tmp_path / f"fail{failing}", capsys, monkeypatch)
+            out = tmp_path / f"fail{failing}" / "run"
+            assert codes[-1] == 1 and set(codes[:-1]) <= {0}, failing
+            assert f"error: [Errno {errno.ENOSPC}]" in err and str(calls[-1]) in err
+            assert "Traceback" not in err
+            assert not list(out.glob("*.partial"))
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+                name: clean[name] for name in {p.name for p in out.iterdir()}}
+
+
 class TestAblateCommand:
     def test_limit_axis(self, tmp_path, cfg_file):
         out = tmp_path / "ab"
@@ -842,6 +904,20 @@ class TestTooling:
                 if name in ("write_text", "write_bytes") or (name == "open" and not reads):
                     writers.append(f"{path.name}:{node.lineno}")
         assert writers == []
+
+    def test_only_textio_renames_files(self):
+        """Only textio.write_lines moves a file onto another name: a file the
+        package writes lands whole, through its one `<path>.partial` rename."""
+        renames = []
+        for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os" \
+                        and node.attr in ("replace", "rename", "renames"):
+                    renames.append(f"{path.name}:os.{node.attr}")
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    renames += [f"{path.name}:os.{a.name}" for a in node.names
+                                if a.name in ("replace", "rename", "renames")]
+        assert renames == ["textio.py:os.replace"]
 
     def test_no_module_splits_lines_its_own_way(self):
         """No module calls .splitlines(): textio.numbered_lines, where a line

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlnl.datagen import (MAX_CLASSES, Dataset, GenConfig, SplitSpec, _base_weights, _row_means,
-                          _sample_labels, build_single_label_pool, datasets_equal, generate,
-                          read_dataset, split_gold_silver, strip_single_label, write_dataset)
+from mlnl.datagen import (MAX_CLASSES, Dataset, GenConfig, SplitSpec, _base_weights,
+                          _cardinality_pmf, _cardinality_support, _row_means, _sample_labels,
+                          _solve_cardinality_rate, build_single_label_pool, datasets_equal,
+                          generate, read_dataset, split_gold_silver, strip_single_label,
+                          write_dataset)
 from mlnl.numerics import RandomStream
 
 
@@ -40,6 +42,30 @@ class TestDatasetInvariants:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.ones((2, 4), dtype=np.uint8))
+
+
+class TestCardinalityRate:
+    """Every mean GenConfig allows is at least 2, and a rate near 0 gives a
+    mean near 1, so the bisection over (0, 800) only tries positive rates. A
+    mean the truncated support cannot reach drives the rate to 800."""
+
+    @pytest.mark.parametrize("k, mean", [
+        (k, mean) for k in (2, 3, 8, 20, 50, 1000)
+        for mean in sorted({2.0, 2.4, (2 + k) / 2, float(k)}) if mean <= k])
+    def test_rate_is_positive_and_capped(self, k, mean):
+        lam = _solve_cardinality_rate(mean, k)
+        pmf = _cardinality_pmf(lam, k)
+        assert 0.0 < lam <= 800.0
+        assert abs(pmf.sum() - 1.0) <= 1e-12
+        got = float(np.arange(1, _cardinality_support(k) + 1) @ pmf)
+        if lam < 800.0:
+            assert abs(got - mean) <= 1e-9
+        else:
+            assert got < mean
+
+    @pytest.mark.parametrize("k, mean", [(2, 2.0), (3, 2.0), (3, 2.5), (8, 8.0), (1000, 1000.0)])
+    def test_unreachable_mean_reaches_the_cap(self, k, mean):
+        assert _solve_cardinality_rate(mean, k) == 800.0
 
 
 class TestGenerate:

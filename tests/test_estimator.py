@@ -35,7 +35,7 @@ class TestComputeRegulators:
     def test_uniform_model_gives_uniform_rows(self):
         pool = single_label_pool(3)
         regs = compute_regulators(uniform_softmax_model(), pool)
-        np.testing.assert_allclose(regs.matrix, np.full((6, 6), 1 / 6), atol=1e-15)
+        np.testing.assert_allclose(regs, np.full((6, 6), 1 / 6), atol=1e-15)
 
     def test_single_sample_class_is_exact(self):
         pool = single_label_pool(1, seed=3)
@@ -45,9 +45,9 @@ class TestComputeRegulators:
         for c in range(6):
             idx = int(np.argmax(pool.labels[:, c]))
             # mean of one sample: bit-equal to that sample's batched prediction
-            np.testing.assert_array_equal(regs.matrix[c], batched[idx])
+            np.testing.assert_array_equal(regs[c], batched[idx])
             # and equal to the standalone forward up to BLAS kernel rounding
-            np.testing.assert_allclose(regs.matrix[c],
+            np.testing.assert_allclose(regs[c],
                                        forward(m, pool.features[idx]).p_soft, atol=1e-14)
 
     def test_matches_loop_oracle(self):
@@ -57,18 +57,17 @@ class TestComputeRegulators:
         soft = forward(m, pool.features).p_soft
         for c in range(6):
             members = [soft[i] for i in range(pool.n) if pool.labels[i, c]]
-            np.testing.assert_allclose(regs.matrix[c], np.mean(members, axis=0), atol=1e-12)
+            np.testing.assert_allclose(regs[c], np.mean(members, axis=0), atol=1e-12)
 
     def test_rows_on_simplex(self):
         pool = single_label_pool(5, seed=5)
         regs = compute_regulators(init_model([5, 7, 6], "tanh", 1.0, seed=3), pool)
-        np.testing.assert_allclose(regs.matrix.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(regs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_missing_class_falls_back_uniform(self):
         pool = single_label_pool(4, skip=(2,), seed=6)
         regs = compute_regulators(init_model([5, 7, 6], "tanh", 1.0, seed=4), pool)
-        assert regs.fallback_classes == [2]
-        np.testing.assert_allclose(regs.matrix[2], np.full(6, 1 / 6))
+        np.testing.assert_allclose(regs[2], np.full(6, 1 / 6))
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError, match="empty"):
@@ -106,9 +105,9 @@ class TestEstimateGalcSlr:
         labels[0, 4] = 1
         rep = estimate_galc_slr(m, Dataset(x, labels), regs)
         s = forward(m, x[0]).p_sig
-        np.testing.assert_allclose(rep.raw.matrix[1], s - regs.matrix[4] + regs.matrix[1],
+        np.testing.assert_allclose(rep.raw.matrix[1], s - regs[4] + regs[1],
                                    atol=1e-12)
-        np.testing.assert_allclose(rep.raw.matrix[4], s - regs.matrix[1] + regs.matrix[4],
+        np.testing.assert_allclose(rep.raw.matrix[4], s - regs[1] + regs[4],
                                    atol=1e-12)
 
     def test_matches_literal_pseudocode_oracle(self):
@@ -140,9 +139,9 @@ class TestEstimateGalcSlr:
                 for p in range(k):
                     if p != c and labels[i, p]:
                         n_other += 1
-                        regulators += regs.matrix[p]
+                        regulators += regs[p]
                 want[c] += sig[i] - regulators
-                want[c] += regs.matrix[c] * n_other
+                want[c] += regs[c] * n_other
             want[c] /= count
         np.testing.assert_allclose(rep.raw.matrix, want, atol=1e-10)
 
@@ -162,6 +161,11 @@ class TestEstimateGalcSlr:
         np.testing.assert_allclose(rep.raw.matrix[4], logit(np.full(6, 1 / 6)))
         np.testing.assert_allclose(rep.scaled.matrix[4], np.full(6, 1 / 6), atol=1e-12)
 
+    def test_rejects_regulators_of_another_class_count(self):
+        pool = single_label_pool(2)
+        with pytest.raises(ValueError, match="regulator matrix does not match class count"):
+            estimate_galc_slr(uniform_softmax_model(), pool, np.full((5, 5), 1 / 5))
+
     def test_deterministic(self):
         pool = single_label_pool(5, seed=15)
         m = init_model([5, 7, 6], "tanh", 1.0, seed=10)
@@ -177,7 +181,7 @@ class TestEstimateGlc:
         m = init_model([5, 7, 6], "tanh", 1.0, seed=11)
         regs = compute_regulators(m, pool)
         rep = estimate_glc(m, pool, readout="softmax")
-        np.testing.assert_array_equal(rep.raw.matrix, regs.matrix)
+        np.testing.assert_array_equal(rep.raw.matrix, regs)
 
     def test_sampling_oracle_convergence(self):
         # a predictor that outputs the true corruption row for each sample's
@@ -296,10 +300,11 @@ class TestPinnedDigests:
     """SHA-256 of every array, count and fallback list the estimators return,
     taken from the per-estimator class loops before they shared one kernel.
     The pool lacks class 4 and the estimation set lacks class 1, so both
-    fallback rows are covered."""
+    fallback rows are covered. The regulators pin covers the matrix alone,
+    taken while compute_regulators still wrapped it with counts."""
 
     DIGESTS = {
-        "regulators": "8ae4df647f65ec8cd994eedf678bf57af21966e9a1457bd1b43ba123c452eecb",
+        "regulators": "b19a7aeee8e2ab4454f37c09fc7fce002905ebcad6c54c7fd9d2128e3a5476aa",
         "galc_slr": "abe055b58dd285afef7b876cde2d985208ced982b1afe49006b48995fcaf2cbd",
         "glc_softmax": "ce5b64519069fd95d5ea0ff470a022e98be42b18c13f58e2505fa4635fc43f33",
         "glc_sigmoid": "58eb84ae31ca6cf6f6c72c734a81416cfcc3045b4526b655cbcf812316defd6d",
@@ -333,7 +338,6 @@ class TestPinnedDigests:
         }
 
     def test_fallbacks(self, reports):
-        assert reports["regulators"].fallback_classes == [4]
         for name in ("galc_slr", "glc_softmax", "glc_sigmoid"):
             assert reports[name].fallback_classes == [1]
 
@@ -341,7 +345,7 @@ class TestPinnedDigests:
     def test_bytes_pinned(self, reports, name):
         rep = reports[name]
         if name == "regulators":
-            got = self.digest(rep.matrix, rep.counts, rep.fallback_classes)
+            got = self.digest(rep)
         else:
             got = self.digest(rep.raw.matrix, rep.raw.kind, rep.scaled.matrix, rep.scaled.kind,
                               rep.counts, rep.fallback_classes)

@@ -71,7 +71,8 @@ def corrected_run(mode_of):
 def galc_normalized_raw(data, silver, gold_mask):
     regs = estimator.compute_regulators(silver, data.singles_pool)
     report = estimator.estimate_galc_slr(silver, data.gold, regs)
-    return CorrectedMode(harness.training_matrix(report, "normalized_raw"), gold_mask)
+    return CorrectedMode(harness.training_matrix(report, "normalized_raw").matrix,
+                         gold_mask)
 
 
 def unnormalized_all_silver(data, silver, gold_mask):

@@ -150,19 +150,19 @@ class TestF1Scores:
         rng = np.random.default_rng(1)
         y = (rng.uniform(size=(20, 4)) < 0.5).astype(np.uint8)
         y[y.sum(axis=1) == 0, 0] = 1
-        cf1, of1 = f1_scores(y.astype(float), y, 0.5)
+        cf1, of1 = f1_scores(y.astype(float), y)
         assert cf1 == 1.0 and of1 == 1.0
 
     def test_all_negative_gives_zero(self):
         y = np.ones((10, 3), dtype=np.uint8)
-        cf1, of1 = f1_scores(np.zeros((10, 3)), y, 0.5)
+        cf1, of1 = f1_scores(np.zeros((10, 3)), y)
         assert of1 == 0.0 and cf1 == 0.0
 
     def test_confusion_count_oracle(self):
         rng = np.random.default_rng(4)
         p = rng.uniform(size=(50, 8))
         y = (rng.uniform(size=(50, 8)) < 0.35).astype(np.uint8)
-        cf1, of1 = f1_scores(p, y, 0.5)
+        cf1, of1 = f1_scores(p, y)
 
         pred = p >= 0.5
         precs, recs = [], []
@@ -182,10 +182,6 @@ class TestF1Scores:
         want_of1 = 2 * op * orc / (op + orc) if op + orc else 0.0
         assert abs(cf1 - want_cf1) <= 1e-12
         assert abs(of1 - want_of1) <= 1e-12
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            f1_scores(np.zeros((2, 2)), np.zeros((2, 2)), 1.5)
 
 
 class TestEvaluate:

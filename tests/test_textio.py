@@ -36,6 +36,34 @@ class TestWriteLines:
         textio.write_lines(path, iter([]))
         assert path.read_bytes() == b""
 
+    def test_a_finished_write_replaces_the_file_whole(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"a much longer earlier text\n" * 3)
+        textio.write_lines(path, ["new"])
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @staticmethod
+    def raising_after(k, error):
+        yield from (f"line {i}" for i in range(k))
+        raise error
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["oserror", "interrupt"])
+    @pytest.mark.parametrize("earlier", [None, b"earlier\n"], ids=["new", "earlier"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_a_write_that_raises_leaves_the_file_as_it_was(self, tmp_path, k, earlier, error):
+        path = tmp_path / "out.txt"
+        if earlier is not None:
+            path.write_bytes(earlier)
+        with pytest.raises(type(error)):
+            textio.write_lines(path, self.raising_after(k, error))
+        if earlier is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_bytes() == earlier
+
 
 class TestNumberedLines:
     @settings(max_examples=200)
