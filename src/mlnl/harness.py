@@ -15,7 +15,7 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -57,8 +57,8 @@ def _hidden(sizes):
 @dataclass
 class ExperimentConfig(Settings):
     gen: GenConfig = field(default_factory=lambda: GenConfig(
-        n=12000, d=32, k=8, mean_labels_per_sample=2.4, feature_noise_sigma=1.8,
-        imbalance_exponent=1.0, correlation_strength=0.7, seed=0))
+        n=12000, d=32, k=8, feature_noise_sigma=1.8, imbalance_exponent=1.0,
+        correlation_strength=0.7))
     etas: tuple[float, ...] = rule(_etas, default=(0.0, 0.2, 0.4, 0.6))
     noise_mode: str = rule(one_of(noise.NOISE_MODES), default="exact_count")
     trusted_fraction: float = rule(datagen.TRUSTED_FRACTION, default=0.10)
@@ -68,10 +68,8 @@ class ExperimentConfig(Settings):
     asl: AslParams = field(default_factory=AslParams)
     hidden: tuple[int, ...] = rule(_hidden, default=(64,))
     activation: str = rule(one_of(ACTIVATIONS), default="tanh")
-    silver: TrainConfig = field(default_factory=lambda: TrainConfig(
-        epochs=40, batch_size=64, lr=2e-3, optimizer="adam", init_scale=1.0))
-    gold: TrainConfig = field(default_factory=lambda: TrainConfig(
-        epochs=40, batch_size=64, lr=2e-3, optimizer="adam", init_scale=1.0))
+    silver: TrainConfig = field(default_factory=lambda: TrainConfig(lr=2e-3))
+    gold: TrainConfig = field(default_factory=lambda: TrainConfig(lr=2e-3))
     estimator_method: str = rule(one_of(METHODS), default="galc_slr")
     estimation_set: str = rule(one_of(("gold", "silver")), default="gold")
     glc_readout: str = rule(one_of(estimator.GLC_READOUTS), default="softmax")
@@ -101,48 +99,37 @@ class ConfigKey(NamedTuple):
         return getattr(owner, attr)
 
 
-def _parse_floats(value: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in value.replace(",", " ").split())
-
-
-def _parse_ints(value: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in value.replace(",", " ").split())
+def _parse_list(kind):
+    return lambda value: tuple(kind(t) for t in value.replace(",", " ").split())
 
 
 def _dashes(value: str) -> str:
     return value.replace("-", "_")
 
 
-def _train_keys(section: str) -> list[ConfigKey]:
-    return [ConfigKey(f"{section}.{attr}", f"{section}.{attr}", parse)
-            for attr, parse in (("epochs", int), ("batch_size", int), ("lr", float),
-                                ("optimizer", str), ("init_scale", float))]
+def _section_keys(section: str, cls, **names) -> list[ConfigKey]:
+    """A key `<section>.<attr>` (or `<section>.<names[attr]>`) for each field
+    of a nested config but its derived seed, parsed by the field's type."""
+    types = get_type_hints(cls)
+    return [ConfigKey(f"{section}.{names.get(f.name, f.name)}", f"{section}.{f.name}",
+                      types[f.name]) for f in dataclasses.fields(cls) if f.name != "seed"]
 
 
 # Every settable field except the derived seeds of the nested configs, in
 # the order resolved.cfg echoes them.
 CONFIG_KEYS: tuple[ConfigKey, ...] = (
-    ConfigKey("gen.n", "gen.n", int),
-    ConfigKey("gen.d", "gen.d", int),
-    ConfigKey("gen.k", "gen.k", int),
-    ConfigKey("gen.mean_labels", "gen.mean_labels_per_sample", float),
-    ConfigKey("gen.feature_noise_sigma", "gen.feature_noise_sigma", float),
-    ConfigKey("gen.imbalance_exponent", "gen.imbalance_exponent", float),
-    ConfigKey("gen.correlation_strength", "gen.correlation_strength", float),
-    ConfigKey("noise.eta", "etas", _parse_floats),
+    *_section_keys("gen", GenConfig, mean_labels_per_sample="mean_labels"),
+    ConfigKey("noise.eta", "etas", _parse_list(float)),
     ConfigKey("noise.mode", "noise_mode", str),
     ConfigKey("split.trusted_fraction", "trusted_fraction", float),
     ConfigKey("data.test_fraction", "test_fraction", float),
     ConfigKey("data.single_label_limit", "single_label_limit",
               lambda v: None if v in ("unlimited", "none") else int(v)),
-    ConfigKey("asl.gamma_plus", "asl.gamma_plus", float),
-    ConfigKey("asl.gamma_minus", "asl.gamma_minus", float),
-    ConfigKey("asl.margin", "asl.margin", float),
-    ConfigKey("asl.clamp_eps", "asl.clamp_eps", float),
-    ConfigKey("model.hidden", "hidden", _parse_ints),
+    *_section_keys("asl", AslParams),
+    ConfigKey("model.hidden", "hidden", _parse_list(int)),
     ConfigKey("model.activation", "activation", str),
-    *_train_keys("silver"),
-    *_train_keys("gold"),
+    *_section_keys("silver", TrainConfig),
+    *_section_keys("gold", TrainConfig),
     ConfigKey("estimator.method", "estimator_method", _dashes),
     ConfigKey("estimator.estimation_set", "estimation_set", str),
     ConfigKey("estimator.glc_readout", "glc_readout", str),
@@ -293,8 +280,9 @@ def run_dir(cfg: ExperimentConfig, outdir) -> Path:
 # these; each stage takes its seeds from the master seed by label and its
 # layer sizes from the data, and writes its own files into the run directory
 # `out`, so the same inputs give the same bytes however the stages are
-# strung together. _STAGE_FILES matches every file they write.
-_STAGE_FILES = ("true_matrix.csv", "silver_*", "chat*", "gold_model.mlpm", "metrics.csv")
+# strung together. _STAGE_FILES matches every file they write, and the
+# `<file>.partial` that a killed write leaves (see textio.write_lines).
+_STAGE_FILES = ("true_matrix.csv*", "silver_*", "chat*", "gold_model.mlpm*", "metrics.csv*")
 
 
 def inject_noise(cfg: ExperimentConfig, out: Path, silver_clean: Dataset, eta: float):
@@ -472,9 +460,9 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
 
 
 def _read_csv(path, header: str, parse_row) -> list:
-    """The rows of a CSV file written under `header`, each parsed from its
-    fields by `parse_row`; a malformed row raises ValueError at path:line,
-    and so does a file without rows."""
+    """The rows of a CSV file written under `header`, each parsed by
+    `parse_row` from its fields and the (line, row) pairs above it; a
+    malformed row raises ValueError at path:line, and a file without rows at path."""
     lines = textio.numbered_lines(path)
     lineno, first = next(lines, (1, None))
     if first != header:
@@ -485,39 +473,39 @@ def _read_csv(path, header: str, parse_row) -> list:
         try:
             if len(fields) != header.count(",") + 1:
                 raise ValueError(f"expected {header.count(',') + 1} fields, got {len(fields)}")
-            rows.append(parse_row(fields))
+            rows.append((lineno, parse_row(fields, rows)))
         except ValueError as e:
             raise textio.located(path, lineno, e) from None
     if not rows:
         raise textio.located(path, None, "no data rows")
-    return rows
+    return [row for _, row in rows]
 
 
 def _finite(name: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {text!r}") from None
+    value = textio.parse_number(name, text)
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def _summary_row(fields):
+def _summary_row(fields, above):
     method, eta, *scores, frobenius = fields
     if method not in SWEEP_METHODS:
         raise ValueError(f"method must be one of {SWEEP_METHODS}, got {method!r}")
     if frobenius:  # empty for a run without a correction matrix
         _finite("frobenius_to_true", frobenius)
-    return method, _finite("eta", eta), {
+    eta = _finite("eta", eta)
+    for lineno, row in above:  # run_sweep writes one row per cell
+        if row[:2] == (method, eta):
+            raise ValueError(f"method {method} at eta {eta!r} repeats line {lineno}")
+    return method, eta, {
         metric: _finite(metric, text) for metric, text in zip(("map", "cf1", "of1"), scores)}
 
 
-def _epoch_row(fields):
-    try:
-        epoch = int(fields[0])
-    except ValueError:
-        raise ValueError(f"epoch must be an integer, got {fields[0]!r}") from None
+def _epoch_row(fields, above):
+    epoch = textio.parse_number("epoch", fields[0], int)
+    if epoch != len(above) + 1:
+        raise ValueError(f"expected epoch {len(above) + 1}, got {epoch}")
     return epoch, _finite("map", fields[2])
 
 
@@ -526,7 +514,8 @@ def plot_sweep(outdir) -> None:
     curves from summary.csv, with each method's points in noise-ratio order,
     and the per-epoch test mAP of every method's run at the highest noise ratio
     from that run's metrics.csv. Every file is read, and a non-finite eta,
-    score or frobenius_to_true rejected at path:line, before any SVG is drawn."""
+    score or frobenius_to_true, a repeated method and eta, or an epoch out of
+    the order 1, 2, ... rejected at path:line, before any SVG is drawn."""
     out = Path(outdir)
     cells: dict[str, dict[float, dict[str, float]]] = {}
     for method, eta, scores in sorted(

@@ -250,9 +250,10 @@ def read_matrix(path) -> CorruptionMatrix:
                 kind = fields.get("kind", KIND_RAW)
                 if kind not in _KINDS:
                     raise ValueError(f"unknown kind {kind!r}")
-                k = int(fields["K"]) if "K" in fields else None
+                k = textio.parse_number("K", fields["K"], int) if "K" in fields else None
                 # NoiseSpec's rule rejects an eta outside ETA_RANGE
-                eta = NoiseSpec(float(fields["eta"])).eta if "eta" in fields else None
+                eta = (NoiseSpec(textio.parse_number("eta", fields["eta"])).eta
+                       if "eta" in fields else None)
                 header_line = lineno
                 continue
             rows.append(textio.float_row(text, len(rows[0]) if rows else None, sep=","))

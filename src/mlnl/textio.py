@@ -66,6 +66,15 @@ def float_row(text: str, width: int | None, noun: str = "values", sep=None) -> l
     return list(map(float, tokens))
 
 
+def parse_number(name: str, text: str, kind=float):
+    """`text` as a `kind` (float or int); a ValueError names the field `name`."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {text!r}") from None
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on; 1 off Linux, where no worker is forked."""
     return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,8 +197,10 @@ class TestSweepAndPlot:
          "frobenius_to_true must be a number, got 'not-a-number'"),
         ("galc_slr,0.0,0.5,0.5,0.5,inf\n", 2, "frobenius_to_true must be finite, got inf"),
         ("none,zero,0.5,0.5,0.5,\n", 2, "eta must be a number, got 'zero'"),
+        ("none,0.4,0.5,0.5,0.5,\nnone,0.4,0.6,0.6,0.6,\n", 3,
+         "method none at eta 0.4 repeats line 2"),
     ], ids=["header", "fields", "method", "nan-map", "text-frobenius", "inf-frobenius",
-            "text-eta"])
+            "text-eta", "repeated-cell"])
     def test_plot_names_the_line_of_a_bad_summary(self, tmp_path, capsys, text, lineno,
                                                   problem):
         out = tmp_path / "sweep"
@@ -214,7 +217,8 @@ class TestSweepAndPlot:
     @pytest.mark.parametrize("row, problem", [
         ("2,test,inf,0.4,0.4,0.8", "map must be finite, got inf"),
         ("one,test,0.4,0.4,0.4,0.8", "epoch must be an integer, got 'one'"),
-    ], ids=["inf-map", "text-epoch"])
+        ("1,test,0.4,0.4,0.4,0.8", "expected epoch 2, got 1"),
+    ], ids=["inf-map", "text-epoch", "repeated-epoch"])
     def test_plot_names_the_line_of_a_non_finite_epoch_score(self, tmp_path, capsys, row,
                                                              problem):
         out = tmp_path / "sweep"
@@ -622,6 +626,22 @@ class TestInterruptedWrites:
         yield next(lines)
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
 
+    def fail_write(self, monkeypatch) -> SimpleNamespace:
+        """Patch textio.write_lines to append each path it is given to
+        `writes.calls` and to run out of disk after one line in the call of
+        index `writes.failing` (-1 fails none); returns `writes`."""
+        writes = SimpleNamespace(calls=[], failing=-1)
+        real = textio.write_lines
+
+        def write_lines(path, lines):
+            writes.calls.append(path)
+            if len(writes.calls) == writes.failing + 1:
+                lines = self.out_of_space_after_one(lines, path)
+            real(path, lines)
+
+        monkeypatch.setattr(textio, "write_lines", write_lines)
+        return writes
+
     def staged(self, cfg, where, capsys, monkeypatch) -> tuple[list[int], str]:
         """Run STEPS up to the first that fails, with `--out run` in the new
         directory `where`, so resolved.cfg reads the same in every run; their
@@ -639,33 +659,69 @@ class TestInterruptedWrites:
     def test_every_write_lands_whole_or_not_at_all(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("gen.n = 120\ngen.d = 4\ngen.k = 4\ngen.mean_labels = 2.0\nseed = 3\n")
-        real = textio.write_lines
-        calls = []
-
-        def write_lines(path, lines):
-            calls.append(path)
-            if len(calls) == failing + 1:
-                lines = self.out_of_space_after_one(lines, path)
-            real(path, lines)
-
-        monkeypatch.setattr(textio, "write_lines", write_lines)
-        failing = -1
+        writes = self.fail_write(monkeypatch)
         codes, _ = self.staged(cfg, tmp_path / "clean", capsys, monkeypatch)
         assert codes == [0, 0]
         clean = {p.name: p.read_bytes() for p in (tmp_path / "clean" / "run").iterdir()}
-        writes = len(calls)
-        assert writes >= 10
+        count = len(writes.calls)
+        assert count >= 10
 
-        for failing in range(writes):
-            calls.clear()
+        for failing in range(count):
+            writes.calls.clear()
+            writes.failing = failing
             codes, err = self.staged(cfg, tmp_path / f"fail{failing}", capsys, monkeypatch)
             out = tmp_path / f"fail{failing}" / "run"
             assert codes[-1] == 1 and set(codes[:-1]) <= {0}, failing
-            assert f"error: [Errno {errno.ENOSPC}]" in err and str(calls[-1]) in err
+            assert f"error: [Errno {errno.ENOSPC}]" in err and str(writes.calls[-1]) in err
             assert "Traceback" not in err
             assert not list(out.glob("*.partial"))
             assert {p.name: p.read_bytes() for p in out.iterdir()} == {
                 name: clean[name] for name in {p.name for p in out.iterdir()}}
+
+    def test_every_write_of_a_sweep_lands_whole_or_not_at_all(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """The same over a tiny sweep, whose cells fail alone: the failed
+        write's path is on stderr or, for a cell's write, in failures.log.
+        Only failures.log, summary.csv and the plots drawn from it may differ
+        from a clean run's, and summary.csv holds the clean rows of exactly
+        the cells that failures.log does not name."""
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("gen.n = 120\ngen.d = 4\ngen.k = 4\ngen.mean_labels = 2.0\n"
+                       "noise.eta = 0.3\nsilver.epochs = 1\ngold.epochs = 1\nseed = 3\n")
+        writes = self.fail_write(monkeypatch)
+
+        def sweep(where) -> tuple[int, str, dict]:
+            where.mkdir()
+            monkeypatch.chdir(where)  # `--out run`, so resolved.cfg reads the same
+            capsys.readouterr()
+            code = main(["--config", str(cfg), "--out", "run", "sweep"])
+            files = {p.relative_to(where / "run").as_posix(): p.read_bytes()
+                     for p in (where / "run").rglob("*") if p.is_file()}
+            return code, capsys.readouterr().err, files
+
+        code, _, clean = sweep(tmp_path / "clean")
+        assert code == 0
+        header, *rows = clean["summary.csv"].decode().splitlines()
+        assert len(rows) == 3
+        count = len(writes.calls)
+        assert count >= 20
+
+        for failing in range(count):
+            writes.calls.clear()
+            writes.failing = failing
+            code, err, files = sweep(tmp_path / f"fail{failing}")
+            log = files.get("failures.log", b"").decode()
+            assert code == 1, failing
+            assert str(writes.calls[failing]) in err + log, failing
+            assert "Traceback" not in err
+            assert not [name for name in files if name.endswith(".partial")]
+            kept = {name: data for name, data in files.items()
+                    if name not in ("failures.log", "summary.csv")
+                    and not name.startswith("sweep_")}
+            assert kept == {name: clean.get(name) for name in kept}, failing
+            if "summary.csv" in files:
+                assert files["summary.csv"].decode().splitlines() == [header, *(
+                    row for row in rows if f" method={row.split(',')[0]}: " not in log)]
 
 
 class TestAblateCommand:

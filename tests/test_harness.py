@@ -596,6 +596,9 @@ class TestRunSweep:
         run_sweep(cfg, tmp_path)
         clean = {p.name: p.read_bytes() for p in (tmp_path / "eta0.3_none").iterdir()}
         assert len(list((tmp_path / "eta0.3_galc_slr").iterdir())) == 10
+        for name in ("gold_model.mlpm", "metrics.csv", "silver_model.mlpm", "true_matrix.csv"):
+            # what a write killed before its os.replace leaves
+            (tmp_path / "eta0.3_galc_slr" / f"{name}.partial").write_text("cut short\n")
 
         def fail(model, pool):
             raise ValueError("regulators unavailable")

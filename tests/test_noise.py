@@ -345,6 +345,16 @@ class TestMatrixFile:
                                              rf"\[0,1\), got {re.escape(repr(float(eta)))}$"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("field, problem", [("K=abc", "K must be an integer, got 'abc'"),
+                                                ("eta=zz", "eta must be a number, got 'zz'")],
+                             ids=["K", "eta"])
+    def test_unparsable_header_number_is_named_at_the_header_line(self, tmp_path, field,
+                                                                  problem):
+        path = tmp_path / "header.csv"
+        path.write_text(f"# kind=true_row_stochastic {field}\n0.5,0.5\n0.5,0.5\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: {problem}$"):
+            read_matrix(path)
+
     def test_ragged_row_cites_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("# kind=estimated_raw K=2\n0.5,0.5\n0.25\n")
