@@ -6,11 +6,13 @@ noise-ratio sweeps, and ablation grids.
 The master seed fans out into labeled sub-streams (datagen / test-split /
 gold-split / single-pool / noise / silver-init / silver-train / gold-init /
 gold-train) so toggling one stage never perturbs the others, and paired runs
-across methods share identical data.
+across methods share identical data. On two or more CPUs, a grid's forked
+workers run its batch loops ahead, and its stages replay them here.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ from . import datagen, estimator, noise, svgplot, textio
 from .datagen import Dataset, GenConfig, SplitSpec
 from .metrics import MetricsReport
 from .model import (ACTIVATIONS, AslParams, CorrectedMode, EpochStats, MlpModel, TrainConfig,
-                    init_model, save_model, train)
+                    init_model, record_trajectory, save_model, train)
 from .noise import CorruptionMatrix, NoiseSpec
 from .numerics import Interval, RandomStream, Settings, integer, one_of, rule
 
@@ -285,23 +287,35 @@ def run_dir(cfg: ExperimentConfig, outdir) -> Path:
 _STAGE_FILES = ("true_matrix.csv*", "silver_*", "chat*", "gold_model.mlpm*", "metrics.csv*")
 
 
+def _noisy_split(cfg: ExperimentConfig, silver_clean: Dataset, eta: float):
+    """The silver split corrupted at noise ratio `eta`, its FlipLog and the
+    symmetric matrix at `eta`."""
+    spec = NoiseSpec(eta, seed=RandomStream(cfg.seed).derive_seed("noise"), mode=cfg.noise_mode)
+    noisy, log = noise.inject(silver_clean, spec)
+    return noisy, log, noise.symmetric_matrix(silver_clean.num_classes, eta)
+
+
 def inject_noise(cfg: ExperimentConfig, out: Path, silver_clean: Dataset, eta: float):
     """Corrupt the silver split at noise ratio `eta` and write the symmetric
     matrix at `eta` to true_matrix.csv; returns (noisy, FlipLog, that matrix)."""
-    spec = NoiseSpec(eta, seed=RandomStream(cfg.seed).derive_seed("noise"), mode=cfg.noise_mode)
-    noisy, log = noise.inject(silver_clean, spec)
-    true_c = noise.symmetric_matrix(silver_clean.num_classes, eta)
+    noisy, log, true_c = _noisy_split(cfg, silver_clean, eta)
     noise.write_matrix(true_c, out / "true_matrix.csv")
     return noisy, log, true_c
 
 
-def _train_stage(cfg: ExperimentConfig, out: Path, stage: str, data: Dataset, loss_mode,
-                 test: Dataset, metrics_file: str, memo: dict | None = None):
+def _stage_start(cfg: ExperimentConfig, stage: str, data: Dataset):
+    """The seeded initial model and the TrainConfig, with its derived seed,
+    of the "silver" or "gold" stage training on `data`."""
     root = RandomStream(cfg.seed)
     train_cfg = getattr(cfg, stage)
     model0 = init_model([data.num_features, *cfg.hidden, data.num_classes], cfg.activation,
                         train_cfg.init_scale, seed=root.derive_seed(f"{stage}-init"))
-    train_cfg = dataclasses.replace(train_cfg, seed=root.derive_seed(f"{stage}-train"))
+    return model0, dataclasses.replace(train_cfg, seed=root.derive_seed(f"{stage}-train"))
+
+
+def _train_stage(cfg: ExperimentConfig, out: Path, stage: str, data: Dataset, loss_mode,
+                 test: Dataset, metrics_file: str, memo: dict | None):
+    model0, train_cfg = _stage_start(cfg, stage, data)
     model, history = train(model0, data, loss_mode, train_cfg, cfg.asl, eval_data=test,
                            memo=memo)
     save_model(model, out / f"{stage}_model.mlpm")
@@ -339,36 +353,53 @@ def estimate_correction(cfg: ExperimentConfig, out: Path, method: str,
     _check_method(method)  # before an earlier estimate is removed
     for path in [out / "chat.csv", *out.glob("chat_*")]:  # chat_* is write_report's
         path.unlink(missing_ok=True)
+    matrix, report = _correction(cfg, method, true_matrix, gold, silver_model, singles_pool,
+                                 silver_noisy)
+    if report is not None:
+        estimator.write_report(report, out / "chat")
+    if matrix is not None:
+        noise.write_matrix(matrix, out / "chat.csv")
+    return matrix, report
+
+
+def _correction(cfg: ExperimentConfig, method: str, true_matrix: CorruptionMatrix | None,
+                gold: Dataset, silver_model: MlpModel | None, singles_pool: Dataset | None,
+                silver_noisy: Dataset | None):
+    """estimate_correction's (matrix or None, report or None), with no file
+    read or written."""
     if method == "none":
         return None, None
     if method == "true_matrix":
-        matrix, report = true_matrix, None
-    elif method == "galc_slr":
+        return true_matrix, None
+    if method == "galc_slr":
         regs = estimator.compute_regulators(silver_model, singles_pool)
         est_set = gold if cfg.estimation_set == "gold" else silver_noisy
         report = estimator.estimate_galc_slr(silver_model, est_set, regs)
     else:
         report = estimator.estimate_glc(silver_model, gold, cfg.glc_readout)
-    if report is not None:
-        estimator.write_report(report, out / "chat")
-        matrix = training_matrix(report, cfg.correction_form)
-    noise.write_matrix(matrix, out / "chat.csv")
-    return matrix, report
+    return training_matrix(report, cfg.correction_form), report
+
+
+def _gold_set(gold: Dataset, silver_noisy: Dataset, correction: CorruptionMatrix | None):
+    """The gold stage's training set, gold rows then noisy silver rows, and
+    its loss mode: plain ASL, or with a correction matrix, silver rows
+    fitting M^T p and gold rows their own labels."""
+    combined = Dataset(np.concatenate([gold.features, silver_noisy.features]),
+                       np.concatenate([gold.labels, silver_noisy.labels]), tag="noisy")
+    if correction is None:
+        return combined, "asl"
+    gold_mask = np.zeros(combined.n, dtype=bool)
+    gold_mask[:gold.n] = True
+    return combined, CorrectedMode(correction.matrix, gold_mask)
 
 
 def train_gold(cfg: ExperimentConfig, out: Path, gold: Dataset, silver_noisy: Dataset,
-               correction: CorruptionMatrix | None, test: Dataset):
-    """Train on gold + noisy silver; with a correction matrix, silver rows fit
-    M^T p and gold rows their own labels. Writes gold_model.mlpm and
-    metrics.csv and returns (model, history)."""
-    combined = Dataset(np.concatenate([gold.features, silver_noisy.features]),
-                       np.concatenate([gold.labels, silver_noisy.labels]), tag="noisy")
-    mode = "asl"
-    if correction is not None:
-        gold_mask = np.zeros(combined.n, dtype=bool)
-        gold_mask[:gold.n] = True
-        mode = CorrectedMode(correction.matrix, gold_mask)
-    return _train_stage(cfg, out, "gold", combined, mode, test, "metrics.csv")
+               correction: CorruptionMatrix | None, test: Dataset, memo: dict | None = None):
+    """Train on gold + noisy silver (see _gold_set). Writes gold_model.mlpm
+    and metrics.csv and returns (model, history). With `memo`, a trajectory
+    it holds replaces the batch loop (see `model.train`)."""
+    combined, mode = _gold_set(gold, silver_noisy, correction)
+    return _train_stage(cfg, out, "gold", combined, mode, test, "metrics.csv", memo)
 
 
 def _stage(name: str, fn):
@@ -405,7 +436,7 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
         estimate = corr if report is None else report.raw
         frob = estimator.compare_matrices(estimate, true_c).frobenius_distance
     _, g_hist = _stage("train-gold", lambda: train_gold(
-        cfg, out, data.gold, silver_noisy, corr, data.test))
+        cfg, out, data.gold, silver_noisy, corr, data.test, data.trajectories))
     return RunRecord(
         method=method, eta=eta,
         final=g_hist[-1].report, history=g_hist, frobenius_to_true=frob,
@@ -416,35 +447,96 @@ _METHOD_LABELS = {"none": "ASL baseline", "galc_slr": "GALC-SLR", "true_matrix":
 SUMMARY_HEADER = "method,eta,map,cf1,of1,frobenius_to_true"
 
 
+def _silver_digest(silver: Dataset) -> str:
+    """SHA-256 of a silver split's features and labels."""
+    import hashlib  # here, not at the top: only a grid hashes
+
+    h = hashlib.sha256()
+    for a in (silver.features, silver.labels):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
+
+
+def _prefetch(group) -> dict:
+    """Run the batch loops of a group of cells (config, eta, method, data)
+    that share one inject and one silver loop ahead of their stages, from
+    the stages' own inputs but with no evaluation and no file: the silver
+    loop, then each cell's correction matrix and gold loop. Returns the
+    trajectory memo they fill. A loop that raises leaves no entry, so the
+    stage runs it again and fails as it would have."""
+    memo: dict = {}
+
+    def loop(cfg, stage, data, mode):
+        model0, train_cfg = _stage_start(cfg, stage, data)
+        return record_trajectory(model0, data, mode, train_cfg, cfg.asl, memo)
+
+    first_cfg, eta, _, first = group[0]
+    with contextlib.suppress(Exception):
+        noisy, _, true_c = _noisy_split(first_cfg, first.silver_clean, eta)
+        silver = loop(first_cfg, "silver", noisy, "asl")
+        for sub, _, method, data in group:
+            with contextlib.suppress(Exception):
+                corr, _ = _correction(sub, method, true_c, data.gold, silver, data.singles_pool,
+                                      noisy)
+                loop(sub, "gold", *_gold_set(data.gold, noisy, corr))
+    return memo
+
+
 def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, RunRecord]]:
     """Run each cell (config, eta, method, run directory, label) through
-    run_pipeline under `cfg`'s run directory `outdir`, with one prepare_data
-    per run of cells that share a config and one trajectory memo for the
-    whole grid (its keys are contents, so configs that give the same silver
-    split share a silver loop), once an earlier grid's files (those
-    matching the glob patterns `outputs`, and failures.log) are removed. A failed
-    cell is skipped, named in failures.log and left with no stage file beside
-    its resolved.cfg; returns the (label, record) of every cell that finished."""
+    run_pipeline under `cfg`'s run directory `outdir`, once an earlier grid's
+    files (those matching the glob patterns `outputs`, and failures.log) are
+    removed and every split is prepared, once per run of cells that share a
+    config. A failed cell is skipped, named in failures.log and left with no
+    stage file beside its resolved.cfg; returns the (label, record) of every
+    cell that finished, in cell order.
+
+    Cells whose inject and silver loop read the same inputs (the silver
+    split's contents among them) form a group with one trajectory memo, so
+    the group runs that loop once. Where textio.worker_limit() is above 1,
+    forked workers run each group's batch loops ahead (_prefetch), and the
+    group's cells then find every loop in the memo; their stages still make
+    every other call and write every file here. The memo key, not the
+    group, decides reuse, so a loop missing from the memo runs here."""
     out = run_dir(cfg, outdir)
     for pattern in (*outputs, "failures.log"):
         for path in out.glob(pattern):
             path.unlink()
-    done, failures, memo = [], [], {}
+    runs, groups = [], {}
     data_cfg = data = None
-    for sub, eta, method, rundir, label in cells:
+    for sub, eta, method, _, _ in cells:
         if sub is not data_cfg:
             data_cfg, data = sub, _stage("prepare-data", lambda: prepare_data(sub))
-            data.trajectories = memo
-        try:
-            done.append((label, run_pipeline(sub, eta, out / rundir, method=method, data=data)))
-        except Exception as e:
-            failures.append(f"{label} method={method}: {e}")
-            for pattern in _STAGE_FILES:
-                for path in (out / rundir).glob(pattern):
-                    path.unlink()
+            digest = _silver_digest(data.silver_clean)
+        groups.setdefault((eta, digest, sub.seed, sub.noise_mode, sub.silver, sub.hidden,
+                           sub.activation, sub.asl), []).append(len(runs))
+        runs.append((sub, eta, method, data))
+    groups = list(groups.values())
+    if textio.worker_limit() > 1:
+        memos = textio.ordered_map(_prefetch, [[runs[i] for i in g] for g in groups],
+                                   fork_one=True)
+    else:  # ordered_map would run _prefetch here, making each inject and estimate twice
+        memos = ({} for _ in groups)
+    done, failures = {}, {}
+    with contextlib.closing(memos):
+        for group, memo in zip(groups, memos):
+            for i in group:
+                sub, eta, method, data = runs[i]
+                _, _, _, rundir, label = cells[i]
+                data.trajectories = memo
+                try:
+                    done[i] = label, run_pipeline(sub, eta, out / rundir, method=method,
+                                                  data=data)
+                except Exception as e:
+                    failures[i] = f"{label} method={method}: {e}"
+                    for pattern in _STAGE_FILES:
+                        for path in (out / rundir).glob(pattern):
+                            path.unlink()
+            memo.clear()
     if failures:
-        textio.write_lines(out / "failures.log", failures)
-    return done
+        textio.write_lines(out / "failures.log", [failures[i] for i in sorted(failures)])
+    return [done[i] for i in sorted(done)]
 
 
 def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:

@@ -20,6 +20,7 @@ float operations in the same order as a per-layer, per-term formulation,
 so results are bit-reproducible across refactors (tests pin the bytes).
 A caller may pass `train` a memo of finished batch loops, keyed on their
 inputs' contents: a repeated training then only evaluates again.
+`record_trajectory` runs a loop into such a memo without evaluating.
 """
 
 from __future__ import annotations
@@ -397,6 +398,31 @@ def _recorded(steps, memo: dict, key: str):
     memo[key] = done
 
 
+def _steps(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig, params: AslParams,
+           memo: dict | None):
+    """The (parameters, loss total) of each epoch of `train`'s batch loop:
+    taken from `memo` when it holds the loop's key, else run (and, with a
+    memo, stored in it once the last epoch is taken)."""
+    x = data.features
+    y = data.labels.astype(bool)
+    if x.shape[0] == 0:
+        raise ValueError("cannot train on an empty dataset")
+    silver_mask = _silver_mask(loss_mode, x.shape[0])
+    objective = _Objective(model, params, loss_mode)
+    steps = _trajectory(objective, x, y, silver_mask, cfg)
+    if memo is not None:
+        key = _trajectory_key(objective, x, y, silver_mask, cfg)
+        steps = memo[key] if key in memo else _recorded(steps, memo, key)
+    return steps
+
+
+def _finite_model(theta: np.ndarray, model: MlpModel, epoch: int) -> MlpModel:
+    """`model`'s layout over the parameters `theta` after `epoch`, which must be finite."""
+    if not np.isfinite(theta).all():
+        raise ValueError(f"non-finite parameters after epoch {epoch}")
+    return MlpModel(*_split(theta, model), model.activation)
+
+
 def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
           params: AslParams | None = None, eval_data: Dataset | None = None,
           memo: dict | None = None) -> tuple[MlpModel, list[EpochStats]]:
@@ -414,32 +440,29 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
     the loop and only evaluates; a call that finishes adds its own. The
     reports and the model are the same bytes either way.
     """
-    params = params or AslParams()
-    x = data.features
-    y = data.labels.astype(bool)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
-    silver_mask = _silver_mask(loss_mode, n)
-    objective = _Objective(model, params, loss_mode)
-    steps = _trajectory(objective, x, y, silver_mask, cfg)
-    if memo is not None:
-        key = _trajectory_key(objective, x, y, silver_mask, cfg)
-        steps = memo[key] if key in memo else _recorded(steps, memo, key)
-
+    steps = _steps(model, data, loss_mode, cfg, params or AslParams(), memo)
     history: list[EpochStats] = []
-    ev_x = eval_data.features if eval_data is not None else x
-    ev_y = eval_data.labels if eval_data is not None else data.labels
+    ev = eval_data if eval_data is not None else data
     for epoch, (theta, total) in enumerate(steps, start=1):
-        if not np.isfinite(theta).all():
-            raise ValueError(f"non-finite parameters after epoch {epoch}")
-        current = MlpModel(*_split(theta, model), model.activation)
-        scores = forward(current, ev_x).p_sig
+        current = _finite_model(theta, model, epoch)
+        scores = forward(current, ev.features).p_sig
         if not np.isfinite(scores).all():
             raise ValueError(f"non-finite evaluation scores after epoch {epoch}")
-        report = evaluate(scores, ev_y)
-        history.append(EpochStats(epoch=epoch, loss=total / n, report=report))
+        report = evaluate(scores, ev.labels)
+        history.append(EpochStats(epoch=epoch, loss=total / data.n, report=report))
     return current.copy(), history
+
+
+def record_trajectory(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
+                      params: AslParams, memo: dict) -> MlpModel:
+    """`train`'s batch loop alone, with no evaluation: stores the loop in
+    `memo` as `train` does, so a `train` call with the same inputs then only
+    evaluates, and returns the same last-epoch model. Non-finite parameters
+    raise ValueError as in `train`, and then `memo` gets no entry."""
+    for epoch, (theta, _) in enumerate(_steps(model, data, loss_mode, cfg, params, memo),
+                                       start=1):
+        current = _finite_model(theta, model, epoch)
+    return current.copy()
 
 
 def gradient_check(model: MlpModel, features, labels, params: AslParams,

@@ -237,6 +237,20 @@ def write_matrix(cm: CorruptionMatrix, path) -> None:
                                         for row in cm.matrix)])
 
 
+def _header_fields(text: str) -> dict[str, str]:
+    """The `name=value` tokens of a matrix header, each of kind, K and eta at
+    most once; a token without `=` is an unknown field."""
+    fields = {}
+    for token in text.split():
+        name, eq, value = token.partition("=")
+        if not eq or name not in ("kind", "K", "eta"):
+            raise ValueError(f"unknown header field {name!r}")
+        if name in fields:
+            raise ValueError(f"header field {name!r} repeats")
+        fields[name] = value
+    return fields
+
+
 def read_matrix(path) -> CorruptionMatrix:
     """Read the CSV form, whose first non-blank line may be the `#` header; a
     malformed file raises ValueError at `path:line`."""
@@ -246,7 +260,7 @@ def read_matrix(path) -> CorruptionMatrix:
     try:
         for i, (lineno, text) in enumerate(textio.numbered_lines(path)):
             if i == 0 and text.startswith("#"):
-                fields = dict(token.partition("=")[::2] for token in text[1:].split())
+                fields = _header_fields(text[1:])
                 kind = fields.get("kind", KIND_RAW)
                 if kind not in _KINDS:
                     raise ValueError(f"unknown kind {kind!r}")

@@ -80,11 +80,25 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform.startswith("linux") else 1
 
 
-def ordered_map(fn, items):
-    """Yield fn(item) for each of `items`, in order. With P = min(usable CPUs,
-    len(items), 8) above 1, P forked workers compute every item and this
-    process only collects their results; otherwise, or when called in a
-    daemonic process such as one of these workers, it maps inline.
+def _multiprocessing():
+    import multiprocessing  # here, not at the top: most runs never fork
+    return multiprocessing
+
+
+def worker_limit() -> int:
+    """How many worker processes `ordered_map` may fork here: the usable
+    CPUs, up to 8; 1, so none, with one CPU or in a daemonic process such as
+    one of its workers, which may not have children."""
+    cpus = min(_usable_cpus(), _MAX_PROCESSES)
+    return 1 if cpus > 1 and _multiprocessing().current_process().daemon else cpus
+
+
+def ordered_map(fn, items, fork_one: bool = False):
+    """Yield fn(item) for each of `items`, in order. With P = min(worker_limit(),
+    len(items)) above 1, P forked workers compute every item and this process
+    only collects their results; otherwise it maps inline. With `fork_one`, a
+    single item also goes to a worker, so `fn` runs here only where
+    worker_limit() is 1.
 
     Item i goes to worker i mod P. Workers inherit `fn` and `items` through
     fork, so `fn` may be a closure and only results are pickled. A worker
@@ -93,15 +107,12 @@ def ordered_map(fn, items):
     generator returns, raises or is closed; close it when abandoning it early.
     """
     items = list(items)
-    procs = min(_usable_cpus(), len(items), _MAX_PROCESSES)
-    if procs > 1:
-        import multiprocessing  # here, not at the top: most runs never fork
-        if multiprocessing.current_process().daemon:  # which may not have children
-            procs = 1
-    if procs <= 1:
+    limit = worker_limit()
+    procs = min(limit, len(items))
+    if limit == 1 or procs < (1 if fork_one else 2):
         yield from map(fn, items)
         return
-    fork = multiprocessing.get_context("fork")
+    fork = _multiprocessing().get_context("fork")
     workers = []
     try:
         for w in range(procs):

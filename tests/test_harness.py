@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
+import multiprocessing
 import os
 import re
 import shutil
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mlnl import estimator, harness, model, textio
+from mlnl import estimator, harness, model, noise, textio
 from mlnl.datagen import Dataset, GenConfig, SplitSpec
 from mlnl.estimator import estimate_glc
 from mlnl.harness import (CONFIG_KEYS, ExperimentConfig, parse_config, prepare_data,
@@ -475,18 +477,20 @@ class TestRunPipeline:
 @pytest.fixture
 def plain_batches(monkeypatch):
     """A function giving the number of batches trained with the plain loss
-    so far (a silver stage's, or a `none` run's gold stage's), spied on
-    _Objective.loss, which every batch calls once."""
-    calls = []
+    so far (a silver stage's, or a `none` run's gold stage's), in this
+    process and in every worker it forks, spied on _Objective.loss, which
+    every batch calls once."""
+    calls = multiprocessing.Value("q", 0)  # shared memory, which forked workers inherit
     loss = model._Objective.loss
 
     def spy(self, *args, **kwargs):
         if self.m is None:
-            calls.append(None)
+            with calls.get_lock():
+                calls.value += 1
         return loss(self, *args, **kwargs)
 
     monkeypatch.setattr(model._Objective, "loss", spy)
-    return lambda: len(calls)
+    return lambda: calls.value
 
 
 def silver_batches(cfg: ExperimentConfig, silver: Dataset) -> int:
@@ -527,9 +531,11 @@ class TestSilverReuse:
         assert not [name for mod in (model, harness) for name, v in vars(mod).items()
                     if hasattr(v, "cache_info")]  # no functools cache either
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("axis,splits", [("limit", 1), ("trusted", 2)])
     def test_a_grid_runs_each_distinct_silver_loop_once(self, tmp_path, plain_batches, axis,
-                                                        splits):
+                                                        splits, cpus, monkeypatch):
+        monkeypatch.setattr(textio, "_usable_cpus", lambda: cpus)
         cfg = tiny_config(etas=(0.3,))
         cfg.ablation_eta = 0.3
         grid = harness.ABLATIONS[axis]
@@ -591,7 +597,9 @@ class TestRunSweep:
         assert (tmp_path / "summary.csv").read_text() == harness.SUMMARY_HEADER + "\n"
         assert not list(tmp_path.glob("*.svg"))
 
-    def test_failed_cell_keeps_no_earlier_stage_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_cell_keeps_no_earlier_stage_file(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(textio, "_usable_cpus", lambda: cpus)
         cfg = tiny_config(etas=(0.3,))
         run_sweep(cfg, tmp_path)
         clean = {p.name: p.read_bytes() for p in (tmp_path / "eta0.3_none").iterdir()}
@@ -603,8 +611,21 @@ class TestRunSweep:
         def fail(model, pool):
             raise ValueError("regulators unavailable")
 
+        entries = []  # the size of each memo the workers prefetch
+        ordered_map = textio.ordered_map
+
+        def spy(fn, items, **kwargs):
+            with contextlib.closing(ordered_map(fn, items, **kwargs)) as memos:
+                for memo in memos:
+                    entries.append(len(memo))
+                    yield memo
+
+        monkeypatch.setattr(textio, "ordered_map", spy)
         monkeypatch.setattr(estimator, "compute_regulators", fail)
         assert [r.method for r in run_sweep(cfg, tmp_path)] == ["none", "true_matrix"]
+        # the silver loop and the gold loops of none and true_matrix, with
+        # none for galc_slr, whose estimate failed in the worker too
+        assert entries == ([] if cpus == 1 else [3])
         assert (tmp_path / "failures.log").read_text() == (
             "eta=0.3 method=galc_slr: pipeline stage 'estimate' failed: "
             "regulators unavailable\n")
@@ -668,6 +689,67 @@ class TestRunSweep:
         assert sum(name.endswith("/metrics.csv") for name in native) == \
             len(tiny_config().etas) * len(harness.SWEEP_METHODS)
         assert rank_bytes(tmp_path / "avx2") == native
+
+
+GRIDS = ("sweep", "trusted", "limit")
+
+
+@pytest.fixture(scope="module")
+def grid_runs(tmp_path_factory):
+    """Run the tiny sweep and both ablations with 1 and 2 usable CPUs; returns
+    {(grid, cpus): (tree digest, batches trained in this process, Counter of
+    the calls this process made)}. Workers append to their own copy of a list."""
+    runs = {}
+    for cpus in (1, 2):
+        for grid in GRIDS:
+            out = tmp_path_factory.mktemp(f"{grid}{cpus}")
+            batches, calls = [], Counter()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(textio, "_usable_cpus", lambda: cpus)
+                loss = model._Objective.loss
+                mp.setattr(model._Objective, "loss",
+                           lambda self, *a, **k: batches.append(None) or loss(self, *a, **k))
+
+                def counted(name, fn):
+                    return lambda *a, **k: calls.update([name]) or fn(*a, **k)
+
+                # every site the harness's stages reach these through
+                for owner, attr, name in ((noise, "inject", "noise.inject"),
+                                          (estimator, "compute_regulators", "regulators"),
+                                          (estimator, "estimate_galc_slr", "estimate"),
+                                          (model, "forward", "forward"),
+                                          (estimator, "forward", "forward")):
+                    mp.setattr(owner, attr, counted(name, getattr(owner, attr)))
+                if grid == "sweep":
+                    run_sweep(tiny_config(etas=(0.0, 0.3)), out)
+                else:
+                    cfg = tiny_config(etas=(0.3,))
+                    cfg.ablation_eta = 0.3
+                    run_ablation(cfg, grid, out)
+            runs[grid, cpus] = tree_digest(out), len(batches), calls
+    return runs
+
+
+class TestPrefetch:
+    """With 2 usable CPUs, forked workers run a grid's batch loops ahead and
+    the grid's stages replay them from the memo, in this process."""
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_bytes_do_not_depend_on_the_cpus(self, grid_runs, grid):
+        assert grid_runs[grid, 2][0] == grid_runs[grid, 1][0]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_every_loop_is_prefetched(self, grid_runs, grid):
+        """A stage input that the workers build otherwise than the stage
+        misses the memo, and its loop then runs here."""
+        assert grid_runs[grid, 1][1] > 0
+        assert grid_runs[grid, 2][1] == 0
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_this_process_makes_the_same_calls(self, grid_runs, grid):
+        calls = grid_runs[grid, 1][2]
+        assert calls["noise.inject"] > 0 and calls["regulators"] > 0
+        assert grid_runs[grid, 2][2] == calls
 
 
 @pytest.fixture(scope="module")

@@ -355,6 +355,20 @@ class TestMatrixFile:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: {problem}$"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("fields, problem", [
+        ("K=5 K=2 eta=0.9 eta=0.1 color=blue", "header field 'K' repeats"),
+        ("K=2 eta=0.9 eta=0.1", "header field 'eta' repeats"),
+        ("kind=estimated_raw K=2", "header field 'kind' repeats"),
+        ("K=2 color=blue", "unknown header field 'color'"),
+        ("K=2 transposed", "unknown header field 'transposed'"),
+    ], ids=["K", "eta", "kind", "unknown", "no-equals"])
+    def test_repeated_or_unknown_header_field_is_named_at_the_header_line(self, tmp_path,
+                                                                          fields, problem):
+        path = tmp_path / "header.csv"
+        path.write_text(f"# kind=true_row_stochastic {fields}\n0.5,0.5\n0.5,0.5\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: {problem}$"):
+            read_matrix(path)
+
     def test_ragged_row_cites_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("# kind=estimated_raw K=2\n0.5,0.5\n0.25\n")
