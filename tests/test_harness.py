@@ -531,10 +531,18 @@ class TestSilverReuse:
         assert not [name for mod in (model, harness) for name, v in vars(mod).items()
                     if hasattr(v, "cache_info")]  # no functools cache either
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("axis,splits", [("limit", 1), ("trusted", 2)])
     def test_a_grid_runs_each_distinct_silver_loop_once(self, tmp_path, plain_batches, axis,
-                                                        splits, cpus, monkeypatch):
+                                                        splits, monkeypatch):
+        self.check_grid(tmp_path, plain_batches, axis, splits, monkeypatch, cpus=1)
+
+    @pytest.mark.parametrize("axis,splits", [("limit", 1), ("trusted", 2)])
+    def test_a_grid_runs_each_distinct_silver_loop_once_in_forked_workers(
+            self, tmp_path, plain_batches, axis, splits, monkeypatch):
+        self.check_grid(tmp_path, plain_batches, axis, splits, monkeypatch, cpus=2)
+
+    @staticmethod
+    def check_grid(tmp_path, plain_batches, axis, splits, monkeypatch, cpus):
         monkeypatch.setattr(textio, "_usable_cpus", lambda: cpus)
         cfg = tiny_config(etas=(0.3,))
         cfg.ablation_eta = 0.3
@@ -597,8 +605,15 @@ class TestRunSweep:
         assert (tmp_path / "summary.csv").read_text() == harness.SUMMARY_HEADER + "\n"
         assert not list(tmp_path.glob("*.svg"))
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_failed_cell_keeps_no_earlier_stage_file(self, tmp_path, monkeypatch, cpus):
+    def test_failed_cell_keeps_no_earlier_stage_file(self, tmp_path, monkeypatch):
+        self.check_failed_cell(tmp_path, monkeypatch, cpus=1)
+
+    def test_failed_cell_in_a_forked_worker_keeps_no_earlier_stage_file(self, tmp_path,
+                                                                        monkeypatch):
+        self.check_failed_cell(tmp_path, monkeypatch, cpus=2)
+
+    @staticmethod
+    def check_failed_cell(tmp_path, monkeypatch, cpus):
         monkeypatch.setattr(textio, "_usable_cpus", lambda: cpus)
         cfg = tiny_config(etas=(0.3,))
         run_sweep(cfg, tmp_path)
