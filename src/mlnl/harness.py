@@ -200,8 +200,10 @@ def parse_config(path) -> ExperimentConfig:
 @dataclass
 class SplitArtifacts:
     """Everything the pipeline needs after data preparation, and the memo of
-    silver training trajectories (see `model.train`) that the runs sharing
-    this object, or the cells of one grid, reuse."""
+    training trajectories (see `model.train`) that the runs sharing this
+    object, or the cells of one grid, reuse. Each run adds its silver and
+    gold loops to the memo unless they are there already; a loop holds
+    epochs x parameters x 8 bytes, about 0.85 MB at the default config."""
 
     gold: Dataset
     silver_clean: Dataset
@@ -483,6 +485,33 @@ def _prefetch(group) -> dict:
     return memo
 
 
+def _prefetched(runs, groups):
+    """Yield (memo, seconds waited for it) for each group of `runs` (lists
+    of indices), in order: the memo that a forked worker's _prefetch filled
+    where two or more workers may run, else an empty one. ordered_map would
+    run a lone item here, making each inject and estimate twice, so one
+    group, or one CPU, runs its loops in its stages. A worker that dies or
+    sends what cannot be read costs only speed: that group and every later
+    one get an empty memo."""
+    memos = None
+    if min(textio.worker_limit(), len(groups)) > 1:
+        memos = textio.ordered_map(_prefetch, [[runs[i] for i in g] for g in groups])
+    try:
+        for _ in groups:
+            t0 = time.perf_counter()
+            memo = {}
+            if memos is not None:
+                try:
+                    memo = next(memos)
+                except Exception:  # an EOFError for a killed worker, say
+                    memos.close()
+                    memos = None
+            yield memo, time.perf_counter() - t0
+    finally:
+        if memos is not None:
+            memos.close()
+
+
 def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, RunRecord]]:
     """Run each cell (config, eta, method, run directory, label) through
     run_pipeline under `cfg`'s run directory `outdir`, once an earlier grid's
@@ -494,11 +523,13 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
 
     Cells whose inject and silver loop read the same inputs (the silver
     split's contents among them) form a group with one trajectory memo, so
-    the group runs that loop once. Where textio.worker_limit() is above 1,
-    forked workers run each group's batch loops ahead (_prefetch), and the
-    group's cells then find every loop in the memo; their stages still make
-    every other call and write every file here. The memo key, not the
-    group, decides reuse, so a loop missing from the memo runs here."""
+    the group runs that loop once. With two or more groups and
+    textio.worker_limit() above 1, forked workers run each group's batch
+    loops ahead (see _prefetched), and the group's cells then find every
+    loop in the memo; their stages still make every other call and write
+    every file here. The memo key, not the group, decides reuse, so a loop
+    missing from the memo runs here. The time spent waiting for a group's
+    memo is added to the wall_seconds of the first of its cells to finish."""
     out = run_dir(cfg, outdir)
     for pattern in (*outputs, "failures.log"):
         for path in out.glob(pattern):
@@ -513,26 +544,24 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
                            sub.activation, sub.asl), []).append(len(runs))
         runs.append((sub, eta, method, data))
     groups = list(groups.values())
-    if textio.worker_limit() > 1:
-        memos = textio.ordered_map(_prefetch, [[runs[i] for i in g] for g in groups],
-                                   fork_one=True)
-    else:  # ordered_map would run _prefetch here, making each inject and estimate twice
-        memos = ({} for _ in groups)
     done, failures = {}, {}
-    with contextlib.closing(memos):
-        for group, memo in zip(groups, memos):
+    with contextlib.closing(_prefetched(runs, groups)) as memos:
+        for group, (memo, wait) in zip(groups, memos):
             for i in group:
                 sub, eta, method, data = runs[i]
                 _, _, _, rundir, label = cells[i]
                 data.trajectories = memo
                 try:
-                    done[i] = label, run_pipeline(sub, eta, out / rundir, method=method,
-                                                  data=data)
+                    record = run_pipeline(sub, eta, out / rundir, method=method, data=data)
                 except Exception as e:
                     failures[i] = f"{label} method={method}: {e}"
                     for pattern in _STAGE_FILES:
                         for path in (out / rundir).glob(pattern):
                             path.unlink()
+                    continue
+                record.wall_seconds += wait
+                wait = 0.0
+                done[i] = label, record
             memo.clear()
     if failures:
         textio.write_lines(out / "failures.log", [failures[i] for i in sorted(failures)])

@@ -93,12 +93,10 @@ def worker_limit() -> int:
     return 1 if cpus > 1 and _multiprocessing().current_process().daemon else cpus
 
 
-def ordered_map(fn, items, fork_one: bool = False):
+def ordered_map(fn, items):
     """Yield fn(item) for each of `items`, in order. With P = min(worker_limit(),
     len(items)) above 1, P forked workers compute every item and this process
-    only collects their results; otherwise it maps inline. With `fork_one`, a
-    single item also goes to a worker, so `fn` runs here only where
-    worker_limit() is 1.
+    only collects their results; otherwise it maps inline.
 
     Item i goes to worker i mod P. Workers inherit `fn` and `items` through
     fork, so `fn` may be a closure and only results are pickled. A worker
@@ -107,9 +105,8 @@ def ordered_map(fn, items, fork_one: bool = False):
     generator returns, raises or is closed; close it when abandoning it early.
     """
     items = list(items)
-    limit = worker_limit()
-    procs = min(limit, len(items))
-    if limit == 1 or procs < (1 if fork_one else 2):
+    procs = min(worker_limit(), len(items))
+    if procs < 2:
         yield from map(fn, items)
         return
     fork = _multiprocessing().get_context("fork")

@@ -539,10 +539,12 @@ class TestSilverReuse:
     @pytest.mark.parametrize("axis,splits", [("limit", 1), ("trusted", 2)])
     def test_a_grid_runs_each_distinct_silver_loop_once_in_forked_workers(
             self, tmp_path, plain_batches, axis, splits, monkeypatch):
-        self.check_grid(tmp_path, plain_batches, axis, splits, monkeypatch, cpus=2)
+        """The axis at two noise ratios: one group per ratio and silver split."""
+        self.check_grid(tmp_path, plain_batches, axis, splits, monkeypatch, cpus=2,
+                        etas=(0.0, 0.3))
 
     @staticmethod
-    def check_grid(tmp_path, plain_batches, axis, splits, monkeypatch, cpus):
+    def check_grid(tmp_path, plain_batches, axis, splits, monkeypatch, cpus, etas=None):
         monkeypatch.setattr(textio, "_usable_cpus", lambda: cpus)
         cfg = tiny_config(etas=(0.3,))
         cfg.ablation_eta = 0.3
@@ -554,8 +556,23 @@ class TestSilverReuse:
             batches[silver.features.tobytes() + silver.labels.tobytes()] = \
                 silver_batches(sub, silver)
         assert len(batches) == splits
-        run_ablation(cfg, axis, tmp_path)
-        assert plain_batches() == sum(batches.values())
+        if etas is None:
+            run_ablation(cfg, axis, tmp_path)
+        else:
+            ablation_at(cfg, axis, etas, tmp_path)
+        assert plain_batches() == len(etas or (0.3,)) * sum(batches.values())
+
+
+def ablation_at(cfg: ExperimentConfig, axis: str, etas, out):
+    """Run an ablation axis's cells at each of `etas` as one grid, which has
+    a group per noise ratio and silver split; returns the records."""
+    grid = harness.ABLATIONS[axis]
+    cells = []
+    for value, group in zip(grid.values, grid.groups):
+        sub = dataclasses.replace(cfg, **{grid.field: value})
+        cells += [(sub, eta, m, f"eta{eta!r}_{group}_{m}", group)
+                  for eta in etas for m in grid.methods]
+    return [rec for _, rec in harness._run_grid(cfg, out, cells, ())]
 
 
 class TestTrainingMatrix:
@@ -606,22 +623,26 @@ class TestRunSweep:
         assert not list(tmp_path.glob("*.svg"))
 
     def test_failed_cell_keeps_no_earlier_stage_file(self, tmp_path, monkeypatch):
-        self.check_failed_cell(tmp_path, monkeypatch, cpus=1)
+        self.check_failed_cell(tmp_path, monkeypatch, cpus=1, etas=(0.3,))
 
     def test_failed_cell_in_a_forked_worker_keeps_no_earlier_stage_file(self, tmp_path,
                                                                         monkeypatch):
-        self.check_failed_cell(tmp_path, monkeypatch, cpus=2)
+        """Two noise ratios make two groups, so two workers fork."""
+        self.check_failed_cell(tmp_path, monkeypatch, cpus=2, etas=(0.0, 0.3))
 
     @staticmethod
-    def check_failed_cell(tmp_path, monkeypatch, cpus):
+    def check_failed_cell(tmp_path, monkeypatch, cpus, etas):
         monkeypatch.setattr(textio, "_usable_cpus", lambda: cpus)
-        cfg = tiny_config(etas=(0.3,))
+        cfg = tiny_config(etas=etas)
         run_sweep(cfg, tmp_path)
-        clean = {p.name: p.read_bytes() for p in (tmp_path / "eta0.3_none").iterdir()}
-        assert len(list((tmp_path / "eta0.3_galc_slr").iterdir())) == 10
-        for name in ("gold_model.mlpm", "metrics.csv", "silver_model.mlpm", "true_matrix.csv"):
-            # what a write killed before its os.replace leaves
-            (tmp_path / "eta0.3_galc_slr" / f"{name}.partial").write_text("cut short\n")
+        clean = {e: {p.name: p.read_bytes() for p in (tmp_path / f"eta{e!r}_none").iterdir()}
+                 for e in etas}
+        for e in etas:
+            assert len(list((tmp_path / f"eta{e!r}_galc_slr").iterdir())) == 10
+            for name in ("gold_model.mlpm", "metrics.csv", "silver_model.mlpm",
+                         "true_matrix.csv"):
+                # what a write killed before its os.replace leaves
+                (tmp_path / f"eta{e!r}_galc_slr" / f"{name}.partial").write_text("cut short\n")
 
         def fail(model, pool):
             raise ValueError("regulators unavailable")
@@ -629,23 +650,26 @@ class TestRunSweep:
         entries = []  # the size of each memo the workers prefetch
         ordered_map = textio.ordered_map
 
-        def spy(fn, items, **kwargs):
-            with contextlib.closing(ordered_map(fn, items, **kwargs)) as memos:
+        def spy(fn, items):
+            with contextlib.closing(ordered_map(fn, items)) as memos:
                 for memo in memos:
                     entries.append(len(memo))
                     yield memo
 
         monkeypatch.setattr(textio, "ordered_map", spy)
         monkeypatch.setattr(estimator, "compute_regulators", fail)
-        assert [r.method for r in run_sweep(cfg, tmp_path)] == ["none", "true_matrix"]
+        assert [r.method for r in run_sweep(cfg, tmp_path)] == ["none", "true_matrix"] * len(etas)
         # the silver loop and the gold loops of none and true_matrix, with
         # none for galc_slr, whose estimate failed in the worker too
-        assert entries == ([] if cpus == 1 else [3])
-        assert (tmp_path / "failures.log").read_text() == (
-            "eta=0.3 method=galc_slr: pipeline stage 'estimate' failed: "
-            "regulators unavailable\n")
-        assert [p.name for p in (tmp_path / "eta0.3_galc_slr").iterdir()] == ["resolved.cfg"]
-        assert {p.name: p.read_bytes() for p in (tmp_path / "eta0.3_none").iterdir()} == clean
+        assert entries == ([] if cpus == 1 else [3] * len(etas))
+        assert (tmp_path / "failures.log").read_text() == "".join(
+            f"eta={e!r} method=galc_slr: pipeline stage 'estimate' failed: "
+            "regulators unavailable\n" for e in etas)
+        for e in etas:
+            assert [p.name for p in (tmp_path / f"eta{e!r}_galc_slr").iterdir()] == \
+                ["resolved.cfg"]
+            assert {p.name: p.read_bytes()
+                    for p in (tmp_path / f"eta{e!r}_none").iterdir()} == clean[e]
 
     def test_failed_preparation_leaves_no_earlier_outputs(self, tmp_path, monkeypatch):
         cfg = tiny_config(etas=(0.0,))
@@ -706,14 +730,16 @@ class TestRunSweep:
         assert rank_bytes(tmp_path / "avx2") == native
 
 
-GRIDS = ("sweep", "trusted", "limit")
+GRIDS = ("sweep", "trusted", "limit", "limit2")  # limit2: the limit axis at two etas
 
 
 @pytest.fixture(scope="module")
 def grid_runs(tmp_path_factory):
-    """Run the tiny sweep and both ablations with 1 and 2 usable CPUs; returns
-    {(grid, cpus): (tree digest, batches trained in this process, Counter of
-    the calls this process made)}. Workers append to their own copy of a list."""
+    """Run the tiny sweep, both ablations and the limit axis at two noise
+    ratios with 1 and 2 usable CPUs; returns {(grid, cpus): (tree digest,
+    batches trained in this process, Counter of the calls this process
+    made)}. Workers append to their own copy of a list. The calls count
+    "ordered_map" once per item this process hands the workers."""
     runs = {}
     for cpus in (1, 2):
         for grid in GRIDS:
@@ -721,6 +747,9 @@ def grid_runs(tmp_path_factory):
             batches, calls = [], Counter()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(textio, "_usable_cpus", lambda: cpus)
+                ordered_map = textio.ordered_map
+                mp.setattr(textio, "ordered_map", lambda fn, items: calls.update(
+                    ordered_map=len(items)) or ordered_map(fn, items))
                 loss = model._Objective.loss
                 mp.setattr(model._Objective, "loss",
                            lambda self, *a, **k: batches.append(None) or loss(self, *a, **k))
@@ -735,11 +764,13 @@ def grid_runs(tmp_path_factory):
                                           (model, "forward", "forward"),
                                           (estimator, "forward", "forward")):
                     mp.setattr(owner, attr, counted(name, getattr(owner, attr)))
+                cfg = tiny_config(etas=(0.3,))
+                cfg.ablation_eta = 0.3
                 if grid == "sweep":
                     run_sweep(tiny_config(etas=(0.0, 0.3)), out)
+                elif grid == "limit2":
+                    ablation_at(cfg, "limit", (0.0, 0.3), out)
                 else:
-                    cfg = tiny_config(etas=(0.3,))
-                    cfg.ablation_eta = 0.3
                     run_ablation(cfg, grid, out)
             runs[grid, cpus] = tree_digest(out), len(batches), calls
     return runs
@@ -753,18 +784,46 @@ class TestPrefetch:
     def test_bytes_do_not_depend_on_the_cpus(self, grid_runs, grid):
         assert grid_runs[grid, 2][0] == grid_runs[grid, 1][0]
 
-    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("grid", ["sweep", "trusted", "limit2"])
     def test_every_loop_is_prefetched(self, grid_runs, grid):
         """A stage input that the workers build otherwise than the stage
         misses the memo, and its loop then runs here."""
         assert grid_runs[grid, 1][1] > 0
         assert grid_runs[grid, 2][1] == 0
 
+    def test_a_grid_of_one_group_forks_nothing(self, grid_runs):
+        """The limit ablation's cells share one silver loop: one group, whose
+        one worker would only make this process wait."""
+        assert grid_runs["limit", 2][1] == grid_runs["limit", 1][1] > 0
+
     @pytest.mark.parametrize("grid", GRIDS)
     def test_this_process_makes_the_same_calls(self, grid_runs, grid):
         calls = grid_runs[grid, 1][2]
         assert calls["noise.inject"] > 0 and calls["regulators"] > 0
-        assert grid_runs[grid, 2][2] == calls
+        assert calls["ordered_map"] == 0
+        mapped = grid_runs[grid, 2][2]
+        assert mapped.pop("ordered_map", 0) == (0 if grid == "limit" else 2)  # groups
+        assert mapped == calls
+
+    def test_a_killed_worker_costs_only_speed(self, grid_runs, tmp_path, monkeypatch):
+        """The worker of the eta=0.3 group dies before it sends its memo:
+        that group's loops run here, and the bytes are those of one CPU."""
+        prefetch = harness._prefetch
+
+        def dying(group):
+            if group[0][1] == 0.3:
+                os._exit(1)
+            return prefetch(group)
+
+        batches = []
+        loss = model._Objective.loss
+        monkeypatch.setattr(model._Objective, "loss",
+                            lambda self, *a, **k: batches.append(None) or loss(self, *a, **k))
+        monkeypatch.setattr(harness, "_prefetch", dying)
+        monkeypatch.setattr(textio, "_usable_cpus", lambda: 2)
+        assert len(run_sweep(tiny_config(etas=(0.0, 0.3)), tmp_path)) == 6
+        assert tree_digest(tmp_path) == grid_runs["sweep", 1][0]
+        assert 0 < len(batches) < grid_runs["sweep", 1][1]
 
 
 @pytest.fixture(scope="module")
