@@ -54,8 +54,8 @@ def _check_shapes(paths, inputs) -> None:
 
 
 def _cmd_gen_data(args, cfg: ExperimentConfig) -> int:
+    data = harness.prepare_data(cfg)  # a config that cannot be prepared writes nothing
     out = harness.run_dir(cfg, cfg.out)
-    data = harness.prepare_data(cfg)
     datagen.write_dataset(data.full, out / "dataset_full.mlnl")
     datagen.write_dataset(data.test, out / "test.mlnl")
     datagen.write_dataset(data.gold, out / "gold.mlnl")

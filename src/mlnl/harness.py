@@ -25,9 +25,9 @@ from . import datagen, estimator, noise, svgplot, textio
 from .datagen import Dataset, GenConfig, SplitSpec
 from .metrics import MetricsReport
 from .model import (ACTIVATIONS, AslParams, CorrectedMode, EpochStats, MlpModel, TrainConfig,
-                    init_model, record_trajectory, save_model, train)
+                    init_model, save_model, train)
 from .noise import CorruptionMatrix, NoiseSpec
-from .numerics import Interval, RandomStream, Settings, integer, one_of, rule
+from .numerics import Interval, RandomStream, Settings, digest, integer, one_of, rule
 
 METHODS = ("galc_slr", "glc", "true_matrix", "none")
 SWEEP_METHODS = ("none", "galc_slr", "true_matrix")
@@ -201,9 +201,10 @@ def parse_config(path) -> ExperimentConfig:
 class SplitArtifacts:
     """Everything the pipeline needs after data preparation, and the memo of
     training trajectories (see `model.train`) that the runs sharing this
-    object, or the cells of one grid, reuse. Each run adds its silver and
-    gold loops to the memo unless they are there already; a loop holds
-    epochs x parameters x 8 bytes, about 0.85 MB at the default config."""
+    object reuse. Each run adds its silver and gold loops to the memo unless
+    they are there already; a loop holds epochs x parameters x 8 bytes,
+    about 0.85 MB at the default config. A grid sets the memo of each group
+    of cells, which forked workers may have filled ahead (see _prefetch)."""
 
     gold: Dataset
     silver_clean: Dataset
@@ -285,8 +286,10 @@ def run_dir(cfg: ExperimentConfig, outdir) -> Path:
 # layer sizes from the data, and writes its own files into the run directory
 # `out`, so the same inputs give the same bytes however the stages are
 # strung together. _STAGE_FILES matches every file they write, and the
-# `<file>.partial` that a killed write leaves (see textio.write_lines).
-_STAGE_FILES = ("true_matrix.csv*", "silver_*", "chat*", "gold_model.mlpm*", "metrics.csv*")
+# `<file>.partial` that a killed write leaves (see textio.write_lines), but
+# not the datasets of the staged CLI.
+_STAGE_FILES = ("true_matrix.csv*", "silver_model.mlpm*", "silver_metrics.csv*", "chat*",
+                "gold_model.mlpm*", "metrics.csv*")
 
 
 def _noisy_split(cfg: ExperimentConfig, silver_clean: Dataset, eta: float):
@@ -305,21 +308,23 @@ def inject_noise(cfg: ExperimentConfig, out: Path, silver_clean: Dataset, eta: f
     return noisy, log, true_c
 
 
-def _stage_start(cfg: ExperimentConfig, stage: str, data: Dataset):
-    """The seeded initial model and the TrainConfig, with its derived seed,
-    of the "silver" or "gold" stage training on `data`."""
+def _fit(cfg: ExperimentConfig, stage: str, data: Dataset, loss_mode, memo: dict | None,
+         test: Dataset | None = None):
+    """`model.train` of the "silver" or "gold" stage on `data`, from the
+    stage's seeded initial model with its TrainConfig and derived seed,
+    evaluating each epoch on `test` when given."""
     root = RandomStream(cfg.seed)
     train_cfg = getattr(cfg, stage)
     model0 = init_model([data.num_features, *cfg.hidden, data.num_classes], cfg.activation,
                         train_cfg.init_scale, seed=root.derive_seed(f"{stage}-init"))
-    return model0, dataclasses.replace(train_cfg, seed=root.derive_seed(f"{stage}-train"))
+    return train(model0, data, loss_mode,
+                 dataclasses.replace(train_cfg, seed=root.derive_seed(f"{stage}-train")),
+                 cfg.asl, eval_data=test, memo=memo)
 
 
 def _train_stage(cfg: ExperimentConfig, out: Path, stage: str, data: Dataset, loss_mode,
                  test: Dataset, metrics_file: str, memo: dict | None):
-    model0, train_cfg = _stage_start(cfg, stage, data)
-    model, history = train(model0, data, loss_mode, train_cfg, cfg.asl, eval_data=test,
-                           memo=memo)
+    model, history = _fit(cfg, stage, data, loss_mode, memo, test)
     save_model(model, out / f"{stage}_model.mlpm")
     write_metrics_csv(out / metrics_file, history)
     return model, history
@@ -418,27 +423,34 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
     """One full run at a given noise ratio; returns the run record.
 
     `data` lets sweeps reuse the prepared splits (they depend only on the
-    master seed, never on eta or method), and its memo the silver batch loop
-    of an earlier run with the same inputs.
+    master seed, never on eta or method), and its memo the batch loops of an
+    earlier run with the same inputs. A failed run leaves its resolved.cfg
+    and no stage file (see _STAGE_FILES), an earlier run's included.
     """
     method = method or cfg.estimator_method
     _check_method(method)
     out = run_dir(cfg, outdir)
     t0 = time.perf_counter()
-    if data is None:
-        data = _stage("prepare-data", lambda: prepare_data(cfg))
-    silver_noisy, _, true_c = _stage("inject-noise", lambda: inject_noise(
-        cfg, out, data.silver_clean, eta))
-    f, _ = _stage("train-silver", lambda: train_silver(
-        cfg, out, silver_noisy, data.test, data.trajectories))
-    corr, report = _stage("estimate", lambda: estimate_correction(
-        cfg, out, method, true_c, data.gold, f, data.singles_pool, silver_noisy))
-    frob = None
-    if corr is not None:
-        estimate = corr if report is None else report.raw
-        frob = estimator.compare_matrices(estimate, true_c).frobenius_distance
-    _, g_hist = _stage("train-gold", lambda: train_gold(
-        cfg, out, data.gold, silver_noisy, corr, data.test, data.trajectories))
+    try:
+        if data is None:
+            data = _stage("prepare-data", lambda: prepare_data(cfg))
+        silver_noisy, _, true_c = _stage("inject-noise", lambda: inject_noise(
+            cfg, out, data.silver_clean, eta))
+        f, _ = _stage("train-silver", lambda: train_silver(
+            cfg, out, silver_noisy, data.test, data.trajectories))
+        corr, report = _stage("estimate", lambda: estimate_correction(
+            cfg, out, method, true_c, data.gold, f, data.singles_pool, silver_noisy))
+        frob = None
+        if corr is not None:
+            estimate = corr if report is None else report.raw
+            frob = estimator.compare_matrices(estimate, true_c).frobenius_distance
+        _, g_hist = _stage("train-gold", lambda: train_gold(
+            cfg, out, data.gold, silver_noisy, corr, data.test, data.trajectories))
+    except BaseException:
+        for pattern in _STAGE_FILES:
+            for path in out.glob(pattern):
+                path.unlink()
+        raise
     return RunRecord(
         method=method, eta=eta,
         final=g_hist[-1].report, history=g_hist, frobenius_to_true=frob,
@@ -449,39 +461,24 @@ _METHOD_LABELS = {"none": "ASL baseline", "galc_slr": "GALC-SLR", "true_matrix":
 SUMMARY_HEADER = "method,eta,map,cf1,of1,frobenius_to_true"
 
 
-def _silver_digest(silver: Dataset) -> str:
-    """SHA-256 of a silver split's features and labels."""
-    import hashlib  # here, not at the top: only a grid hashes
-
-    h = hashlib.sha256()
-    for a in (silver.features, silver.labels):
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(np.ascontiguousarray(a))
-    return h.hexdigest()
-
-
 def _prefetch(group) -> dict:
     """Run the batch loops of a group of cells (config, eta, method, data)
     that share one inject and one silver loop ahead of their stages, from
-    the stages' own inputs but with no evaluation and no file: the silver
-    loop, then each cell's correction matrix and gold loop. Returns the
-    trajectory memo they fill. A loop that raises leaves no entry, so the
-    stage runs it again and fails as it would have."""
+    the stages' own inputs but with no file and no evaluation set, so
+    `train` evaluates nothing: the silver loop, then each cell's correction
+    matrix and gold loop. Returns the trajectory memo they fill. A loop that
+    raises leaves no entry, so the stage runs it again and fails as it
+    would have."""
     memo: dict = {}
-
-    def loop(cfg, stage, data, mode):
-        model0, train_cfg = _stage_start(cfg, stage, data)
-        return record_trajectory(model0, data, mode, train_cfg, cfg.asl, memo)
-
     first_cfg, eta, _, first = group[0]
     with contextlib.suppress(Exception):
         noisy, _, true_c = _noisy_split(first_cfg, first.silver_clean, eta)
-        silver = loop(first_cfg, "silver", noisy, "asl")
+        silver, _ = _fit(first_cfg, "silver", noisy, "asl", memo)
         for sub, _, method, data in group:
             with contextlib.suppress(Exception):
                 corr, _ = _correction(sub, method, true_c, data.gold, silver, data.singles_pool,
                                       noisy)
-                loop(sub, "gold", *_gold_set(data.gold, noisy, corr))
+                _fit(sub, "gold", *_gold_set(data.gold, noisy, corr), memo)
     return memo
 
 
@@ -517,9 +514,9 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
     run_pipeline under `cfg`'s run directory `outdir`, once an earlier grid's
     files (those matching the glob patterns `outputs`, and failures.log) are
     removed and every split is prepared, once per run of cells that share a
-    config. A failed cell is skipped, named in failures.log and left with no
-    stage file beside its resolved.cfg; returns the (label, record) of every
-    cell that finished, in cell order.
+    config. A failed cell is skipped, named in failures.log and left by
+    run_pipeline with no stage file beside its resolved.cfg; returns the
+    (label, record) of every cell that finished, in cell order.
 
     Cells whose inject and silver loop read the same inputs (the silver
     split's contents among them) form a group with one trajectory memo, so
@@ -539,8 +536,8 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
     for sub, eta, method, _, _ in cells:
         if sub is not data_cfg:
             data_cfg, data = sub, _stage("prepare-data", lambda: prepare_data(sub))
-            digest = _silver_digest(data.silver_clean)
-        groups.setdefault((eta, digest, sub.seed, sub.noise_mode, sub.silver, sub.hidden,
+            split_digest = digest((), data.silver_clean.features, data.silver_clean.labels)
+        groups.setdefault((eta, split_digest, sub.seed, sub.noise_mode, sub.silver, sub.hidden,
                            sub.activation, sub.asl), []).append(len(runs))
         runs.append((sub, eta, method, data))
     groups = list(groups.values())
@@ -555,9 +552,6 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
                     record = run_pipeline(sub, eta, out / rundir, method=method, data=data)
                 except Exception as e:
                     failures[i] = f"{label} method={method}: {e}"
-                    for pattern in _STAGE_FILES:
-                        for path in (out / rundir).glob(pattern):
-                            path.unlink()
                     continue
                 record.wall_seconds += wait
                 wait = 0.0

@@ -20,7 +20,6 @@ float operations in the same order as a per-layer, per-term formulation,
 so results are bit-reproducible across refactors (tests pin the bytes).
 A caller may pass `train` a memo of finished batch loops, keyed on their
 inputs' contents: a repeated training then only evaluates again.
-`record_trajectory` runs a loop into such a memo without evaluating.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ import numpy as np
 from . import textio
 from .datagen import Dataset
 from .metrics import MetricsReport, evaluate
-from .numerics import Interval, RandomStream, Settings, integer, one_of, rule, sigmoid, softmax
+from .numerics import (Interval, RandomStream, Settings, digest, integer, one_of, rule, sigmoid,
+                       softmax)
 
 ACTIVATIONS = ("tanh", "relu")
 OPTIMIZERS = ("adam", "sgd")  # adaptive-moment or plain gradient steps
@@ -122,7 +122,7 @@ class CorrectedMode:
 class EpochStats:
     epoch: int
     loss: float
-    report: MetricsReport
+    report: MetricsReport | None  # None for a training without evaluation data
 
 
 @dataclass
@@ -370,22 +370,14 @@ def _trajectory(objective: _Objective, x: np.ndarray, y: np.ndarray,
 
 def _trajectory_key(objective: _Objective, x: np.ndarray, y: np.ndarray,
                     silver_mask: np.ndarray, cfg: TrainConfig) -> str:
-    """SHA-256 of everything `_trajectory` reads: the initial parameters, their
-    shapes and the activation, the training rows, the loss mode, the AslParams
-    and every TrainConfig field but `init_scale`, which only the initial
-    parameters carry."""
-    import hashlib  # here, not at the top: only a call with a memo hashes
-
+    """The digest of everything `_trajectory` reads: the initial parameters,
+    their shapes and the activation, the training rows, the loss mode, the
+    AslParams and every TrainConfig field but `init_scale`, which only the
+    initial parameters carry."""
     loop_cfg = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "init_scale"}
     model = objective.model
-    h = hashlib.sha256(repr((model.layer_sizes, model.activation, objective.params,
-                             loop_cfg, objective.m is None)).encode())
-    for a in (objective.theta, x, y, silver_mask, objective.m):
-        if a is not None:
-            a = np.ascontiguousarray(a)
-            h.update(f"{a.dtype.str}{a.shape}".encode())
-            h.update(a)
-    return h.hexdigest()
+    return digest((model.layer_sizes, model.activation, objective.params, loop_cfg,
+                   objective.m is None), objective.theta, x, y, silver_mask, objective.m)
 
 
 def _recorded(steps, memo: dict, key: str):
@@ -416,13 +408,6 @@ def _steps(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig, params: 
     return steps
 
 
-def _finite_model(theta: np.ndarray, model: MlpModel, epoch: int) -> MlpModel:
-    """`model`'s layout over the parameters `theta` after `epoch`, which must be finite."""
-    if not np.isfinite(theta).all():
-        raise ValueError(f"non-finite parameters after epoch {epoch}")
-    return MlpModel(*_split(theta, model), model.activation)
-
-
 def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
           params: AslParams | None = None, eval_data: Dataset | None = None,
           memo: dict | None = None) -> tuple[MlpModel, list[EpochStats]]:
@@ -430,39 +415,31 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
 
     `loss_mode` is "asl" or a CorrectedMode whose gold_mask marks trusted
     samples (trained with plain asymmetric loss against their own labels).
-    Always returns the last-epoch model; per-epoch reports are computed on
-    `eval_data` when given, otherwise on the training data. A non-finite
-    batch loss, or non-finite parameters or evaluation scores after an
-    epoch, raise ValueError.
+    Returns the last-epoch model and one EpochStats per epoch with its mean
+    training loss. Each epoch's report is computed on `eval_data`; without
+    it, nothing is evaluated and every report is None. A non-finite batch
+    loss, or non-finite parameters or evaluation scores after an epoch,
+    raise ValueError.
 
     `memo` maps a content key of the batch loop's inputs to that loop's
     per-epoch parameters and loss totals. A call whose key it holds skips
-    the loop and only evaluates; a call that finishes adds its own. The
-    reports and the model are the same bytes either way.
+    the loop; a call that finishes adds its own. The reports and the model
+    are the same bytes either way.
     """
     steps = _steps(model, data, loss_mode, cfg, params or AslParams(), memo)
     history: list[EpochStats] = []
-    ev = eval_data if eval_data is not None else data
     for epoch, (theta, total) in enumerate(steps, start=1):
-        current = _finite_model(theta, model, epoch)
-        scores = forward(current, ev.features).p_sig
-        if not np.isfinite(scores).all():
-            raise ValueError(f"non-finite evaluation scores after epoch {epoch}")
-        report = evaluate(scores, ev.labels)
+        if not np.isfinite(theta).all():
+            raise ValueError(f"non-finite parameters after epoch {epoch}")
+        current = MlpModel(*_split(theta, model), model.activation)
+        report = None
+        if eval_data is not None:
+            scores = forward(current, eval_data.features).p_sig
+            if not np.isfinite(scores).all():
+                raise ValueError(f"non-finite evaluation scores after epoch {epoch}")
+            report = evaluate(scores, eval_data.labels)
         history.append(EpochStats(epoch=epoch, loss=total / data.n, report=report))
     return current.copy(), history
-
-
-def record_trajectory(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
-                      params: AslParams, memo: dict) -> MlpModel:
-    """`train`'s batch loop alone, with no evaluation: stores the loop in
-    `memo` as `train` does, so a `train` call with the same inputs then only
-    evaluates, and returns the same last-epoch model. Non-finite parameters
-    raise ValueError as in `train`, and then `memo` gets no entry."""
-    for epoch, (theta, _) in enumerate(_steps(model, data, loss_mode, cfg, params, memo),
-                                       start=1):
-        current = _finite_model(theta, model, epoch)
-    return current.copy()
 
 
 def gradient_check(model: MlpModel, features, labels, params: AslParams,

@@ -1,5 +1,6 @@
-"""Deterministic numerical kernel: seeded random streams, stable elementary
-functions, and the rules that the settings of the config dataclasses obey.
+"""Deterministic numerical kernel: seeded random streams, the content digest
+of arrays, stable elementary functions, and the rules that the settings of
+the config dataclasses obey.
 
 The random generator is a counter-based splitmix64 (Steele/Lea/Flood finalizer):
 output ``i`` of a stream with key ``s`` is ``mix64(s + (i+1)*GOLDEN)`` in 64-bit
@@ -116,6 +117,20 @@ class RandomStream:
 
     def derive(self, label: str) -> "RandomStream":
         return RandomStream(self.derive_seed(label))
+
+
+def digest(head, *arrays) -> str:
+    """SHA-256 of `repr(head)`, then of each array's dtype, shape and bytes
+    in order; a None among `arrays` is skipped."""
+    import hashlib  # here, not at the top: only a trajectory memo and a grid hash
+
+    h = hashlib.sha256(repr(head).encode())
+    for a in arrays:
+        if a is not None:
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a)
+    return h.hexdigest()
 
 
 def sigmoid(x):

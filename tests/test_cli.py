@@ -565,6 +565,12 @@ class TestErrors:
         assert err.startswith("error: trusted_fraction 0.999 leaves no silver samples of ")
         assert "Traceback" not in err
         assert not (out / "silver_clean.mlnl").exists()
+        # nor does it touch the files of an earlier gen-data, which a later
+        # inject-noise would read beside its resolved.cfg
+        run(["--config", cfg_file, "--out", out, "gen-data"])
+        before = {p: p.read_bytes() for p in out.rglob("*")}
+        assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 1
+        assert {p: p.read_bytes() for p in out.rglob("*")} == before
 
     def test_empty_test_split_exits_one_at_gen_data(self, tmp_path, capsys):
         # 1% of 40 samples rounds to a test split of none
@@ -903,9 +909,10 @@ class TestTooling:
                                                             ("_run_grid", "run_pipeline")]
 
     def test_only_the_grid_loop_and_the_estimate_remove_files(self):
-        """In harness.py only _run_grid and estimate_correction remove files:
-        each removes the files it owns before it runs, so no output step
-        grows its own rule for what an earlier run left."""
+        """In harness.py only _run_grid, estimate_correction and run_pipeline
+        remove files: the first two remove the files they own before they
+        run, and a failed run_pipeline removes its stage files, so no output
+        step grows its own rule for what an earlier run left."""
         removers = ("unlink", "remove", "rmdir", "rmtree")
 
         def removals(node, scope):
@@ -919,7 +926,8 @@ class TestTooling:
                 yield from removals(child, scope)
 
         tree = ast.parse((self.ROOT / "src" / "mlnl" / "harness.py").read_text(encoding="utf-8"))
-        assert sorted(set(removals(tree, "harness"))) == ["_run_grid", "estimate_correction"]
+        assert sorted(set(removals(tree, "harness"))) == ["_run_grid", "estimate_correction",
+                                                          "run_pipeline"]
 
     def test_only_textio_starts_processes(self):
         """Only textio.ordered_map runs work in other processes or threads, so
@@ -1000,6 +1008,25 @@ class TestTooling:
                                if name not in used]
         assert unused == ["cli.train"]
 
+    def test_only_the_digest_imports_hashlib(self):
+        """numerics.digest is the package's one content hash: the trajectory
+        memo's keys and the grid's groups both go through it."""
+        def imports(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from imports(child, f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, ast.Import):
+                    yield from (scope for a in child.names if a.name.split(".")[0] == "hashlib")
+                elif isinstance(child, ast.ImportFrom) and \
+                        (child.module or "").split(".")[0] == "hashlib":
+                    yield scope
+                yield from imports(child, scope)
+
+        found = [scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
+                 for scope in imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+        assert found == ["numerics.digest"]
+
     @pytest.mark.parametrize("name", private_names())
     def test_every_private_name_is_read(self, name):
         """A private module-level name that nothing in the package reads is
@@ -1010,7 +1037,8 @@ class TestTooling:
         """Building a config object runs its validate(), so the package calls
         validate() only there, in GenConfig's override, and in
         harness.run_dir, which every entry point that takes an
-        ExperimentConfig runs first, since that config stays mutable."""
+        ExperimentConfig runs before it writes a file, since that config
+        stays mutable."""
         def validate_calls(node, scope):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.ClassDef)):

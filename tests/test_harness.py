@@ -441,6 +441,26 @@ class TestRunPipeline:
         with pytest.raises(RuntimeError, match="train-gold"):
             run_pipeline(bad, 0.3, tmp_path / "x", method="none")
 
+    def test_a_failed_run_leaves_no_earlier_result(self, tmp_path, monkeypatch):
+        """A run that fails at its estimate, in a directory that holds a
+        finished run and the staged CLI's silver datasets, leaves its own
+        resolved.cfg and those datasets, and no stage file of either run."""
+        cfg = tiny_config()
+        run_pipeline(cfg, 0.3, tmp_path, method="galc_slr")
+        for name in ("silver_clean.mlnl", "silver_noisy.mlnl"):
+            (tmp_path / name).write_text("a staged run's dataset\n")
+
+        def fail(model, pool):
+            raise ValueError("regulators unavailable")
+
+        monkeypatch.setattr(estimator, "compute_regulators", fail)
+        failing = dataclasses.replace(cfg, trusted_fraction=0.2)
+        with pytest.raises(RuntimeError, match="pipeline stage 'estimate' failed"):
+            run_pipeline(failing, 0.3, tmp_path, method="galc_slr")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "resolved.cfg", "silver_clean.mlnl", "silver_noisy.mlnl"]
+        assert (tmp_path / "resolved.cfg").read_text().splitlines() == render_config(failing)
+
     def test_correction_matrix_reloadable(self, tmp_path):
         cfg = tiny_config()
         run_pipeline(cfg, 0.3, tmp_path / "g", method="galc_slr")

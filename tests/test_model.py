@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlnl.model
 from mlnl.datagen import Dataset
 from mlnl.model import (AslParams, CorrectedMode, MlpModel, TrainConfig, _Objective,
                         asl_loss, forward, gradient_check, init_model, load_model, save_model,
@@ -480,6 +481,23 @@ class TestTrajectoryMemo:
         assert not loop_runs(lambda: hit.append(train(**call, eval_data=other, memo=memo)))
         fresh = train(**call, eval_data=other)
         assert bits(*hit[0]) == bits(*fresh)
+
+    def test_without_eval_data_nothing_is_evaluated(self, loop_runs, monkeypatch):
+        """A call with no evaluation set runs the loop and fills the memo as
+        one with it does, and calls neither forward nor evaluate."""
+        call, memo = memo_call(), {}
+        evaluated = train(**call, eval_data=toy_dataset(n=90, seed=35))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated without an evaluation set")
+
+        monkeypatch.setattr(mlnl.model, "forward", refuse)
+        monkeypatch.setattr(mlnl.model, "evaluate", refuse)
+        trained, history = train(**call, memo=memo)
+        assert [h.report for h in history] == [None] * call["cfg"].epochs
+        assert bits(trained, []) == bits(evaluated[0], [])
+        assert [h.loss for h in history] == [h.loss for h in evaluated[1]]
+        assert not loop_runs(lambda: train(**call, memo=memo))
 
     def test_a_hit_hands_out_copies(self):
         call, memo = memo_call(), {}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlnl.numerics import RandomStream, sigmoid, softmax
+from mlnl.numerics import RandomStream, digest, sigmoid, softmax
 
 
 class TestSigmoid:
@@ -99,6 +99,29 @@ class TestRandomStream:
     def test_choice_without_replacement(self):
         c = RandomStream(12).choice(50, 20)
         assert len(set(c.tolist())) == 20
+
+
+class TestDigest:
+    def test_equal_bytes_of_another_dtype_or_shape_differ(self):
+        a = np.arange(6, dtype=np.int64)
+        base = digest("h", a)
+        assert digest("h", np.arange(6, dtype=np.int64)) == base
+        assert digest("h", a.view(np.float64)) != base
+        assert digest("h", a.reshape(2, 3)) != base
+        assert digest("h", a[:2], a[2:]) != digest("h", a[:3], a[3:])
+
+    def test_another_head_differs(self):
+        a = np.zeros(3)
+        assert digest(("h", 1), a) != digest(("h", 2), a)
+        assert digest((), a) != digest((), a, a)
+
+    def test_a_none_is_skipped(self):
+        a, b = np.ones(2), np.zeros((2, 2), dtype=bool)
+        assert digest("h", a, None, b) == digest("h", a, b)
+
+    def test_a_strided_view_hashes_as_its_copy(self):
+        a = np.arange(12.0).reshape(3, 4)
+        assert digest("h", a[:, ::2]) == digest("h", a[:, ::2].copy())
 
 
 @settings(max_examples=25)
