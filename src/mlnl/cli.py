@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Staged subcommands operate on a run directory (--out): gen-data writes the
-split dataset files, inject-noise corrupts the silver split, train-silver and
-train-gold produce checkpoints and metrics, estimate writes the corruption
-matrix CSVs. sweep and ablate orchestrate full experiment grids, and plot
-redraws a sweep's SVG plots from the files in its directory.
+split dataset files and resolved.cfg, whose settings the later stages run
+with; inject-noise corrupts the silver split, train-silver and train-gold
+produce checkpoints and metrics, estimate writes the corruption matrix CSVs.
+sweep and ablate orchestrate full experiment grids, and plot redraws a
+sweep's SVG plots from the files in its directory.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import datagen, harness, noise, textio
-from .harness import ExperimentConfig, parse_config
+from .harness import CONFIG_KEYS, ExperimentConfig, parse_config
 from .metrics import evaluate
 # `train` is not called here; it stays bound in this module because
 # perfbench/test_tracer.py checks that the tracer wraps every binding of it.
@@ -23,10 +24,24 @@ from .model import MlpModel, forward, load_model, train  # noqa: F401
 
 
 def _load_config(args) -> ExperimentConfig:
+    """--config, or the defaults, with --seed and --out applied. The stages
+    after gen-data run with the settings in the run directory's resolved.cfg
+    instead, and reject a --config or --seed that differs from them on any
+    key but out."""
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
     overrides = {name: getattr(args, name) for name in ("seed", "out")
                  if getattr(args, name) is not None}
-    return dataclasses.replace(cfg, **overrides)
+    cfg = dataclasses.replace(cfg, **overrides)
+    if args.command not in ("inject-noise", "train-silver", "estimate", "train-gold"):
+        return cfg
+    path = Path(cfg.out) / "resolved.cfg"
+    ran = parse_config(path)
+    for key in CONFIG_KEYS:
+        flag = "--seed" if key.name == "seed" and args.seed is not None else "--config"
+        if (args.config or flag == "--seed") and key.name != "out" and key.get(cfg) != key.get(ran):
+            raise ValueError(f"{flag} gives {key.name} = {key.get(cfg)!r}, "
+                             f"but {path} has {key.get(ran)!r}")
+    return dataclasses.replace(ran, out=cfg.out)
 
 
 def _check_shapes(paths, inputs) -> None:

@@ -518,15 +518,15 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
     run_pipeline with no stage file beside its resolved.cfg; returns the
     (label, record) of every cell that finished, in cell order.
 
-    Cells whose inject and silver loop read the same inputs (the silver
-    split's contents among them) form a group with one trajectory memo, so
-    the group runs that loop once. With two or more groups and
-    textio.worker_limit() above 1, forked workers run each group's batch
-    loops ahead (see _prefetched), and the group's cells then find every
-    loop in the memo; their stages still make every other call and write
-    every file here. The memo key, not the group, decides reuse, so a loop
-    missing from the memo runs here. The time spent waiting for a group's
-    memo is added to the wall_seconds of the first of its cells to finish."""
+    Cells with the same noise ratio and silver split (by content), which is
+    all that grids vary of the inject and silver loop's inputs, form a group
+    with one trajectory memo, so the group runs that loop once. With two or
+    more groups and textio.worker_limit() above 1, forked workers run each
+    group's batch loops ahead (see _prefetched), and the group's cells then
+    find every loop in the memo; their stages still make every other call
+    and write every file here. The memo key, not the group, decides reuse,
+    so a loop missing from the memo runs here. The time spent waiting for a
+    group's memo is added to the wall_seconds of the first of its cells."""
     out = run_dir(cfg, outdir)
     for pattern in (*outputs, "failures.log"):
         for path in out.glob(pattern):
@@ -537,8 +537,7 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
         if sub is not data_cfg:
             data_cfg, data = sub, _stage("prepare-data", lambda: prepare_data(sub))
             split_digest = digest((), data.silver_clean.features, data.silver_clean.labels)
-        groups.setdefault((eta, split_digest, sub.seed, sub.noise_mode, sub.silver, sub.hidden,
-                           sub.activation, sub.asl), []).append(len(runs))
+        groups.setdefault((eta, split_digest), []).append(len(runs))
         runs.append((sub, eta, method, data))
     groups = list(groups.values())
     done, failures = {}, {}

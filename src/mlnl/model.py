@@ -111,12 +111,6 @@ class CorrectedMode:
     matrix: np.ndarray
     gold_mask: np.ndarray | None = None  # bool per sample; None = all silver
 
-    def effective_matrix(self, k: int) -> np.ndarray:
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (k, k):
-            raise ValueError(f"correction matrix shape {m.shape} does not match K={k}")
-        return m
-
 
 @dataclass
 class EpochStats:
@@ -252,17 +246,16 @@ class _Objective:
     and the finite-difference checker, which perturbs `theta` in place.
     """
 
-    def __init__(self, model: MlpModel, params: AslParams, mode):
+    def __init__(self, model: MlpModel, params: AslParams, m: np.ndarray | None):
         self.theta = np.concatenate([t.ravel() for t in model.weights + model.biases])
         self.model = MlpModel(*_split(self.theta, model), model.activation)
         self.grad = np.empty_like(self.theta)
         self.grad_w, self.grad_b = _split(self.grad, model)
         self.tanh = model.activation == "tanh"
         self.params = params
-        self.m = None  # the correction matrix of a CorrectedMode
-        if isinstance(mode, CorrectedMode):
-            self.m = mode.effective_matrix(model.num_classes)
-            self.mt = self.m.T
+        self.m = m  # the correction matrix, None in plain mode
+        if m is not None:
+            self.mt = m.T
 
     def loss(self, x: np.ndarray, y: np.ndarray, silver: np.ndarray,
              backward: bool = True) -> float:
@@ -305,19 +298,22 @@ class _Objective:
         return loss
 
 
-def _silver_mask(mode, n: int) -> np.ndarray:
-    """Which of `n` samples fit M^T p: none in "asl" mode, all of a
-    CorrectedMode without a gold mask, else those its mask leaves out."""
+def _loss_inputs(mode, n: int, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """What the loss mode `mode` trains `n` samples of `k` classes on: which
+    samples fit M^T p (none in "asl" mode, all of a CorrectedMode without a
+    gold mask, else those its mask leaves out) and M (None in "asl" mode)."""
     if isinstance(mode, str) and mode == "asl":
-        return np.zeros(n, dtype=bool)
+        return np.zeros(n, dtype=bool), None
     if not isinstance(mode, CorrectedMode):
         raise ValueError(f"loss mode must be 'asl' or a CorrectedMode, got {mode!r}")
-    if mode.gold_mask is None:
-        return np.ones(n, dtype=bool)
-    gold_mask = np.asarray(mode.gold_mask, dtype=bool)
+    gold = np.zeros(n) if mode.gold_mask is None else mode.gold_mask
+    gold_mask = np.asarray(gold, dtype=bool)
     if gold_mask.shape != (n,):
         raise ValueError("gold_mask must have one entry per training sample")
-    return ~gold_mask
+    m = np.asarray(mode.matrix, dtype=np.float64)
+    if m.shape != (k, k):
+        raise ValueError(f"correction matrix shape {m.shape} does not match K={k}")
+    return ~gold_mask, m
 
 
 def _trajectory(objective: _Objective, x: np.ndarray, y: np.ndarray,
@@ -390,24 +386,6 @@ def _recorded(steps, memo: dict, key: str):
     memo[key] = done
 
 
-def _steps(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig, params: AslParams,
-           memo: dict | None):
-    """The (parameters, loss total) of each epoch of `train`'s batch loop:
-    taken from `memo` when it holds the loop's key, else run (and, with a
-    memo, stored in it once the last epoch is taken)."""
-    x = data.features
-    y = data.labels.astype(bool)
-    if x.shape[0] == 0:
-        raise ValueError("cannot train on an empty dataset")
-    silver_mask = _silver_mask(loss_mode, x.shape[0])
-    objective = _Objective(model, params, loss_mode)
-    steps = _trajectory(objective, x, y, silver_mask, cfg)
-    if memo is not None:
-        key = _trajectory_key(objective, x, y, silver_mask, cfg)
-        steps = memo[key] if key in memo else _recorded(steps, memo, key)
-    return steps
-
-
 def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
           params: AslParams | None = None, eval_data: Dataset | None = None,
           memo: dict | None = None) -> tuple[MlpModel, list[EpochStats]]:
@@ -426,7 +404,16 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
     the loop; a call that finishes adds its own. The reports and the model
     are the same bytes either way.
     """
-    steps = _steps(model, data, loss_mode, cfg, params or AslParams(), memo)
+    x = data.features
+    y = data.labels.astype(bool)
+    if x.shape[0] == 0:
+        raise ValueError("cannot train on an empty dataset")
+    silver_mask, m = _loss_inputs(loss_mode, x.shape[0], model.num_classes)
+    objective = _Objective(model, params or AslParams(), m)
+    steps = _trajectory(objective, x, y, silver_mask, cfg)
+    if memo is not None:
+        key = _trajectory_key(objective, x, y, silver_mask, cfg)
+        steps = memo[key] if key in memo else _recorded(steps, memo, key)
     history: list[EpochStats] = []
     for epoch, (theta, total) in enumerate(steps, start=1):
         if not np.isfinite(theta).all():
@@ -450,10 +437,11 @@ def gradient_check(model: MlpModel, features, labels, params: AslParams,
     mode's gold mask) is capped at 32 samples.
     """
     x = np.asarray(features, dtype=np.float64)
-    silver = np.flatnonzero(_silver_mask(mode, x.shape[0])[:32])
+    silver_mask, m = _loss_inputs(mode, x.shape[0], model.num_classes)
+    silver = np.flatnonzero(silver_mask[:32])
     x = x[:32]
     y = _binary(labels)[:32]
-    objective = _Objective(model, params, mode)
+    objective = _Objective(model, params, m)
     objective.loss(x, y, silver)
     analytic = objective.grad.copy()
 

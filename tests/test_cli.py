@@ -149,6 +149,35 @@ class TestStagedWorkflow:
         raw = read_matrix(out / "chat_raw.csv")
         np.testing.assert_array_equal(chat.matrix, raw.matrix)
 
+    def test_stages_need_no_config_after_gen_data(self, tmp_path, cfg_file):
+        out = tmp_path / "run"
+        run(["--config", cfg_file, "--out", tmp_path / "made", "gen-data"])
+        (tmp_path / "made").rename(out)  # resolved.cfg's out may differ from --out
+        run(["--out", out, "inject-noise"])
+        run(["--config", cfg_file, "--out", out, "train-silver"])
+        given = {name: (out / name).read_bytes()
+                 for name in ("silver_model.mlpm", "silver_metrics.csv")}
+        run(["--out", out, "train-silver"])
+        assert {name: (out / name).read_bytes() for name in given} == given
+        run(["--seed", 4, "--out", out, "estimate", "--method", "glc"])
+
+    @pytest.mark.parametrize("flags, command, given, saved, model", [
+        (["--config", "three.cfg"], ["train-silver"], "--config gives silver.epochs = 3", "2",
+         "silver_model.mlpm"),
+        (["--seed", "5"], ["train-gold", "--correction", "none"], "--seed gives seed = 5", "4",
+         "gold_model.mlpm")], ids=["config", "seed"])
+    def test_a_setting_that_differs_from_gen_data_is_rejected(
+            self, tmp_path, cfg_file, capsys, monkeypatch, flags, command, given, saved, model):
+        monkeypatch.chdir(tmp_path)
+        run(["--config", cfg_file, "--out", "run", "gen-data"])
+        run(["--config", cfg_file, "--out", "run", "inject-noise"])
+        write_overridden(cfg_file, tmp_path / "three.cfg", "silver.epochs = 3")
+        capsys.readouterr()
+        assert main([*flags, "--out", "run", *command]) == 1
+        resolved = Path("run", "resolved.cfg")
+        assert capsys.readouterr().err == f"error: {given}, but {resolved} has {saved}\n"
+        assert not Path("run", model).exists()
+
 
 class TestSweepAndPlot:
     def test_sweep_then_replot(self, tmp_path, cfg_file):
@@ -1026,6 +1055,25 @@ class TestTooling:
         found = [scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
                  for scope in imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
         assert found == ["numerics.digest"]
+
+    def test_one_function_reads_a_loss_mode(self):
+        """Only model._loss_inputs asks whether a loss mode is a
+        CorrectedMode, so `train`, `gradient_check` and the objective take
+        a mode's silver rows and matrix from one reader."""
+        def mode_checks(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from mode_checks(child, f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance" \
+                        and any(getattr(n, "id", getattr(n, "attr", None)) == "CorrectedMode"
+                                for n in ast.walk(child.args[-1])):
+                    yield scope
+                yield from mode_checks(child, scope)
+
+        found = [scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
+                 for scope in mode_checks(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+        assert found == ["model._loss_inputs"]
 
     @pytest.mark.parametrize("name", private_names())
     def test_every_private_name_is_read(self, name):

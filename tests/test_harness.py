@@ -599,7 +599,7 @@ class TestTrainingMatrix:
     def test_forms(self):
         import mlnl.estimator as est
         from mlnl.model import init_model
-        from tests.test_estimator import single_label_pool
+        from test_estimator import single_label_pool
 
         pool = single_label_pool(5, seed=30)
         m = init_model([5, 7, 6], "tanh", 1.0, seed=30)

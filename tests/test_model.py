@@ -128,8 +128,8 @@ def sample_objective(z, y, params, c=None):
     """
     z = np.asarray(z, dtype=np.float64)
     k = z.size
-    mode = "asl" if c is None else CorrectedMode(c)
-    objective = _Objective(MlpModel([np.eye(k)], [np.zeros(k)]), params, mode)
+    m = None if c is None else np.asarray(c, dtype=np.float64)
+    objective = _Objective(MlpModel([np.eye(k)], [np.zeros(k)]), params, m)
     silver = np.arange(0 if c is None else 1)
     loss = objective.loss(z[None, :], np.asarray(y).astype(bool)[None, :], silver)
     return loss, objective.grad_b[0].copy()
@@ -632,7 +632,7 @@ def _ref_loss_and_grads(model, x, y, params, mode):
     p = sigmoid(logits)
     n = x.shape[0]
     if isinstance(mode, CorrectedMode):
-        m = mode.effective_matrix(logits.shape[1])
+        m = mode.matrix
         gold = (np.zeros(n, dtype=bool) if mode.gold_mask is None
                 else np.asarray(mode.gold_mask, dtype=bool))
         eff = p.copy()
@@ -685,8 +685,9 @@ class TestStepOracle:
         y = (rng.uniform(size=(n, k)) < 0.4).astype(np.float64)
         params = AslParams(gp, gm, margin, 1e-7)
         silver = np.arange(0)
+        c = None
         if mode_kind == "asl":
-            mode = batch_mode = "asl"
+            batch_mode = "asl"
         else:
             c = rng.uniform(0.0, 1.0, size=(k, k)) + np.eye(k) * rng.uniform(0, 3)
             gold = None
@@ -694,11 +695,10 @@ class TestStepOracle:
             if mode_kind == "corrected":
                 gold = rng.uniform(size=n) < rng.uniform(0.0, 1.0)
                 silver = np.flatnonzero(~gold)
-            mode = CorrectedMode(c, None)
             batch_mode = CorrectedMode(c, gold)
         ref_loss, ref_gw, ref_gb = _ref_loss_and_grads(model, x, y, params, batch_mode)
 
-        objective = _Objective(model, params, mode)
+        objective = _Objective(model, params, c)
         loss = objective.loss(x, y.astype(bool), silver)
         assert repr(loss) == repr(ref_loss)
         ref_grad = np.concatenate([g.ravel() for g in ref_gw + ref_gb])

@@ -464,3 +464,48 @@ class TestDatasetIoOnThreeProcesses:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: the worker failed$"):
             read_dataset(path)
         assert not multiprocessing.active_children()
+
+
+def test_a_daemonic_process_writes_and_reads_inline(tmp_path, monkeypatch):
+    """A daemonic process, such as a worker of ordered_map, may not have
+    children: at two usable CPUs it writes and reads a dataset of several
+    write chunks and read ranges without a fork, and gets the bytes that
+    one CPU writes."""
+    rng = np.random.default_rng(9)
+    labels = (rng.random((3000, 4)) < 0.3).astype(np.uint8)
+    labels[np.arange(3000), rng.integers(0, 4, 3000)] = 1
+    rows = Dataset(rng.normal(size=(3000, 3)), labels)
+    monkeypatch.setattr(textio, "_usable_cpus", lambda: 1)
+    write_dataset(rows, tmp_path / "one_cpu.mlnl")
+    monkeypatch.setattr(textio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(datagen, "_READ_RANGE_BYTES", 4096)
+    path = tmp_path / "daemon.mlnl"
+
+    def forked():
+        raise AssertionError("the daemonic process forked")
+
+    def in_daemon(sender):
+        os.fork = forked  # in this process only
+        try:
+            write_dataset(rows, path)
+            sender.send(datagen.datasets_equal(read_dataset(path), rows))
+        except BaseException as e:
+            sender.send(repr(e))
+
+    assert rows.n > datagen._WRITE_CHUNK_ROWS
+    assert textio.worker_limit() == 2
+    fork = multiprocessing.get_context("fork")
+    receiver, sender = fork.Pipe(duplex=False)
+    daemon = fork.Process(target=in_daemon, args=(sender,), daemon=True)
+    daemon.start()
+    sender.close()
+    try:
+        result = receiver.recv() if receiver.poll(60) else "no result in 60 s"
+    finally:
+        daemon.join(10)
+        daemon.kill()
+        daemon.join()
+        receiver.close()
+    assert result is True
+    assert path.read_bytes() == (tmp_path / "one_cpu.mlnl").read_bytes()
+    assert os.path.getsize(path) > 2 * datagen._READ_RANGE_BYTES
