@@ -68,8 +68,17 @@ def _check_shapes(paths, inputs) -> None:
                              f"but {path} has {has}")
 
 
+# What the staged subcommands write besides the stage files (see
+# harness._STAGE_FILES), each with the `.partial` that a killed write leaves.
+_CLI_FILES = ("silver_noisy.mlnl*", "empirical_matrix.csv*", "flips.csv*", "eval.csv*")
+
+
 def _cmd_gen_data(args, cfg: ExperimentConfig) -> int:
-    data = harness.prepare_data(cfg)  # a config that cannot be prepared writes nothing
+    data = harness.prepare_data(cfg)  # a config that cannot be prepared changes nothing
+    # the later stages would read an earlier run's files beside this run's data
+    for pattern in (*harness._STAGE_FILES, *_CLI_FILES):
+        for path in Path(cfg.out).glob(pattern):
+            path.unlink()
     out = harness.run_dir(cfg, cfg.out)
     datagen.write_dataset(data.full, out / "dataset_full.mlnl")
     datagen.write_dataset(data.test, out / "test.mlnl")

@@ -7,7 +7,8 @@ The master seed fans out into labeled sub-streams (datagen / test-split /
 gold-split / single-pool / noise / silver-init / silver-train / gold-init /
 gold-train) so toggling one stage never perturbs the others, and paired runs
 across methods share identical data. On two or more CPUs, a grid's forked
-workers run its batch loops ahead, and its stages replay them here.
+workers run its batch loops ahead, each group's gold loops as one stack,
+and its stages replay them here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import datagen, estimator, noise, svgplot, textio
 from .datagen import Dataset, GenConfig, SplitSpec
 from .metrics import MetricsReport
 from .model import (ACTIVATIONS, AslParams, CorrectedMode, EpochStats, MlpModel, TrainConfig,
-                    init_model, save_model, train)
+                    fill_memo, init_model, save_model, train)
 from .noise import CorruptionMatrix, NoiseSpec
 from .numerics import Interval, RandomStream, Settings, digest, integer, one_of, rule
 
@@ -204,7 +205,9 @@ class SplitArtifacts:
     object reuse. Each run adds its silver and gold loops to the memo unless
     they are there already; a loop holds epochs x parameters x 8 bytes,
     about 0.85 MB at the default config. A grid sets the memo of each group
-    of cells, which forked workers may have filled ahead (see _prefetch)."""
+    of cells, which forked workers may have filled ahead (see _prefetch):
+    there, a stack of a group's C gold loops holds its C loops' snapshots
+    and six (C, parameters) buffers at once, about 2.9 MB for C = 3."""
 
     gold: Dataset
     silver_clean: Dataset
@@ -308,18 +311,23 @@ def inject_noise(cfg: ExperimentConfig, out: Path, silver_clean: Dataset, eta: f
     return noisy, log, true_c
 
 
-def _fit(cfg: ExperimentConfig, stage: str, data: Dataset, loss_mode, memo: dict | None,
-         test: Dataset | None = None):
-    """`model.train` of the "silver" or "gold" stage on `data`, from the
-    stage's seeded initial model with its TrainConfig and derived seed,
-    evaluating each epoch on `test` when given."""
+def _job(cfg: ExperimentConfig, stage: str, data: Dataset, loss_mode) -> tuple:
+    """The first five arguments of the "silver" or "gold" stage's
+    `model.train` on `data`: the stage's seeded initial model, the data, the
+    loss mode, its TrainConfig with the derived seed, and cfg.asl."""
     root = RandomStream(cfg.seed)
     train_cfg = getattr(cfg, stage)
     model0 = init_model([data.num_features, *cfg.hidden, data.num_classes], cfg.activation,
                         train_cfg.init_scale, seed=root.derive_seed(f"{stage}-init"))
-    return train(model0, data, loss_mode,
-                 dataclasses.replace(train_cfg, seed=root.derive_seed(f"{stage}-train")),
-                 cfg.asl, eval_data=test, memo=memo)
+    return (model0, data, loss_mode,
+            dataclasses.replace(train_cfg, seed=root.derive_seed(f"{stage}-train")), cfg.asl)
+
+
+def _fit(cfg: ExperimentConfig, stage: str, data: Dataset, loss_mode, memo: dict | None,
+         test: Dataset | None = None):
+    """`model.train` of the "silver" or "gold" stage on `data` (see _job),
+    evaluating each epoch on `test` when given."""
+    return train(*_job(cfg, stage, data, loss_mode), eval_data=test, memo=memo)
 
 
 def _train_stage(cfg: ExperimentConfig, out: Path, stage: str, data: Dataset, loss_mode,
@@ -464,21 +472,25 @@ SUMMARY_HEADER = "method,eta,map,cf1,of1,frobenius_to_true"
 def _prefetch(group) -> dict:
     """Run the batch loops of a group of cells (config, eta, method, data)
     that share one inject and one silver loop ahead of their stages, from
-    the stages' own inputs but with no file and no evaluation set, so
-    `train` evaluates nothing: the silver loop, then each cell's correction
-    matrix and gold loop. Returns the trajectory memo they fill. A loop that
-    raises leaves no entry, so the stage runs it again and fails as it
-    would have."""
+    the stages' own inputs but with no file and no evaluation set: the
+    silver loop, then each cell's correction matrix, then the gold loops,
+    which `model.fill_memo` trains as one stack where only their loss modes
+    differ; a sweep group's share the gold-init weights, the gold-train
+    shuffle and the training rows. Returns the trajectory memo they fill,
+    one entry per loop. A loop that raises leaves no entry, so the stage
+    runs it again and fails as it would have."""
     memo: dict = {}
     first_cfg, eta, _, first = group[0]
     with contextlib.suppress(Exception):
         noisy, _, true_c = _noisy_split(first_cfg, first.silver_clean, eta)
         silver, _ = _fit(first_cfg, "silver", noisy, "asl", memo)
+        jobs = []
         for sub, _, method, data in group:
             with contextlib.suppress(Exception):
                 corr, _ = _correction(sub, method, true_c, data.gold, silver, data.singles_pool,
                                       noisy)
-                _fit(sub, "gold", *_gold_set(data.gold, noisy, corr), memo)
+                jobs.append(_job(sub, "gold", *_gold_set(data.gold, noisy, corr)))
+        fill_memo(jobs, memo)
     return memo
 
 

@@ -20,6 +20,15 @@ float operations in the same order as a per-layer, per-term formulation,
 so results are bit-reproducible across refactors (tests pin the bytes).
 A caller may pass `train` a memo of finished batch loops, keyed on their
 inputs' contents: a repeated training then only evaluates again.
+
+The one batch loop runs a stack of C cells: trainings that share the
+initial model, data, shuffle and settings and differ only in their loss
+modes. It keeps C parameter buffers as the rows of one (C, P) array and
+makes each numpy call once for all of them, so the per-call cost, which
+dominates a 64-row batch, is paid once per batch rather than C times.
+Each cell gets the bits it would get alone. `train` runs a stack of one,
+which is a flat buffer; `fill_memo` runs larger stacks ahead of the
+`train` calls that will replay them.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,16 +141,19 @@ class ForwardResult:
         return softmax(self.logits, axis=-1)
 
 
-def _layers(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The batch `x` followed by each hidden layer's output, and the logits."""
+def _layers(wts: list, biases: list, tanh: bool,
+            x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The batch `x` followed by each hidden layer's output, and the logits,
+    of the layers with transposed weights `wts` and biases `biases` (tanh or
+    relu hidden units). Layers stacked along a leading axis give every
+    output after `x` that axis too."""
     acts = [x]
-    tanh = model.activation == "tanh"
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = acts[-1] @ w.T
+    for wt, b in zip(wts[:-1], biases[:-1]):
+        z = acts[-1] @ wt
         z += b
         acts.append(np.tanh(z, out=z) if tanh else np.maximum(z, 0.0, out=z))
-    logits = acts[-1] @ model.weights[-1].T
-    logits += model.biases[-1]
+    logits = acts[-1] @ wts[-1]
+    logits += biases[-1]
     return acts, logits
 
 
@@ -151,7 +164,8 @@ def forward(model: MlpModel, x) -> ForwardResult:
     a = x[None, :] if single else x
     if a.shape[1] != model.weights[0].shape[1]:
         raise ValueError(f"expected {model.weights[0].shape[1]} features, got {a.shape[1]}")
-    logits = _layers(model, a)[1]
+    logits = _layers([w.T for w in model.weights], model.biases,
+                     model.activation == "tanh", a)[1]
     if single:
         logits = logits[0]
     return ForwardResult(logits, sigmoid(logits))
@@ -228,66 +242,88 @@ def asl_loss(p_sig, y, params: AslParams):
 
 
 def _split(buf: np.ndarray, model: MlpModel) -> tuple[list, list]:
-    """Views of `buf` shaped like the model's weights, then its biases."""
+    """Views of `buf` shaped like the model's weights, then its biases; each
+    row of a 2-D `buf` gives them a leading axis of its own."""
     views, off = [], 0
     for t in model.weights + model.biases:
-        views.append(buf[off:off + t.size].reshape(t.shape))
+        views.append(buf[..., off:off + t.size].reshape(*buf.shape[:-1], *t.shape))
         off += t.size
     n = len(model.weights)
     return views[:n], views[n:]
 
 
-class _Objective:
-    """Mean batch loss of a model, plain or corrected, and its gradient.
+def _cell_rows(a: np.ndarray, c: int) -> np.ndarray:
+    """Cell `c`'s rows of a batch array of a stack; one cell has no stack axis."""
+    return a[c] if a.ndim == 3 else a
 
-    The parameters live in one flat buffer `theta` (weights, then biases);
-    `model` is made of views into it and `grad` has the same layout. This
-    one forward-and-loss pass serves the trainer, which also fills `grad`,
-    and the finite-difference checker, which perturbs `theta` in place.
+
+class _Objective:
+    """Mean batch loss of a stack of C models, plain or corrected, and its gradient.
+
+    The cells of a stack start as copies of `model` and see the same batches;
+    they differ only in their loss modes. `matrices` gives each cell's
+    correction matrix, None in plain mode. The parameters live in one buffer
+    `theta` of C rows (weights, then biases), flat for a stack of one; the
+    layers are views into it and `grad` has the same layout. Every product
+    and reduction runs once over the whole stack, as the same BLAS calls and
+    summation orders that each cell would get alone, so each cell's bits do
+    not depend on the stack it is in. A corrected cell's silver rows go
+    through its matrix one cell at a time. This one forward-and-loss pass
+    serves the trainer, which also fills `grad`, and the finite-difference
+    checker, which perturbs `theta` in place.
     """
 
-    def __init__(self, model: MlpModel, params: AslParams, m: np.ndarray | None):
-        self.theta = np.concatenate([t.ravel() for t in model.weights + model.biases])
-        self.model = MlpModel(*_split(self.theta, model), model.activation)
+    def __init__(self, model: MlpModel, params: AslParams, matrices: list):
+        flat = np.concatenate([t.ravel() for t in model.weights + model.biases])
+        self.theta = flat if len(matrices) == 1 else np.tile(flat, (len(matrices), 1))
+        self.weights, biases = _split(self.theta, model)
+        self.wts = [w.swapaxes(-1, -2) for w in self.weights]
+        self.biases = [b[..., None, :] for b in biases]  # broadcast over the batch rows
         self.grad = np.empty_like(self.theta)
         self.grad_w, self.grad_b = _split(self.grad, model)
         self.tanh = model.activation == "tanh"
         self.params = params
-        self.m = m  # the correction matrix, None in plain mode
-        if m is not None:
-            self.mt = m.T
+        self.matrices = matrices
+        self.transposed = [None if m is None else m.T for m in matrices]
 
-    def loss(self, x: np.ndarray, y: np.ndarray, silver: np.ndarray,
-             backward: bool = True) -> float:
-        """Mean loss of the batch (`y` boolean). The rows indexed by `silver`
-        fit M^T p and the others, the gold rows, fit their own labels; plain
-        mode has no silver rows. With `backward`, also fills `grad`."""
-        acts, logits = _layers(self.model, x)
+    def loss(self, x: np.ndarray, y: np.ndarray, silvers: dict,
+             backward: bool = True) -> list[float]:
+        """Each cell's mean loss on the batch (`y` boolean). `silvers` maps
+        a corrected cell to the batch rows that fit its M^T p; its other
+        rows, the gold rows, and every row of a cell it does not name fit
+        their own labels. With `backward`, also fills `grad`."""
+        acts, logits = _layers(self.wts, self.biases, self.tanh, x)
         p = sigmoid(logits)
 
+        corrected = [c for c, silver in silvers.items() if silver.size]
         eff = p
-        if silver.size:
+        if corrected:
             # the silver rows alone: BLAS may round a row of a smaller product differently
             eff = p.copy()
-            eff[silver] = p[silver] @ self.m
+            for c in corrected:
+                silver = silvers[c]
+                _cell_rows(eff, c)[silver] = _cell_rows(p, c)[silver] @ self.matrices[c]
         terms, d_eff = _asl_terms_and_slopes(eff, y, self.params, backward)
         n = x.shape[0]
-        loss = float(np.add.reduce(np.add.reduce(terms, axis=1))) / n
+        per_sample = np.add.reduce(terms, axis=-1).reshape(-1, n)  # a row per cell
+        losses = [total / n for total in np.add.reduce(per_sample, axis=1).tolist()]
         if not backward:
-            return loss
+            return losses
 
         dp = d_eff
-        if silver.size:
+        if corrected:
             dp = d_eff.copy()
-            dp[silver] = d_eff[silver] @ self.mt
+            for c in corrected:
+                silver = silvers[c]
+                _cell_rows(dp, c)[silver] = _cell_rows(d_eff, c)[silver] @ self.transposed[c]
         back = dp * p
         back *= 1.0 - p
         back /= n
         for l in range(len(acts) - 1, -1, -1):
-            np.matmul(back.T, acts[l], out=self.grad_w[l])
-            np.add.reduce(back, axis=0, out=self.grad_b[l])
+            np.matmul(back.swapaxes(-1, -2), acts[l], out=self.grad_w[l])
+            np.add.reduce(back, axis=-2, out=self.grad_b[l])
             if l:
-                back = back @ self.model.weights[l]
+                back = back @ self.weights[l]
                 a = acts[l]
                 if self.tanh:
                     slope = a * a
@@ -295,7 +331,7 @@ class _Objective:
                     back *= slope
                 else:
                     back *= a > 0
-        return loss
+        return losses
 
 
 def _loss_inputs(mode, n: int, k: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -316,11 +352,46 @@ def _loss_inputs(mode, n: int, k: int) -> tuple[np.ndarray, np.ndarray | None]:
     return ~gold_mask, m
 
 
-def _trajectory(objective: _Objective, x: np.ndarray, y: np.ndarray,
-                silver_mask: np.ndarray, cfg: TrainConfig):
-    """The batch loop: after each epoch, yield the parameter buffer (the
-    objective's own `theta`, which the next epoch updates in place) and the
-    epoch's loss summed over samples. A non-finite batch loss raises ValueError."""
+class _Cell(NamedTuple):
+    """The inputs of one batch loop: `train`'s arguments with the labels
+    made boolean and the loss mode read (see _loss_inputs)."""
+
+    model: MlpModel
+    x: np.ndarray
+    y: np.ndarray
+    silver_mask: np.ndarray
+    m: np.ndarray | None
+    cfg: TrainConfig
+    params: AslParams
+
+    @classmethod
+    def of(cls, model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
+           params: AslParams) -> "_Cell":
+        if data.n == 0:
+            raise ValueError("cannot train on an empty dataset")
+        silver_mask, m = _loss_inputs(loss_mode, data.n, model.num_classes)
+        return cls(model, data.features, data.labels.astype(bool), silver_mask, m, cfg, params)
+
+
+class _Diverged(ValueError):
+    """A batch loss, or the parameters after an epoch, of stack cell `cell`
+    went non-finite."""
+
+    def __init__(self, cell: int, message: str):
+        super().__init__(message)
+        self.cell = cell
+
+
+def _trajectory(cells: list[_Cell]):
+    """The batch loop of a stack of cells whose inputs differ only in their
+    loss modes (see _Objective): after each epoch, yield the parameter buffer
+    (the objective's own `theta`, which the next epoch updates in place) and
+    each cell's loss summed over the epoch's samples. The first cell whose
+    batch loss, or parameters after an epoch, are not finite raises _Diverged."""
+    first = cells[0]
+    x, y, cfg = first.x, first.y, first.cfg
+    silver_masks = {c: cell.silver_mask for c, cell in enumerate(cells) if cell.m is not None}
+    objective = _Objective(first.model, first.params, [cell.m for cell in cells])
     n = x.shape[0]
     shuffle_stream = RandomStream(cfg.seed).derive("shuffle")
     theta, grad = objective.theta, objective.grad
@@ -333,13 +404,16 @@ def _trajectory(objective: _Objective, x: np.ndarray, y: np.ndarray,
 
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_stream.permutation(n)
-        total = 0.0
+        totals = [0.0] * len(cells)
         for start in range(0, n, cfg.batch_size):
             rows = perm[start:start + cfg.batch_size]
-            loss = objective.loss(x[rows], y[rows], silver_mask[rows].nonzero()[0])
-            if not math.isfinite(loss):
-                raise ValueError(f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size + 1}")
-            total += loss * len(rows)
+            losses = objective.loss(x[rows], y[rows], {
+                c: mask[rows].nonzero()[0] for c, mask in silver_masks.items()})
+            for c, loss in enumerate(losses):
+                if not math.isfinite(loss):
+                    raise _Diverged(c, f"non-finite loss at epoch {epoch}, "
+                                       f"batch {start // cfg.batch_size + 1}")
+                totals[c] += loss * len(rows)
             if adam:
                 # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
                 # theta -= lr (m / c1) / (sqrt(v / c2) + eps), element by element
@@ -361,29 +435,39 @@ def _trajectory(objective: _Objective, x: np.ndarray, y: np.ndarray,
                 theta -= tmp
             else:
                 theta -= cfg.lr * grad
-        yield theta, total
+        bad = np.flatnonzero(~np.isfinite(theta.reshape(len(cells), -1)).all(axis=1))
+        if bad.size:
+            raise _Diverged(int(bad[0]), f"non-finite parameters after epoch {epoch}")
+        yield theta, totals
 
 
-def _trajectory_key(objective: _Objective, x: np.ndarray, y: np.ndarray,
-                    silver_mask: np.ndarray, cfg: TrainConfig) -> str:
-    """The digest of everything `_trajectory` reads: the initial parameters,
-    their shapes and the activation, the training rows, the loss mode, the
-    AslParams and every TrainConfig field but `init_scale`, which only the
-    initial parameters carry."""
-    loop_cfg = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "init_scale"}
-    model = objective.model
-    return digest((model.layer_sizes, model.activation, objective.params, loop_cfg,
-                   objective.m is None), objective.theta, x, y, silver_mask, objective.m)
+def _stack_key(cell: _Cell) -> str:
+    """The digest of everything `_trajectory` reads of a cell but its loss
+    mode: the initial parameters, their shapes and the activation, the
+    training rows, the AslParams and every TrainConfig field but
+    `init_scale`, which only the initial parameters carry."""
+    loop_cfg = {f.name: getattr(cell.cfg, f.name) for f in fields(cell.cfg)
+                if f.name != "init_scale"}
+    model = cell.model
+    return digest((model.layer_sizes, model.activation, cell.params, loop_cfg),
+                  *model.weights, *model.biases, cell.x, cell.y)
 
 
-def _recorded(steps, memo: dict, key: str):
-    """`steps` as (snapshot, total) pairs, stored in `memo` under `key` only
-    once the last one has been taken, so a failed training stores nothing."""
-    done = []
-    for theta, total in steps:
-        done.append((theta.copy(), total))
-        yield done[-1]
-    memo[key] = done
+def _trajectory_key(cell: _Cell) -> str:
+    """The digest of everything `_trajectory` reads of a cell."""
+    return digest((_stack_key(cell), cell.m is None), cell.silver_mask, cell.m)
+
+
+def _recorded(steps, memo: dict, keys: list[str]):
+    """The `steps` of a stack, with each cell's per-epoch (snapshot, total)
+    pairs stored in `memo` under that cell's key in `keys` only once the last
+    epoch has been taken, so a failed training stores nothing."""
+    done = [[] for _ in keys]
+    for theta, totals in steps:
+        for loop, row, total in zip(done, theta.reshape(len(keys), -1), totals):
+            loop.append((row.copy(), total))
+        yield theta, totals
+    memo.update(zip(keys, done))
 
 
 def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
@@ -402,22 +486,19 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
     `memo` maps a content key of the batch loop's inputs to that loop's
     per-epoch parameters and loss totals. A call whose key it holds skips
     the loop; a call that finishes adds its own. The reports and the model
-    are the same bytes either way.
+    are the same bytes either way. `fill_memo` fills it for many calls at once.
     """
-    x = data.features
-    y = data.labels.astype(bool)
-    if x.shape[0] == 0:
-        raise ValueError("cannot train on an empty dataset")
-    silver_mask, m = _loss_inputs(loss_mode, x.shape[0], model.num_classes)
-    objective = _Objective(model, params or AslParams(), m)
-    steps = _trajectory(objective, x, y, silver_mask, cfg)
-    if memo is not None:
-        key = _trajectory_key(objective, x, y, silver_mask, cfg)
-        steps = memo[key] if key in memo else _recorded(steps, memo, key)
+    cell = _Cell.of(model, data, loss_mode, cfg, params or AslParams())
+    key = None if memo is None else _trajectory_key(cell)
+    if key is not None and key in memo:
+        steps = memo[key]
+    else:
+        stack = _trajectory([cell])
+        if key is not None:
+            stack = _recorded(stack, memo, [key])
+        steps = ((theta, total) for theta, (total,) in stack)
     history: list[EpochStats] = []
     for epoch, (theta, total) in enumerate(steps, start=1):
-        if not np.isfinite(theta).all():
-            raise ValueError(f"non-finite parameters after epoch {epoch}")
         current = MlpModel(*_split(theta, model), model.activation)
         report = None
         if eval_data is not None:
@@ -429,6 +510,33 @@ def train(model: MlpModel, data: Dataset, loss_mode, cfg: TrainConfig,
     return current.copy(), history
 
 
+def fill_memo(jobs, memo: dict) -> None:
+    """Run the batch loops of `jobs`, each a (model, data, loss mode,
+    TrainConfig, AslParams) as `train` takes them, that `memo` lacks, and
+    store each under the key that `train` looks up. Jobs whose loops read the
+    same inputs but for the loss mode train as one stack (see _Objective),
+    which holds C cells' parameters, gradients, Adam moments and per-epoch
+    snapshots at once. A job whose loop diverges stores nothing: its stack
+    starts again without it, and the other cells' bytes do not change. A job
+    that `train` would reject raises its ValueError before any loop runs."""
+    stacks: dict = {}
+    for job in jobs:
+        cell = _Cell.of(*job)
+        key = _trajectory_key(cell)
+        if key not in memo:
+            stacks.setdefault(_stack_key(cell), {})[key] = cell
+    for stack in stacks.values():
+        while stack:
+            keys = list(stack)
+            try:
+                for _ in _recorded(_trajectory(list(stack.values())), memo, keys):
+                    pass
+            except _Diverged as e:
+                del stack[keys[e.cell]]
+            else:
+                break
+
+
 def gradient_check(model: MlpModel, features, labels, params: AslParams,
                    mode="asl") -> float:
     """Max guarded relative error of analytic vs central-difference gradients.
@@ -438,11 +546,11 @@ def gradient_check(model: MlpModel, features, labels, params: AslParams,
     """
     x = np.asarray(features, dtype=np.float64)
     silver_mask, m = _loss_inputs(mode, x.shape[0], model.num_classes)
-    silver = np.flatnonzero(silver_mask[:32])
+    silvers = {0: np.flatnonzero(silver_mask[:32])}
     x = x[:32]
     y = _binary(labels)[:32]
-    objective = _Objective(model, params, m)
-    objective.loss(x, y, silver)
+    objective = _Objective(model, params, [m])
+    objective.loss(x, y, silvers)
     analytic = objective.grad.copy()
 
     theta = objective.theta
@@ -451,9 +559,9 @@ def gradient_check(model: MlpModel, features, labels, params: AslParams,
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + h
-        lp = objective.loss(x, y, silver, backward=False)
+        (lp,) = objective.loss(x, y, silvers, backward=False)
         theta[i] = orig - h
-        lm = objective.loss(x, y, silver, backward=False)
+        (lm,) = objective.loss(x, y, silvers, backward=False)
         theta[i] = orig
         fd[i] = (lp - lm) / (2.0 * h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)

@@ -96,6 +96,29 @@ class TestStagedWorkflow:
         assert "map=" in msg
         assert (out / "eval.csv").exists()
 
+    def test_gen_data_removes_an_earlier_runs_stage_files(self, tmp_path, cfg_file, capsys):
+        """A second gen-data leaves only its own files, so the next stage
+        finds no earlier run's noisy split to train on."""
+        out = tmp_path / "run"
+        for argv in (["gen-data"], ["inject-noise"], ["train-silver"],
+                     ["estimate", "--method", "galc-slr"], ["train-gold", "--correction",
+                                                            out / "chat.csv"],
+                     ["evaluate", "--model", out / "gold_model.mlpm", "--data",
+                      out / "test.mlnl"]):
+            run(["--config", cfg_file, "--out", out, "--seed", 3, *argv])
+        for name in ("metrics.csv", "flips.csv", "eval.csv"):  # a killed write's leftovers
+            (out / f"{name}.partial").write_text("cut short\n")
+        run(["--config", cfg_file, "--out", out, "--seed", 9, "gen-data"])
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dataset_full.mlnl", "gold.mlnl", "resolved.cfg", "silver_clean.mlnl",
+            "singles_pool.mlnl", "test.mlnl"]
+        capsys.readouterr()
+        assert main(["--out", str(out), "train-silver"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "silver_noisy.mlnl" in err
+        assert "Traceback" not in err
+        assert not (out / "silver_model.mlpm").exists()
+
     def test_train_gold_baseline_correction_none(self, tmp_path, cfg_file):
         out = tmp_path / "run"
         run(["--config", cfg_file, "--out", out, "gen-data"])

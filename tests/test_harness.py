@@ -499,14 +499,13 @@ def plain_batches(monkeypatch):
     """A function giving the number of batches trained with the plain loss
     so far (a silver stage's, or a `none` run's gold stage's), in this
     process and in every worker it forks, spied on _Objective.loss, which
-    every batch calls once."""
+    every batch of a stack calls once: a batch counts once per plain cell."""
     calls = multiprocessing.Value("q", 0)  # shared memory, which forked workers inherit
     loss = model._Objective.loss
 
     def spy(self, *args, **kwargs):
-        if self.m is None:
-            with calls.get_lock():
-                calls.value += 1
+        with calls.get_lock():
+            calls.value += sum(m is None for m in self.matrices)
         return loss(self, *args, **kwargs)
 
     monkeypatch.setattr(model._Objective, "loss", spy)
@@ -844,6 +843,82 @@ class TestPrefetch:
         assert len(run_sweep(tiny_config(etas=(0.0, 0.3)), tmp_path)) == 6
         assert tree_digest(tmp_path) == grid_runs["sweep", 1][0]
         assert 0 < len(batches) < grid_runs["sweep", 1][1]
+
+    def test_a_group_trains_its_gold_loops_as_one_stack(self, tmp_path, monkeypatch):
+        """_prefetch swallows every exception, so a stack that failed would
+        only cost speed: the group's gold loops would run one by one in the
+        stages. Run inline, a sweep group of three cells makes one loss call
+        per silver batch and one per gold batch, and its stages then find
+        every loop in the memo."""
+        cfg = tiny_config(etas=(0.3,))
+        data = prepare_data(cfg)
+        calls = []
+        loss = model._Objective.loss
+        monkeypatch.setattr(model._Objective, "loss",
+                            lambda self, *a, **k: calls.append(len(self.matrices)) or
+                            loss(self, *a, **k))
+        memo = harness._prefetch([(cfg, 0.3, m, data) for m in harness.SWEEP_METHODS])
+        gold_n = data.gold.n + data.silver_clean.n  # gold rows, then noisy silver rows
+        gold_batches = cfg.gold.epochs * math.ceil(gold_n / cfg.gold.batch_size)
+        assert len(memo) == 4
+        assert Counter(calls) == {1: silver_batches(cfg, data.silver_clean), 3: gold_batches}
+        calls.clear()
+        data.trajectories = memo
+        for method in harness.SWEEP_METHODS:
+            run_pipeline(cfg, 0.3, tmp_path / method, method=method, data=data)
+        assert calls == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_diverging_gold_loop_fails_only_its_cell(self, tmp_path, monkeypatch, cpus):
+        """galc_slr's gold stage trains with a NaN matrix, whose loss is not
+        finite: in a worker's stack, that loop leaves the stack and stores
+        nothing, its stage runs it again and fails as it does on one CPU,
+        and every other cell keeps its bytes."""
+        etas = (0.0, 0.3)
+        monkeypatch.setattr(textio, "_usable_cpus", lambda: 1)  # every loop alone
+        run_sweep(tiny_config(etas=etas), tmp_path / "clean")
+
+        def cells(root):
+            return {(e, m): {p.name: p.read_bytes() for p in (root / f"eta{e!r}_{m}").iterdir()}
+                    for e in etas for m in ("none", "true_matrix")}
+
+        estimates = []  # the galc_slr correction matrices made in this process
+        training_matrix, gold_set = harness.training_matrix, harness._gold_set
+
+        def recorded(report, form):
+            estimates.append(training_matrix(report, form))
+            return estimates[-1]
+
+        def poisoned(gold, noisy, correction):
+            combined, mode = gold_set(gold, noisy, correction)
+            if any(correction is e for e in estimates):
+                mode = model.CorrectedMode(np.full_like(mode.matrix, np.nan), mode.gold_mask)
+            return combined, mode
+
+        entries = []  # the size of each memo the workers prefetch
+        ordered_map = textio.ordered_map
+
+        def spy(fn, items):
+            with contextlib.closing(ordered_map(fn, items)) as memos:
+                for memo in memos:
+                    entries.append(len(memo))
+                    yield memo
+
+        monkeypatch.setattr(textio, "ordered_map", spy)
+        monkeypatch.setattr(harness, "training_matrix", recorded)
+        monkeypatch.setattr(harness, "_gold_set", poisoned)
+        monkeypatch.setattr(textio, "_usable_cpus", lambda: cpus)
+        records = run_sweep(tiny_config(etas=etas), tmp_path / "poisoned")
+        assert [r.method for r in records] == ["none", "true_matrix"] * len(etas)
+        # the silver loop and the gold loops of none and true_matrix
+        assert entries == ([] if cpus == 1 else [3] * len(etas))
+        out = tmp_path / "poisoned"
+        assert (out / "failures.log").read_text() == "".join(
+            f"eta={e!r} method=galc_slr: pipeline stage 'train-gold' failed: "
+            "non-finite loss at epoch 1, batch 1\n" for e in etas)
+        for e in etas:
+            assert [p.name for p in (out / f"eta{e!r}_galc_slr").iterdir()] == ["resolved.cfg"]
+        assert cells(out) == cells(tmp_path / "clean")
 
 
 @pytest.fixture(scope="module")

@@ -129,9 +129,9 @@ def sample_objective(z, y, params, c=None):
     z = np.asarray(z, dtype=np.float64)
     k = z.size
     m = None if c is None else np.asarray(c, dtype=np.float64)
-    objective = _Objective(MlpModel([np.eye(k)], [np.zeros(k)]), params, m)
+    objective = _Objective(MlpModel([np.eye(k)], [np.zeros(k)]), params, [m])
     silver = np.arange(0 if c is None else 1)
-    loss = objective.loss(z[None, :], np.asarray(y).astype(bool)[None, :], silver)
+    (loss,) = objective.loss(z[None, :], np.asarray(y).astype(bool)[None, :], {0: silver})
     return loss, objective.grad_b[0].copy()
 
 
@@ -533,6 +533,89 @@ class TestTrajectoryMemo:
         assert messages[0] == messages[1]
 
 
+def steps_of(cells) -> list:
+    """Each epoch's parameter rows and loss totals from one batch loop over
+    the stack `cells`, copied as the loop goes."""
+    return [(theta.reshape(len(cells), -1).copy(), list(totals))
+            for theta, totals in mlnl.model._trajectory(cells)]
+
+
+def stack_jobs(call, modes) -> list:
+    """The `train` arguments of memo_call's training under each of `modes`."""
+    return [(call["model"], call["data"], mode, call["cfg"], call["params"]) for mode in modes]
+
+
+def memo_bits(memo: dict) -> dict:
+    """Each memo entry's per-epoch parameter and loss-total bytes."""
+    return {key: [(theta.tobytes(), np.float64(total).tobytes()) for theta, total in steps]
+            for key, steps in memo.items()}
+
+
+class TestStack:
+    """A stack of cells (see model._Objective) trains each cell to the bits
+    it gets alone; only the loss mode differs between the cells."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(["asl", "corrected", "all-silver"]), min_size=1, max_size=4),
+           st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=6),
+           st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=2),
+           st.sampled_from(["tanh", "relu"]), st.sampled_from(["adam", "sgd"]),
+           st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=24),
+           st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.0, 0.5, 4.0]),
+           st.sampled_from([0.0, 0.05, 0.2]), st.integers(min_value=0, max_value=2 ** 32))
+    def test_each_cell_trains_as_it_would_alone(self, kinds, k, d, hidden, activation,
+                                                optimizer, n, batch_size, gp, gm, margin,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        model = init_model([d, *hidden, k], activation, float(rng.uniform(0.5, 2.0)),
+                           seed=seed % 1000)
+        x, y = rand_batch(rng, n, d, k)
+        data = Dataset(2.0 * x, y.astype(np.uint8))
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, lr=2e-2, optimizer=optimizer,
+                          seed=seed % 997)
+        params = AslParams(gp, gm, margin)
+        cells = []
+        for kind in kinds:
+            mode = "asl"
+            if kind != "asl":
+                matrix = rng.uniform(size=(k, k)) + np.eye(k) * rng.uniform(0, 3)
+                gold = None if kind == "all-silver" else rng.uniform(size=n) < 0.3
+                mode = CorrectedMode(matrix, gold)
+            cells.append(mlnl.model._Cell.of(model, data, mode, cfg, params))
+        stacked = steps_of(cells)
+        assert len(stacked) == cfg.epochs
+        for c, cell in enumerate(cells):
+            alone = steps_of([cell])
+            assert [(rows[c].tobytes(), repr(totals[c])) for rows, totals in stacked] == \
+                [(rows[0].tobytes(), repr(totals[0])) for rows, totals in alone]
+
+    def test_a_stack_of_one_is_the_training_loop(self, loop_runs):
+        """fill_memo stores what train stores, under the key it looks up."""
+        call, memo = memo_call(), {}
+        trained = {}
+        train(**call, memo=trained)
+        mlnl.model.fill_memo(stack_jobs(call, [call["loss_mode"]]), memo)
+        assert memo_bits(memo) == memo_bits(trained)
+        assert not loop_runs(lambda: train(**call, memo=memo))
+
+    def test_a_diverging_cell_fails_alone(self, loop_runs):
+        """A NaN correction matrix makes one cell's loss non-finite in the
+        first batch: that cell stores nothing, the stack starts again
+        without it, and the other cells store what a stack without it does."""
+        call = memo_call()
+        good, plain = call["loss_mode"], "asl"
+        bad = CorrectedMode(np.full((3, 3), np.nan), good.gold_mask)
+        memo, clean = {}, {}
+        assert loop_runs(lambda: mlnl.model.fill_memo(stack_jobs(call, [plain, bad, good]), memo))
+        mlnl.model.fill_memo(stack_jobs(call, [plain, good]), clean)
+        assert len(clean) == 2 and memo_bits(memo) == memo_bits(clean)
+        for mode in (plain, good):
+            assert not loop_runs(lambda: train(**dict(call, loss_mode=mode), memo=memo))
+        with pytest.raises(ValueError, match="^non-finite loss at epoch 1, batch 1$"):
+            train(**dict(call, loss_mode=bad), memo=memo)
+        assert len(memo) == 2
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         m = rand_model(sizes=(5, 7, 3), seed=20)
@@ -698,9 +781,9 @@ class TestStepOracle:
             batch_mode = CorrectedMode(c, gold)
         ref_loss, ref_gw, ref_gb = _ref_loss_and_grads(model, x, y, params, batch_mode)
 
-        objective = _Objective(model, params, c)
-        loss = objective.loss(x, y.astype(bool), silver)
+        objective = _Objective(model, params, [c])
+        (loss,) = objective.loss(x, y.astype(bool), {0: silver})
         assert repr(loss) == repr(ref_loss)
         ref_grad = np.concatenate([g.ravel() for g in ref_gw + ref_gb])
         assert objective.grad.tobytes() == ref_grad.tobytes()
-        assert objective.loss(x, y.astype(bool), silver, backward=False) == loss
+        assert objective.loss(x, y.astype(bool), {0: silver}, backward=False) == [loss]
