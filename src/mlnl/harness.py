@@ -323,16 +323,9 @@ def _job(cfg: ExperimentConfig, stage: str, data: Dataset, loss_mode) -> tuple:
             dataclasses.replace(train_cfg, seed=root.derive_seed(f"{stage}-train")), cfg.asl)
 
 
-def _fit(cfg: ExperimentConfig, stage: str, data: Dataset, loss_mode, memo: dict | None,
-         test: Dataset | None = None):
-    """`model.train` of the "silver" or "gold" stage on `data` (see _job),
-    evaluating each epoch on `test` when given."""
-    return train(*_job(cfg, stage, data, loss_mode), eval_data=test, memo=memo)
-
-
 def _train_stage(cfg: ExperimentConfig, out: Path, stage: str, data: Dataset, loss_mode,
                  test: Dataset, metrics_file: str, memo: dict | None):
-    model, history = _fit(cfg, stage, data, loss_mode, memo, test)
+    model, history = train(*_job(cfg, stage, data, loss_mode), eval_data=test, memo=memo)
     save_model(model, out / f"{stage}_model.mlpm")
     write_metrics_csv(out / metrics_file, history)
     return model, history
@@ -477,13 +470,14 @@ def _prefetch(group) -> dict:
     which `model.fill_memo` trains as one stack where only their loss modes
     differ; a sweep group's share the gold-init weights, the gold-train
     shuffle and the training rows. Returns the trajectory memo they fill,
-    one entry per loop. A loop that raises leaves no entry, so the stage
-    runs it again and fails as it would have."""
+    one entry per loop. A loop that raises leaves no entry, and a gold stack
+    that raises leaves none for any of its cells, so each of their stages
+    runs its loop alone and gets the bytes or the error it gets on one CPU."""
     memo: dict = {}
     first_cfg, eta, _, first = group[0]
     with contextlib.suppress(Exception):
         noisy, _, true_c = _noisy_split(first_cfg, first.silver_clean, eta)
-        silver, _ = _fit(first_cfg, "silver", noisy, "asl", memo)
+        silver, _ = train(*_job(first_cfg, "silver", noisy, "asl"), memo=memo)
         jobs = []
         for sub, _, method, data in group:
             with contextlib.suppress(Exception):
@@ -538,7 +532,8 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
     find every loop in the memo; their stages still make every other call
     and write every file here. The memo key, not the group, decides reuse,
     so a loop missing from the memo runs here. The time spent waiting for a
-    group's memo is added to the wall_seconds of the first of its cells."""
+    group's memo is added to the wall_seconds of the first of the group's
+    cells to finish."""
     out = run_dir(cfg, outdir)
     for pattern in (*outputs, "failures.log"):
         for path in out.glob(pattern):

@@ -33,6 +33,7 @@ which is a flat buffer; `fill_memo` runs larger stacks ahead of the
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -373,21 +374,12 @@ class _Cell(NamedTuple):
         return cls(model, data.features, data.labels.astype(bool), silver_mask, m, cfg, params)
 
 
-class _Diverged(ValueError):
-    """A batch loss, or the parameters after an epoch, of stack cell `cell`
-    went non-finite."""
-
-    def __init__(self, cell: int, message: str):
-        super().__init__(message)
-        self.cell = cell
-
-
 def _trajectory(cells: list[_Cell]):
     """The batch loop of a stack of cells whose inputs differ only in their
     loss modes (see _Objective): after each epoch, yield the parameter buffer
     (the objective's own `theta`, which the next epoch updates in place) and
-    each cell's loss summed over the epoch's samples. The first cell whose
-    batch loss, or parameters after an epoch, are not finite raises _Diverged."""
+    each cell's loss summed over the epoch's samples. A non-finite batch loss
+    of any cell, or non-finite parameters after an epoch, raise ValueError."""
     first = cells[0]
     x, y, cfg = first.x, first.y, first.cfg
     silver_masks = {c: cell.silver_mask for c, cell in enumerate(cells) if cell.m is not None}
@@ -411,8 +403,8 @@ def _trajectory(cells: list[_Cell]):
                 c: mask[rows].nonzero()[0] for c, mask in silver_masks.items()})
             for c, loss in enumerate(losses):
                 if not math.isfinite(loss):
-                    raise _Diverged(c, f"non-finite loss at epoch {epoch}, "
-                                       f"batch {start // cfg.batch_size + 1}")
+                    raise ValueError(f"non-finite loss at epoch {epoch}, "
+                                     f"batch {start // cfg.batch_size + 1}")
                 totals[c] += loss * len(rows)
             if adam:
                 # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
@@ -435,9 +427,8 @@ def _trajectory(cells: list[_Cell]):
                 theta -= tmp
             else:
                 theta -= cfg.lr * grad
-        bad = np.flatnonzero(~np.isfinite(theta.reshape(len(cells), -1)).all(axis=1))
-        if bad.size:
-            raise _Diverged(int(bad[0]), f"non-finite parameters after epoch {epoch}")
+        if not np.isfinite(theta).all():
+            raise ValueError(f"non-finite parameters after epoch {epoch}")
         yield theta, totals
 
 
@@ -516,9 +507,10 @@ def fill_memo(jobs, memo: dict) -> None:
     store each under the key that `train` looks up. Jobs whose loops read the
     same inputs but for the loss mode train as one stack (see _Objective),
     which holds C cells' parameters, gradients, Adam moments and per-epoch
-    snapshots at once. A job whose loop diverges stores nothing: its stack
-    starts again without it, and the other cells' bytes do not change. A job
-    that `train` would reject raises its ValueError before any loop runs."""
+    snapshots at once. A stack whose loop raises stores nothing (see
+    _recorded), so each of its cells' `train` calls runs its loop alone and
+    gets the bytes or the error it gets without the memo. A job that `train`
+    would reject raises its ValueError before any loop runs."""
     stacks: dict = {}
     for job in jobs:
         cell = _Cell.of(*job)
@@ -526,15 +518,9 @@ def fill_memo(jobs, memo: dict) -> None:
         if key not in memo:
             stacks.setdefault(_stack_key(cell), {})[key] = cell
     for stack in stacks.values():
-        while stack:
-            keys = list(stack)
-            try:
-                for _ in _recorded(_trajectory(list(stack.values())), memo, keys):
-                    pass
-            except _Diverged as e:
-                del stack[keys[e.cell]]
-            else:
-                break
+        with contextlib.suppress(ValueError):
+            for _ in _recorded(_trajectory(list(stack.values())), memo, list(stack)):
+                pass
 
 
 def gradient_check(model: MlpModel, features, labels, params: AslParams,

@@ -1079,6 +1079,33 @@ class TestTooling:
                  for scope in imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
         assert found == ["numerics.digest"]
 
+    def test_only_recorded_stores_into_a_trajectory_memo(self):
+        """Only model._recorded stores into a trajectory memo (`memo` or a
+        SplitArtifacts' `trajectories`), after a loop's last epoch, so "a
+        batch loop that raises stores nothing" holds for `train` and
+        `fill_memo` alike."""
+        def named_memo(node):
+            return getattr(node, "id", getattr(node, "attr", None)) in ("memo", "trajectories")
+
+        def stores(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    yield from stores(child, f"{scope}.{child.name}")
+                    continue
+                if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = getattr(child, "targets", [getattr(child, "target", None)])
+                    if any(isinstance(n, ast.Subscript) and named_memo(n.value)
+                           for t in targets for n in ast.walk(t)):
+                        yield scope
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and \
+                        child.func.attr in ("update", "setdefault") and named_memo(child.func.value):
+                    yield scope
+                yield from stores(child, scope)
+
+        found = [scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
+                 for scope in stores(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+        assert found == ["model._recorded"]
+
     def test_one_function_reads_a_loss_mode(self):
         """Only model._loss_inputs asks whether a loss mode is a
         CorrectedMode, so `train`, `gradient_check` and the objective take

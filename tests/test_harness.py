@@ -871,9 +871,9 @@ class TestPrefetch:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_diverging_gold_loop_fails_only_its_cell(self, tmp_path, monkeypatch, cpus):
         """galc_slr's gold stage trains with a NaN matrix, whose loss is not
-        finite: in a worker's stack, that loop leaves the stack and stores
-        nothing, its stage runs it again and fails as it does on one CPU,
-        and every other cell keeps its bytes."""
+        finite: a worker's gold stack then stores nothing, each gold stage
+        runs its loop alone, galc_slr's fails as it does on one CPU, and
+        every other cell keeps its bytes."""
         etas = (0.0, 0.3)
         monkeypatch.setattr(textio, "_usable_cpus", lambda: 1)  # every loop alone
         run_sweep(tiny_config(etas=etas), tmp_path / "clean")
@@ -910,8 +910,8 @@ class TestPrefetch:
         monkeypatch.setattr(textio, "_usable_cpus", lambda: cpus)
         records = run_sweep(tiny_config(etas=etas), tmp_path / "poisoned")
         assert [r.method for r in records] == ["none", "true_matrix"] * len(etas)
-        # the silver loop and the gold loops of none and true_matrix
-        assert entries == ([] if cpus == 1 else [3] * len(etas))
+        # the silver loop alone: the gold stack that holds galc_slr stores nothing
+        assert entries == ([] if cpus == 1 else [1] * len(etas))
         out = tmp_path / "poisoned"
         assert (out / "failures.log").read_text() == "".join(
             f"eta={e!r} method=galc_slr: pipeline stage 'train-gold' failed: "
@@ -919,6 +919,33 @@ class TestPrefetch:
         for e in etas:
             assert [p.name for p in (out / f"eta{e!r}_galc_slr").iterdir()] == ["resolved.cfg"]
         assert cells(out) == cells(tmp_path / "clean")
+
+    @pytest.mark.parametrize("none_fails", [False, True], ids=["clean", "none-fails"])
+    def test_the_wait_for_a_memo_goes_to_the_first_cell_to_finish(self, tmp_path,
+                                                                  monkeypatch, none_fails):
+        """Each group's wait for its memo, here 100 s, is added to the
+        wall_seconds of the first of its cells to finish: `none`, or
+        `galc_slr` when `none`'s gold stage fails."""
+        def prefetched(runs, groups):
+            for _ in groups:
+                yield {}, 100.0
+
+        monkeypatch.setattr(harness, "_prefetched", prefetched)
+        if none_fails:
+            train_gold = harness.train_gold
+
+            def refuse_plain(cfg, out, gold, silver_noisy, correction, *rest):
+                if correction is None:
+                    raise ValueError("refused")
+                return train_gold(cfg, out, gold, silver_noisy, correction, *rest)
+
+            monkeypatch.setattr(harness, "train_gold", refuse_plain)
+        etas = (0.0, 0.3)
+        records = run_sweep(tiny_config(etas=etas), tmp_path)
+        methods = ["galc_slr", "true_matrix"] if none_fails else list(harness.SWEEP_METHODS)
+        assert [(r.eta, r.method) for r in records] == [(e, m) for e in etas for m in methods]
+        assert [(r.eta, r.method) for r in records if r.wall_seconds >= 100.0] == \
+            [(e, methods[0]) for e in etas]
 
 
 @pytest.fixture(scope="module")

@@ -600,20 +600,42 @@ class TestStack:
 
     def test_a_diverging_cell_fails_alone(self, loop_runs):
         """A NaN correction matrix makes one cell's loss non-finite in the
-        first batch: that cell stores nothing, the stack starts again
-        without it, and the other cells store what a stack without it does."""
+        first batch: the stack stores nothing, each other cell's `train`
+        runs its loop alone to the bits of a stack without that cell, and
+        the diverging cell's `train` fails as it does alone."""
         call = memo_call()
         good, plain = call["loss_mode"], "asl"
         bad = CorrectedMode(np.full((3, 3), np.nan), good.gold_mask)
         memo, clean = {}, {}
         assert loop_runs(lambda: mlnl.model.fill_memo(stack_jobs(call, [plain, bad, good]), memo))
+        assert memo == {}
         mlnl.model.fill_memo(stack_jobs(call, [plain, good]), clean)
-        assert len(clean) == 2 and memo_bits(memo) == memo_bits(clean)
         for mode in (plain, good):
-            assert not loop_runs(lambda: train(**dict(call, loss_mode=mode), memo=memo))
+            assert loop_runs(lambda: train(**dict(call, loss_mode=mode), memo=memo))
+        assert len(clean) == 2 and memo_bits(memo) == memo_bits(clean)
         with pytest.raises(ValueError, match="^non-finite loss at epoch 1, batch 1$"):
             train(**dict(call, loss_mode=bad), memo=memo)
         assert len(memo) == 2
+
+    def test_a_stack_whose_parameters_diverge_stores_nothing(self, loop_runs):
+        """The `parameters after` inputs of test_a_failed_training_is_not_stored
+        in a stack of two cells: the step after the first batch overflows
+        every cell's parameters, so the stack stores nothing and each cell's
+        `train` fails alone."""
+        toy = toy_dataset(seed=21)
+        data = Dataset(toy.features * 1e2, toy.labels)
+        call = {"model": init_model([4, 8, 3], "relu", 1.0, seed=23), "data": data,
+                "cfg": TrainConfig(epochs=2, batch_size=data.n, lr=1e308, optimizer="sgd",
+                                   seed=22),
+                "params": AslParams()}
+        modes = ["asl", CorrectedMode(np.eye(3))]  # the true matrix at noise ratio 0
+        memo = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert loop_runs(lambda: mlnl.model.fill_memo(stack_jobs(call, modes), memo))
+            assert memo == {}
+            for mode in modes:
+                with pytest.raises(ValueError, match="^non-finite parameters after epoch 1$"):
+                    train(**dict(call, loss_mode=mode), memo=memo)
 
 
 class TestCheckpoint:
