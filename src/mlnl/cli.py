@@ -4,6 +4,7 @@ Staged subcommands operate on a run directory (--out): gen-data writes the
 split dataset files and resolved.cfg, whose settings the later stages run
 with; inject-noise corrupts the silver split, train-silver and train-gold
 produce checkpoints and metrics, estimate writes the corruption matrix CSVs.
+Each first removes its own and every later stage's files (harness.RUN_FILES).
 sweep and ablate orchestrate full experiment grids, and plot redraws a
 sweep's SVG plots from the files in its directory.
 """
@@ -68,17 +69,10 @@ def _check_shapes(paths, inputs) -> None:
                              f"but {path} has {has}")
 
 
-# What the staged subcommands write besides the stage files (see
-# harness._STAGE_FILES), each with the `.partial` that a killed write leaves.
-_CLI_FILES = ("silver_noisy.mlnl*", "empirical_matrix.csv*", "flips.csv*", "eval.csv*")
-
-
 def _cmd_gen_data(args, cfg: ExperimentConfig) -> int:
     data = harness.prepare_data(cfg)  # a config that cannot be prepared changes nothing
     # the later stages would read an earlier run's files beside this run's data
-    for pattern in (*harness._STAGE_FILES, *_CLI_FILES):
-        for path in Path(cfg.out).glob(pattern):
-            path.unlink()
+    harness.clear_files(cfg.out, harness.RUN_FILES)
     out = harness.run_dir(cfg, cfg.out)
     datagen.write_dataset(data.full, out / "dataset_full.mlnl")
     datagen.write_dataset(data.test, out / "test.mlnl")

@@ -288,11 +288,20 @@ def run_dir(cfg: ExperimentConfig, outdir) -> Path:
 # these; each stage takes its seeds from the master seed by label and its
 # layer sizes from the data, and writes its own files into the run directory
 # `out`, so the same inputs give the same bytes however the stages are
-# strung together. _STAGE_FILES matches every file they write, and the
-# `<file>.partial` that a killed write leaves (see textio.write_lines), but
-# not the datasets of the staged CLI.
-_STAGE_FILES = ("true_matrix.csv*", "silver_model.mlpm*", "silver_metrics.csv*", "chat*",
-                "gold_model.mlpm*", "metrics.csv*")
+# strung together. A file is valid only beside the files it was computed
+# from, so each stage first clears its own RUN_FILES and every later one's:
+# they match each file a stage or the staged CLI writes after gen-data, in
+# pipeline order, and the `<file>.partial` a killed write leaves.
+RUN_FILES = ("true_matrix.csv*", "silver_noisy.mlnl*", "empirical_matrix.csv*", "flips.csv*",
+             "silver_model.mlpm*", "silver_metrics.csv*", "chat*", "gold_model.mlpm*",
+             "metrics.csv*", "eval.csv*")
+
+
+def clear_files(out, patterns) -> None:
+    """Remove the files in the directory `out` that match the glob `patterns`."""
+    for pattern in patterns:
+        for path in Path(out).glob(pattern):
+            path.unlink()
 
 
 def _noisy_split(cfg: ExperimentConfig, silver_clean: Dataset, eta: float):
@@ -306,6 +315,7 @@ def _noisy_split(cfg: ExperimentConfig, silver_clean: Dataset, eta: float):
 def inject_noise(cfg: ExperimentConfig, out: Path, silver_clean: Dataset, eta: float):
     """Corrupt the silver split at noise ratio `eta` and write the symmetric
     matrix at `eta` to true_matrix.csv; returns (noisy, FlipLog, that matrix)."""
+    clear_files(out, RUN_FILES)
     noisy, log, true_c = _noisy_split(cfg, silver_clean, eta)
     noise.write_matrix(true_c, out / "true_matrix.csv")
     return noisy, log, true_c
@@ -325,6 +335,7 @@ def _job(cfg: ExperimentConfig, stage: str, data: Dataset, loss_mode) -> tuple:
 
 def _train_stage(cfg: ExperimentConfig, out: Path, stage: str, data: Dataset, loss_mode,
                  test: Dataset, metrics_file: str, memo: dict | None):
+    clear_files(out, RUN_FILES[RUN_FILES.index(f"{stage}_model.mlpm*"):])
     model, history = train(*_job(cfg, stage, data, loss_mode), eval_data=test, memo=memo)
     save_model(model, out / f"{stage}_model.mlpm")
     write_metrics_csv(out / metrics_file, history)
@@ -350,8 +361,8 @@ def estimate_correction(cfg: ExperimentConfig, out: Path, method: str,
                         silver_model: MlpModel | None, singles_pool: Dataset | None,
                         silver_noisy: Dataset | None):
     """The correction matrix `method` trains the gold model with, and the
-    estimation report behind it (written to chat.csv and chat_* once an earlier
-    estimate's are removed); returns (matrix or None, report or None).
+    estimation report behind it (written to chat.csv and chat_* once the
+    RUN_FILES from chat* on are cleared); returns (matrix or None, report or None).
 
     galc_slr reads the silver model, the single-label pool and the
     estimation set (gold, or silver_noisy when cfg.estimation_set is
@@ -359,8 +370,7 @@ def estimate_correction(cfg: ExperimentConfig, out: Path, method: str,
     `true_matrix`, the matrix inject_noise wrote, which the others ignore.
     """
     _check_method(method)  # before an earlier estimate is removed
-    for path in [out / "chat.csv", *out.glob("chat_*")]:  # chat_* is write_report's
-        path.unlink(missing_ok=True)
+    clear_files(out, RUN_FILES[RUN_FILES.index("chat*"):])
     matrix, report = _correction(cfg, method, true_matrix, gold, silver_model, singles_pool,
                                  silver_noisy)
     if report is not None:
@@ -426,7 +436,7 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
     `data` lets sweeps reuse the prepared splits (they depend only on the
     master seed, never on eta or method), and its memo the batch loops of an
     earlier run with the same inputs. A failed run leaves its resolved.cfg
-    and no stage file (see _STAGE_FILES), an earlier run's included.
+    and no RUN_FILES file, an earlier run's included.
     """
     method = method or cfg.estimator_method
     _check_method(method)
@@ -448,9 +458,7 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
         _, g_hist = _stage("train-gold", lambda: train_gold(
             cfg, out, data.gold, silver_noisy, corr, data.test, data.trajectories))
     except BaseException:
-        for pattern in _STAGE_FILES:
-            for path in out.glob(pattern):
-                path.unlink()
+        clear_files(out, RUN_FILES)
         raise
     return RunRecord(
         method=method, eta=eta,
@@ -521,7 +529,7 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
     files (those matching the glob patterns `outputs`, and failures.log) are
     removed and every split is prepared, once per run of cells that share a
     config. A failed cell is skipped, named in failures.log and left by
-    run_pipeline with no stage file beside its resolved.cfg; returns the
+    run_pipeline with no RUN_FILES file beside its resolved.cfg; returns the
     (label, record) of every cell that finished, in cell order.
 
     Cells with the same noise ratio and silver split (by content), which is
@@ -535,9 +543,7 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
     group's memo is added to the wall_seconds of the first of the group's
     cells to finish."""
     out = run_dir(cfg, outdir)
-    for pattern in (*outputs, "failures.log"):
-        for path in out.glob(pattern):
-            path.unlink()
+    clear_files(out, (*outputs, "failures.log"))
     runs, groups = [], {}
     data_cfg = data = None
     for sub, eta, method, _, _ in cells:

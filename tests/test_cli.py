@@ -119,6 +119,47 @@ class TestStagedWorkflow:
         assert "Traceback" not in err
         assert not (out / "silver_model.mlpm").exists()
 
+    def test_inject_noise_removes_every_later_stages_files(self, tmp_path, cfg_file, capsys):
+        """A second inject-noise leaves gen-data's files and its own, so the
+        estimate finds no silver model trained at the earlier noise ratio."""
+        out = tmp_path / "run"
+        for argv in (["gen-data"], ["inject-noise"], ["train-silver"],
+                     ["estimate", "--method", "galc-slr"],
+                     ["train-gold", "--correction", out / "chat.csv"],
+                     ["evaluate", "--model", out / "gold_model.mlpm", "--data",
+                      out / "test.mlnl"]):
+            run(["--config", cfg_file, "--out", out, *argv])
+        run(["--out", out, "inject-noise", "--eta", 0.2])
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dataset_full.mlnl", "empirical_matrix.csv", "flips.csv", "gold.mlnl",
+            "resolved.cfg", "silver_clean.mlnl", "silver_noisy.mlnl", "singles_pool.mlnl",
+            "test.mlnl", "true_matrix.csv"]
+        capsys.readouterr()
+        assert main(["--out", str(out), "estimate", "--method", "galc-slr"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "silver_model.mlpm" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("chat*"))
+
+    def test_train_silver_removes_the_estimate_and_the_gold_model(self, tmp_path, cfg_file,
+                                                                  capsys):
+        """A silver model trained after an estimate leaves no correction
+        matrix estimated from the silver model it replaced."""
+        out = tmp_path / "run"
+        for argv in (["gen-data"], ["inject-noise"], ["train-silver"],
+                     ["estimate", "--method", "galc-slr"],
+                     ["train-gold", "--correction", out / "chat.csv"], ["train-silver"]):
+            run(["--config", cfg_file, "--out", out, *argv])
+        assert not [p.name for p in out.iterdir()
+                    if p.name.startswith(("chat", "gold_model.mlpm", "metrics.csv"))]
+        capsys.readouterr()
+        assert main(["--out", str(out), "train-gold", "--correction",
+                     str(out / "chat.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "chat.csv" in err
+        assert "Traceback" not in err
+        assert not (out / "gold_model.mlpm").exists()
+
     def test_train_gold_baseline_correction_none(self, tmp_path, cfg_file):
         out = tmp_path / "run"
         run(["--config", cfg_file, "--out", out, "gen-data"])
@@ -960,26 +1001,26 @@ class TestTooling:
         assert sorted(set(grid_steps(tree, "harness"))) == [("_run_grid", "failures.log"),
                                                             ("_run_grid", "run_pipeline")]
 
-    def test_only_the_grid_loop_and_the_estimate_remove_files(self):
-        """In harness.py only _run_grid, estimate_correction and run_pipeline
-        remove files: the first two remove the files they own before they
-        run, and a failed run_pipeline removes its stage files, so no output
-        step grows its own rule for what an earlier run left."""
+    def test_only_clear_files_and_write_lines_remove_files(self):
+        """Only harness.clear_files and textio.write_lines, which removes its
+        own `<path>.partial`, remove files: every stage, gen-data, a failed
+        run_pipeline and a grid clear what an earlier run left through one
+        rule, so no output step grows its own list of files."""
         removers = ("unlink", "remove", "rmdir", "rmtree")
 
         def removals(node, scope):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    yield from removals(child, child.name)
+                    yield from removals(child, f"{scope}.{child.name}")
                     continue
                 if isinstance(child, ast.Call) and \
                         getattr(child.func, "attr", getattr(child.func, "id", None)) in removers:
                     yield scope
                 yield from removals(child, scope)
 
-        tree = ast.parse((self.ROOT / "src" / "mlnl" / "harness.py").read_text(encoding="utf-8"))
-        assert sorted(set(removals(tree, "harness"))) == ["_run_grid", "estimate_correction",
-                                                          "run_pipeline"]
+        found = {scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
+                 for scope in removals(ast.parse(path.read_text(encoding="utf-8")), path.stem)}
+        assert sorted(found) == ["harness.clear_files", "textio.write_lines"]
 
     def test_only_textio_starts_processes(self):
         """Only textio.ordered_map runs work in other processes or threads, so

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mlnl import estimator, harness, model, noise, textio
@@ -444,7 +444,8 @@ class TestRunPipeline:
     def test_a_failed_run_leaves_no_earlier_result(self, tmp_path, monkeypatch):
         """A run that fails at its estimate, in a directory that holds a
         finished run and the staged CLI's silver datasets, leaves its own
-        resolved.cfg and those datasets, and no stage file of either run."""
+        resolved.cfg, the clean silver split that no stage writes, and no
+        RUN_FILES file of either run: the noisy split is inject's output."""
         cfg = tiny_config()
         run_pipeline(cfg, 0.3, tmp_path, method="galc_slr")
         for name in ("silver_clean.mlnl", "silver_noisy.mlnl"):
@@ -458,7 +459,7 @@ class TestRunPipeline:
         with pytest.raises(RuntimeError, match="pipeline stage 'estimate' failed"):
             run_pipeline(failing, 0.3, tmp_path, method="galc_slr")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "resolved.cfg", "silver_clean.mlnl", "silver_noisy.mlnl"]
+            "resolved.cfg", "silver_clean.mlnl"]
         assert (tmp_path / "resolved.cfg").read_text().splitlines() == render_config(failing)
 
     def test_correction_matrix_reloadable(self, tmp_path):
@@ -946,6 +947,158 @@ class TestPrefetch:
         assert [(r.eta, r.method) for r in records] == [(e, m) for e in etas for m in methods]
         assert [(r.eta, r.method) for r in records if r.wall_seconds >= 100.0] == \
             [(e, methods[0]) for e in etas]
+
+
+def grid_cells(grid) -> tuple[str, list[tuple[str, str, str]]]:
+    """The table that `grid` (a tuple of sweep noise ratios, or an ablation
+    axis) writes, and each of its cells' (run directory, label, method)."""
+    if isinstance(grid, tuple):
+        return "summary.csv", [(f"eta{e!r}_{m}", f"eta={e!r}", m)
+                               for e in grid for m in harness.SWEEP_METHODS]
+    axis = harness.ABLATIONS[grid]
+    return f"ablation_{grid}.csv", [
+        (axis.rundir.format(value=value, group=group, method=m), group, m)
+        for value, group in zip(axis.values, axis.groups) for m in axis.methods]
+
+
+def run_grid(grid, out) -> None:
+    """Run `grid` (see grid_cells) on a config small enough for a property's
+    examples, at noise ratio 0.3 for an ablation."""
+    cfg = tiny_config(etas=grid if isinstance(grid, tuple) else (0.3,))
+    cfg.gen = dataclasses.replace(cfg.gen, n=500)
+    cfg.silver = cfg.gold = TrainConfig(epochs=2, batch_size=32, lr=2e-3)
+    cfg.ablation_eta = 0.3
+    if isinstance(grid, tuple):
+        run_sweep(cfg, out)
+    else:
+        run_ablation(cfg, grid, out)
+
+
+def tree_files(root) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@st.composite
+def faulted_grids(draw):
+    """A tiny grid, a count of usable CPUs and one fault: None, ("exit", g)
+    for the worker of group g (mod the group count) dying before it sends its
+    memo, or ("diverge", m) for every gold loop of method m, which has a
+    correction matrix, turning non-finite at its first batch."""
+    grid = draw(st.one_of(
+        st.sets(st.sampled_from((0.0, 0.3, 0.5)), min_size=1).map(lambda s: tuple(sorted(s))),
+        st.sampled_from(("trusted", "limit"))))
+    cpus = draw(st.sampled_from((1, 2)))
+    corrected = sorted({m for _, _, m in grid_cells(grid)[1]} - {"none"})
+    faults = [st.none(), st.tuples(st.just("diverge"), st.sampled_from(corrected))]
+    if cpus == 2:  # one CPU forks no worker
+        faults.append(st.tuples(st.just("exit"), st.integers(0, 2)))
+    return grid, cpus, draw(st.one_of(faults))
+
+
+@pytest.fixture(scope="module")
+def serial_grid(tmp_path_factory):
+    """A function giving the files of a grid (see run_grid) run with one
+    usable CPU and no fault, run once per grid."""
+    runs = {}
+
+    def run(grid) -> dict[str, bytes]:
+        if grid not in runs:
+            out = tmp_path_factory.mktemp("serial")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(textio, "_usable_cpus", lambda: 1)
+                run_grid(grid, out)
+            runs[grid] = tree_files(out)
+        return runs[grid]
+    return run
+
+
+class TestGridEquivalence:
+    """However a grid's loops reach a cell (from a forked worker's memo,
+    inline, in a stack, or inline again after a worker died), the cell gets
+    the bytes of the same grid run serially with no fault, or, if it fails,
+    keeps only its resolved.cfg. Write faults are TestInterruptedWrites'."""
+
+    @staticmethod
+    def inject(mp, fault) -> None:
+        """Patch in `fault` (see faulted_grids)."""
+        if fault is None:
+            return
+        kind, arg = fault
+        if kind == "exit":
+            ordered_map = textio.ordered_map
+
+            def dying(fn, items):
+                def run(group):
+                    if group is items[arg % len(items)] and \
+                            multiprocessing.current_process().daemon:
+                        os._exit(1)
+                    return fn(group)
+                return ordered_map(run, items)
+
+            mp.setattr(textio, "ordered_map", dying)
+            return
+        estimates = []  # the galc_slr matrices made in this process
+        training_matrix = harness.training_matrix
+
+        def recorded(report, form):
+            matrix = training_matrix(report, form)
+            estimates.append(matrix.matrix)
+            return matrix
+
+        def method(m) -> str:
+            if m is None:
+                return "none"
+            return "galc_slr" if any(m is e for e in estimates) else "true_matrix"
+
+        loss = model._Objective.loss
+
+        def diverging(self, *args, **kwargs):
+            losses = loss(self, *args, **kwargs)
+            return [math.nan if method(m) == arg else v for m, v in zip(self.matrices, losses)]
+
+        mp.setattr(harness, "training_matrix", recorded)
+        mp.setattr(model._Objective, "loss", diverging)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=faulted_grids())
+    @example(drawn=((0.0, 0.3, 0.5), 2, ("exit", 1)))
+    @example(drawn=("trusted", 2, ("exit", 0)))
+    @example(drawn=((0.0, 0.3), 2, ("diverge", "galc_slr")))
+    def test_each_cell_finishes_with_the_serial_bytes_or_keeps_only_its_config(
+            self, tmp_path_factory, serial_grid, drawn):
+        grid, cpus, fault = drawn
+        clean = serial_grid(grid)
+        out = tmp_path_factory.mktemp("grid")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(textio, "_usable_cpus", lambda: cpus)
+            self.inject(mp, fault)
+            run_grid(grid, out)
+        files = tree_files(out)
+        table, cells = grid_cells(grid)
+        failing = {(label, m) for _, label, m in cells if fault == ("diverge", m)}
+        assert not [name for name in files if name.endswith(".partial")]
+        for rundir, label, m in cells:
+            mine = {name: data for name, data in files.items() if name.startswith(f"{rundir}/")}
+            if (label, m) in failing:
+                assert list(mine) == [f"{rundir}/resolved.cfg"]
+            else:
+                assert mine == {name: data for name, data in clean.items()
+                                if name.startswith(f"{rundir}/")}
+        log = files.get("failures.log", b"").decode().splitlines()
+        named = {tuple(line.partition(": ")[0].split(" method=")) for line in log}
+        assert len(log) == len(named) and named == failing
+        header, *rows = clean[table].decode().splitlines()
+
+        def cell(row):
+            first, second = row.split(",")[:2]
+            return (f"eta={second}", first) if isinstance(grid, tuple) else (first, second)
+
+        assert files[table].decode().splitlines() == [
+            header, *(row for row in rows if cell(row) not in failing)]
+        if not failing:
+            assert files == clean
 
 
 @pytest.fixture(scope="module")
