@@ -440,9 +440,10 @@ def run_pipeline(cfg: ExperimentConfig, eta: float, outdir,
     """
     method = method or cfg.estimator_method
     _check_method(method)
-    out = run_dir(cfg, outdir)
+    out = Path(outdir)
     t0 = time.perf_counter()
     try:
+        run_dir(cfg, out)
         if data is None:
             data = _stage("prepare-data", lambda: prepare_data(cfg))
         silver_noisy, _, true_c = _stage("inject-noise", lambda: inject_noise(

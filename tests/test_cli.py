@@ -710,6 +710,13 @@ class TestErrors:
         assert not (out / "silver_model.mlpm").exists()
 
 
+def out_of_space_after_one(lines, path):
+    """Yield the first of `lines`, then run out of disk writing to `path`."""
+    lines = iter(lines)
+    yield next(lines)
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
 class TestInterruptedWrites:
     """A write that stops early leaves no file behind: when the k-th
     textio.write_lines call runs out of disk after one line, the subcommand
@@ -718,12 +725,6 @@ class TestInterruptedWrites:
     is produced in this process."""
 
     STEPS = (["gen-data"], ["inject-noise", "--eta", "0.3"])
-
-    @staticmethod
-    def out_of_space_after_one(lines, path):
-        lines = iter(lines)
-        yield next(lines)
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
 
     def fail_write(self, monkeypatch) -> SimpleNamespace:
         """Patch textio.write_lines to append each path it is given to
@@ -735,7 +736,7 @@ class TestInterruptedWrites:
         def write_lines(path, lines):
             writes.calls.append(path)
             if len(writes.calls) == writes.failing + 1:
-                lines = self.out_of_space_after_one(lines, path)
+                lines = out_of_space_after_one(lines, path)
             real(path, lines)
 
         monkeypatch.setattr(textio, "write_lines", write_lines)
@@ -928,9 +929,44 @@ def package_reads() -> set[str]:
     """Every name that the package loads, imports or reads as an attribute."""
     return {node.id if isinstance(node, ast.Name) else
             node.attr if isinstance(node, ast.Attribute) else node.name
-            for tree in package_trees().values() for node in ast.walk(tree)
+            for _, node in scoped_nodes()
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             or isinstance(node, (ast.Attribute, ast.alias))}
+
+
+@functools.cache
+def scoped_nodes() -> list[tuple[str, ast.AST]]:
+    """(scope, node) for every node of the package, in source order. A
+    scope is the module's name and those of the functions and classes that
+    enclose the node, as in `harness._run_grid`; a def is in its own."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}" if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else scope
+            found.append((inner, child))
+            visit(child, inner)
+
+    for name, tree in package_trees().items():
+        visit(tree, name)
+    return found
+
+
+def scopes_where(predicate) -> list[str]:
+    """The scope of each node of the package that `predicate` holds for."""
+    return [scope for scope, node in scoped_nodes() if predicate(node)]
+
+
+def module(scope: str) -> str:
+    return scope.partition(".")[0]
+
+
+def called(node) -> str | None:
+    """The name that a Call node calls: `f` for f(...) and for x.f(...)."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return None
 
 
 def private_names() -> list[str]:
@@ -954,13 +990,11 @@ def private_names() -> list[str]:
 class TestTooling:
     """Entry points start: a broken import fails here, not for a user."""
 
-    ROOT = Path(__file__).resolve().parent.parent
-
     def help_exits_zero(self, argv):
-        src = str(self.ROOT / "src")
+        src = str(PACKAGE.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, *argv], cwd=self.ROOT, env=env,
+        done = subprocess.run([sys.executable, *argv], cwd=PACKAGE.parents[1], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "usage:" in done.stdout
@@ -986,20 +1020,12 @@ class TestTooling:
         """In harness.py only _run_grid names run_pipeline and failures.log,
         so sweeps and ablations cannot grow a second grid loop with its own
         rules for data preparation and failed cells."""
-        def grid_steps(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    yield from grid_steps(child, child.name)
-                    continue
-                if isinstance(child, ast.Name) and child.id == "run_pipeline":
-                    yield scope, "run_pipeline"
-                if isinstance(child, ast.Constant) and child.value == "failures.log":
-                    yield scope, "failures.log"
-                yield from grid_steps(child, scope)
+        def in_harness(predicate) -> set[str]:
+            return {scope for scope in scopes_where(predicate) if module(scope) == "harness"}
 
-        tree = ast.parse((self.ROOT / "src" / "mlnl" / "harness.py").read_text(encoding="utf-8"))
-        assert sorted(set(grid_steps(tree, "harness"))) == [("_run_grid", "failures.log"),
-                                                            ("_run_grid", "run_pipeline")]
+        assert in_harness(lambda n: isinstance(n, ast.Name) and n.id == "run_pipeline") == \
+            in_harness(lambda n: isinstance(n, ast.Constant) and n.value == "failures.log") == \
+            {"harness._run_grid"}
 
     def test_only_clear_files_and_write_lines_remove_files(self):
         """Only harness.clear_files and textio.write_lines, which removes its
@@ -1007,164 +1033,113 @@ class TestTooling:
         run_pipeline and a grid clear what an earlier run left through one
         rule, so no output step grows its own list of files."""
         removers = ("unlink", "remove", "rmdir", "rmtree")
-
-        def removals(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    yield from removals(child, f"{scope}.{child.name}")
-                    continue
-                if isinstance(child, ast.Call) and \
-                        getattr(child.func, "attr", getattr(child.func, "id", None)) in removers:
-                    yield scope
-                yield from removals(child, scope)
-
-        found = {scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
-                 for scope in removals(ast.parse(path.read_text(encoding="utf-8")), path.stem)}
-        assert sorted(found) == ["harness.clear_files", "textio.write_lines"]
+        assert sorted(set(scopes_where(lambda n: called(n) in removers))) == [
+            "harness.clear_files", "textio.write_lines"]
 
     def test_only_textio_starts_processes(self):
         """Only textio.ordered_map runs work in other processes or threads, so
         any parallel stage reuses it rather than a second pool."""
         starters = ("multiprocessing", "concurrent.futures", "threading", "subprocess", "os.fork")
-        found = []
-        for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Import):
-                    names = [a.name for a in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [f"{node.module}.{a.name}" for a in node.names]
-                elif isinstance(node, ast.Attribute) and node.attr == "fork":
-                    names = [f"{getattr(node.value, 'id', '')}.fork"]
-                else:
-                    continue
-                found += [f"{path.name}:{name}" for name in names
-                          if any(f"{name}.".startswith(f"{s}.") for s in starters)]
-        assert found == ["textio.py:multiprocessing"]
+
+        def names(node) -> list[str]:
+            if isinstance(node, ast.Import):
+                return [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom):
+                return [f"{node.module}.{a.name}" for a in node.names]
+            if isinstance(node, ast.Attribute) and node.attr == "fork":
+                return [f"{getattr(node.value, 'id', '')}.fork"]
+            return []
+
+        assert [f"{module(scope)}.py:{name}" for scope, node in scoped_nodes()
+                for name in names(node)
+                if any(f"{name}.".startswith(f"{s}.") for s in starters)] == [
+            "textio.py:multiprocessing"]
 
     def test_only_textio_writes_files(self):
         """Every file the package writes goes through textio.write_lines, so
         all of them are UTF-8 with \\n line ends on every platform."""
-        writers = []
-        for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
-            if path.name == "textio.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                # open(path, mode) or <path>.open(mode); a mode that is not a
-                # read-only literal counts as writing
-                positional = node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
-                mode = next((k.value for k in node.keywords if k.arg == "mode"),
-                            positional[0] if positional else ast.Constant("r"))
-                reads = isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")
-                if name in ("write_text", "write_bytes") or (name == "open" and not reads):
-                    writers.append(f"{path.name}:{node.lineno}")
-        assert writers == []
+        def writes(node) -> bool:
+            if called(node) in ("write_text", "write_bytes"):
+                return True
+            if called(node) != "open":
+                return False
+            # open(path, mode) or <path>.open(mode); a mode that is not a
+            # read-only literal counts as writing
+            positional = node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        positional[0] if positional else ast.Constant("r"))
+            return not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+
+        assert [f"{module(scope)}.py:{node.lineno}" for scope, node in scoped_nodes()
+                if module(scope) != "textio" and writes(node)] == []
 
     def test_only_textio_renames_files(self):
         """Only textio.write_lines moves a file onto another name: a file the
         package writes lands whole, through its one `<path>.partial` rename."""
-        renames = []
-        for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os" \
-                        and node.attr in ("replace", "rename", "renames"):
-                    renames.append(f"{path.name}:os.{node.attr}")
-                elif isinstance(node, ast.ImportFrom) and node.module == "os":
-                    renames += [f"{path.name}:os.{a.name}" for a in node.names
-                                if a.name in ("replace", "rename", "renames")]
-        assert renames == ["textio.py:os.replace"]
+        moves = ("replace", "rename", "renames")
+
+        def renames(node) -> list[str]:
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+                return [node.attr] if node.attr in moves else []
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                return [a.name for a in node.names if a.name in moves]
+            return []
+
+        assert [f"{module(scope)}.py:os.{name}" for scope, node in scoped_nodes()
+                for name in renames(node)] == ["textio.py:os.replace"]
 
     def test_no_module_splits_lines_its_own_way(self):
         """No module calls .splitlines(): textio.numbered_lines, where a line
         is what \\n ends, is the one line rule of every reader."""
-        calls = []
-        for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "splitlines":
-                    calls.append(f"{path.name}:{node.lineno}")
-        assert calls == []
+        assert scopes_where(lambda n: called(n) == "splitlines") == []
 
     def test_no_module_imports_a_name_it_never_uses(self):
         """Every name a module imports is read somewhere in it. cli.train is
         the one exception: perfbench's tracer checks that binding."""
-        unused = []
-        for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.Import, ast.ImportFrom)) and \
-                        getattr(node, "module", None) != "__future__":
-                    unused += [f"{path.stem}.{name}" for name in
-                               ((a.asname or a.name).split(".")[0] for a in node.names)
-                               if name not in used]
-        assert unused == ["cli.train"]
+        used = {(module(scope), node.id) for scope, node in scoped_nodes()
+                if isinstance(node, ast.Name)}
+        assert [f"{module(scope)}.{name}" for scope, node in scoped_nodes()
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                if (module(scope), name) not in used] == ["cli.train"]
 
     def test_only_the_digest_imports_hashlib(self):
         """numerics.digest is the package's one content hash: the trajectory
         memo's keys and the grid's groups both go through it."""
-        def imports(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    yield from imports(child, f"{scope}.{child.name}")
-                    continue
-                if isinstance(child, ast.Import):
-                    yield from (scope for a in child.names if a.name.split(".")[0] == "hashlib")
-                elif isinstance(child, ast.ImportFrom) and \
-                        (child.module or "").split(".")[0] == "hashlib":
-                    yield scope
-                yield from imports(child, scope)
+        def imports_hashlib(node) -> bool:
+            if isinstance(node, ast.Import):
+                return any(a.name.split(".")[0] == "hashlib" for a in node.names)
+            return isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "hashlib"
 
-        found = [scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
-                 for scope in imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
-        assert found == ["numerics.digest"]
+        assert scopes_where(imports_hashlib) == ["numerics.digest"]
 
     def test_only_recorded_stores_into_a_trajectory_memo(self):
         """Only model._recorded stores into a trajectory memo (`memo` or a
         SplitArtifacts' `trajectories`), after a loop's last epoch, so "a
         batch loop that raises stores nothing" holds for `train` and
         `fill_memo` alike."""
-        def named_memo(node):
+        def named_memo(node) -> bool:
             return getattr(node, "id", getattr(node, "attr", None)) in ("memo", "trajectories")
 
-        def stores(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    yield from stores(child, f"{scope}.{child.name}")
-                    continue
-                if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets = getattr(child, "targets", [getattr(child, "target", None)])
-                    if any(isinstance(n, ast.Subscript) and named_memo(n.value)
-                           for t in targets for n in ast.walk(t)):
-                        yield scope
-                if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and \
-                        child.func.attr in ("update", "setdefault") and named_memo(child.func.value):
-                    yield scope
-                yield from stores(child, scope)
+        def stores(node) -> bool:
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                return any(isinstance(n, ast.Subscript) and named_memo(n.value)
+                           for t in targets for n in ast.walk(t))
+            return called(node) in ("update", "setdefault") and \
+                isinstance(node.func, ast.Attribute) and named_memo(node.func.value)
 
-        found = [scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
-                 for scope in stores(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
-        assert found == ["model._recorded"]
+        assert scopes_where(stores) == ["model._recorded"]
 
     def test_one_function_reads_a_loss_mode(self):
         """Only model._loss_inputs asks whether a loss mode is a
         CorrectedMode, so `train`, `gradient_check` and the objective take
         a mode's silver rows and matrix from one reader."""
-        def mode_checks(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    yield from mode_checks(child, f"{scope}.{child.name}")
-                    continue
-                if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance" \
-                        and any(getattr(n, "id", getattr(n, "attr", None)) == "CorrectedMode"
-                                for n in ast.walk(child.args[-1])):
-                    yield scope
-                yield from mode_checks(child, scope)
-
-        found = [scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
-                 for scope in mode_checks(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
-        assert found == ["model._loss_inputs"]
+        assert scopes_where(lambda n: called(n) == "isinstance" and any(
+            getattr(m, "id", getattr(m, "attr", None)) == "CorrectedMode"
+            for m in ast.walk(n.args[-1]))) == ["model._loss_inputs"]
 
     @pytest.mark.parametrize("name", private_names())
     def test_every_private_name_is_read(self, name):
@@ -1178,17 +1153,5 @@ class TestTooling:
         harness.run_dir, which every entry point that takes an
         ExperimentConfig runs before it writes a file, since that config
         stays mutable."""
-        def validate_calls(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    yield from validate_calls(child, f"{scope}.{child.name}")
-                    continue
-                if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "validate":
-                    yield scope
-                yield from validate_calls(child, scope)
-
-        found = [scope for path in sorted((self.ROOT / "src" / "mlnl").glob("*.py"))
-                 for scope in validate_calls(ast.parse(path.read_text(encoding="utf-8")),
-                                             path.stem)]
-        assert sorted(found) == ["datagen.GenConfig.validate", "harness.run_dir",
-                                 "numerics.Settings.__post_init__"]
+        assert sorted(scopes_where(lambda n: called(n) == "validate")) == [
+            "datagen.GenConfig.validate", "harness.run_dir", "numerics.Settings.__post_init__"]

@@ -1,5 +1,6 @@
-import contextlib
 import dataclasses
+import errno
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from mlnl.harness import (CONFIG_KEYS, ExperimentConfig, parse_config, prepare_d
                           training_matrix)
 from mlnl.model import AslParams, TrainConfig, init_model
 from mlnl.noise import NoiseSpec, read_matrix
+from test_cli import out_of_space_after_one
 
 
 def tiny_config(seed=9, etas=(0.0, 0.3)) -> ExperimentConfig:
@@ -585,12 +588,13 @@ class TestSilverReuse:
 
 def ablation_at(cfg: ExperimentConfig, axis: str, etas, out):
     """Run an ablation axis's cells at each of `etas` as one grid, which has
-    a group per noise ratio and silver split; returns the records."""
+    a group per noise ratio and silver split, each cell labelled with its
+    noise ratio and axis label, as in `eta=0.3 L10`; returns the records."""
     grid = harness.ABLATIONS[axis]
     cells = []
     for value, group in zip(grid.values, grid.groups):
         sub = dataclasses.replace(cfg, **{grid.field: value})
-        cells += [(sub, eta, m, f"eta{eta!r}_{group}_{m}", group)
+        cells += [(sub, eta, m, f"eta{eta!r}_{group}_{m}", f"eta={eta!r} {group}")
                   for eta in etas for m in grid.methods]
     return [rec for _, rec in harness._run_grid(cfg, out, cells, ())]
 
@@ -641,55 +645,6 @@ class TestRunSweep:
         assert run_sweep(cfg, tmp_path) == []
         assert (tmp_path / "summary.csv").read_text() == harness.SUMMARY_HEADER + "\n"
         assert not list(tmp_path.glob("*.svg"))
-
-    def test_failed_cell_keeps_no_earlier_stage_file(self, tmp_path, monkeypatch):
-        self.check_failed_cell(tmp_path, monkeypatch, cpus=1, etas=(0.3,))
-
-    def test_failed_cell_in_a_forked_worker_keeps_no_earlier_stage_file(self, tmp_path,
-                                                                        monkeypatch):
-        """Two noise ratios make two groups, so two workers fork."""
-        self.check_failed_cell(tmp_path, monkeypatch, cpus=2, etas=(0.0, 0.3))
-
-    @staticmethod
-    def check_failed_cell(tmp_path, monkeypatch, cpus, etas):
-        monkeypatch.setattr(textio, "_usable_cpus", lambda: cpus)
-        cfg = tiny_config(etas=etas)
-        run_sweep(cfg, tmp_path)
-        clean = {e: {p.name: p.read_bytes() for p in (tmp_path / f"eta{e!r}_none").iterdir()}
-                 for e in etas}
-        for e in etas:
-            assert len(list((tmp_path / f"eta{e!r}_galc_slr").iterdir())) == 10
-            for name in ("gold_model.mlpm", "metrics.csv", "silver_model.mlpm",
-                         "true_matrix.csv"):
-                # what a write killed before its os.replace leaves
-                (tmp_path / f"eta{e!r}_galc_slr" / f"{name}.partial").write_text("cut short\n")
-
-        def fail(model, pool):
-            raise ValueError("regulators unavailable")
-
-        entries = []  # the size of each memo the workers prefetch
-        ordered_map = textio.ordered_map
-
-        def spy(fn, items):
-            with contextlib.closing(ordered_map(fn, items)) as memos:
-                for memo in memos:
-                    entries.append(len(memo))
-                    yield memo
-
-        monkeypatch.setattr(textio, "ordered_map", spy)
-        monkeypatch.setattr(estimator, "compute_regulators", fail)
-        assert [r.method for r in run_sweep(cfg, tmp_path)] == ["none", "true_matrix"] * len(etas)
-        # the silver loop and the gold loops of none and true_matrix, with
-        # none for galc_slr, whose estimate failed in the worker too
-        assert entries == ([] if cpus == 1 else [3] * len(etas))
-        assert (tmp_path / "failures.log").read_text() == "".join(
-            f"eta={e!r} method=galc_slr: pipeline stage 'estimate' failed: "
-            "regulators unavailable\n" for e in etas)
-        for e in etas:
-            assert [p.name for p in (tmp_path / f"eta{e!r}_galc_slr").iterdir()] == \
-                ["resolved.cfg"]
-            assert {p.name: p.read_bytes()
-                    for p in (tmp_path / f"eta{e!r}_none").iterdir()} == clean[e]
 
     def test_failed_preparation_leaves_no_earlier_outputs(self, tmp_path, monkeypatch):
         cfg = tiny_config(etas=(0.0,))
@@ -750,100 +705,9 @@ class TestRunSweep:
         assert rank_bytes(tmp_path / "avx2") == native
 
 
-GRIDS = ("sweep", "trusted", "limit", "limit2")  # limit2: the limit axis at two etas
-
-
-@pytest.fixture(scope="module")
-def grid_runs(tmp_path_factory):
-    """Run the tiny sweep, both ablations and the limit axis at two noise
-    ratios with 1 and 2 usable CPUs; returns {(grid, cpus): (tree digest,
-    batches trained in this process, Counter of the calls this process
-    made)}. Workers append to their own copy of a list. The calls count
-    "ordered_map" once per item this process hands the workers."""
-    runs = {}
-    for cpus in (1, 2):
-        for grid in GRIDS:
-            out = tmp_path_factory.mktemp(f"{grid}{cpus}")
-            batches, calls = [], Counter()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(textio, "_usable_cpus", lambda: cpus)
-                ordered_map = textio.ordered_map
-                mp.setattr(textio, "ordered_map", lambda fn, items: calls.update(
-                    ordered_map=len(items)) or ordered_map(fn, items))
-                loss = model._Objective.loss
-                mp.setattr(model._Objective, "loss",
-                           lambda self, *a, **k: batches.append(None) or loss(self, *a, **k))
-
-                def counted(name, fn):
-                    return lambda *a, **k: calls.update([name]) or fn(*a, **k)
-
-                # every site the harness's stages reach these through
-                for owner, attr, name in ((noise, "inject", "noise.inject"),
-                                          (estimator, "compute_regulators", "regulators"),
-                                          (estimator, "estimate_galc_slr", "estimate"),
-                                          (model, "forward", "forward"),
-                                          (estimator, "forward", "forward")):
-                    mp.setattr(owner, attr, counted(name, getattr(owner, attr)))
-                cfg = tiny_config(etas=(0.3,))
-                cfg.ablation_eta = 0.3
-                if grid == "sweep":
-                    run_sweep(tiny_config(etas=(0.0, 0.3)), out)
-                elif grid == "limit2":
-                    ablation_at(cfg, "limit", (0.0, 0.3), out)
-                else:
-                    run_ablation(cfg, grid, out)
-            runs[grid, cpus] = tree_digest(out), len(batches), calls
-    return runs
-
-
 class TestPrefetch:
     """With 2 usable CPUs, forked workers run a grid's batch loops ahead and
     the grid's stages replay them from the memo, in this process."""
-
-    @pytest.mark.parametrize("grid", GRIDS)
-    def test_bytes_do_not_depend_on_the_cpus(self, grid_runs, grid):
-        assert grid_runs[grid, 2][0] == grid_runs[grid, 1][0]
-
-    @pytest.mark.parametrize("grid", ["sweep", "trusted", "limit2"])
-    def test_every_loop_is_prefetched(self, grid_runs, grid):
-        """A stage input that the workers build otherwise than the stage
-        misses the memo, and its loop then runs here."""
-        assert grid_runs[grid, 1][1] > 0
-        assert grid_runs[grid, 2][1] == 0
-
-    def test_a_grid_of_one_group_forks_nothing(self, grid_runs):
-        """The limit ablation's cells share one silver loop: one group, whose
-        one worker would only make this process wait."""
-        assert grid_runs["limit", 2][1] == grid_runs["limit", 1][1] > 0
-
-    @pytest.mark.parametrize("grid", GRIDS)
-    def test_this_process_makes_the_same_calls(self, grid_runs, grid):
-        calls = grid_runs[grid, 1][2]
-        assert calls["noise.inject"] > 0 and calls["regulators"] > 0
-        assert calls["ordered_map"] == 0
-        mapped = grid_runs[grid, 2][2]
-        assert mapped.pop("ordered_map", 0) == (0 if grid == "limit" else 2)  # groups
-        assert mapped == calls
-
-    def test_a_killed_worker_costs_only_speed(self, grid_runs, tmp_path, monkeypatch):
-        """The worker of the eta=0.3 group dies before it sends its memo:
-        that group's loops run here, and the bytes are those of one CPU."""
-        prefetch = harness._prefetch
-
-        def dying(group):
-            if group[0][1] == 0.3:
-                os._exit(1)
-            return prefetch(group)
-
-        batches = []
-        loss = model._Objective.loss
-        monkeypatch.setattr(model._Objective, "loss",
-                            lambda self, *a, **k: batches.append(None) or loss(self, *a, **k))
-        monkeypatch.setattr(harness, "_prefetch", dying)
-        monkeypatch.setattr(textio, "_usable_cpus", lambda: 2)
-        assert len(run_sweep(tiny_config(etas=(0.0, 0.3)), tmp_path)) == 6
-        assert tree_digest(tmp_path) == grid_runs["sweep", 1][0]
-        assert 0 < len(batches) < grid_runs["sweep", 1][1]
 
     def test_a_group_trains_its_gold_loops_as_one_stack(self, tmp_path, monkeypatch):
         """_prefetch swallows every exception, so a stack that failed would
@@ -868,58 +732,6 @@ class TestPrefetch:
         for method in harness.SWEEP_METHODS:
             run_pipeline(cfg, 0.3, tmp_path / method, method=method, data=data)
         assert calls == []
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_diverging_gold_loop_fails_only_its_cell(self, tmp_path, monkeypatch, cpus):
-        """galc_slr's gold stage trains with a NaN matrix, whose loss is not
-        finite: a worker's gold stack then stores nothing, each gold stage
-        runs its loop alone, galc_slr's fails as it does on one CPU, and
-        every other cell keeps its bytes."""
-        etas = (0.0, 0.3)
-        monkeypatch.setattr(textio, "_usable_cpus", lambda: 1)  # every loop alone
-        run_sweep(tiny_config(etas=etas), tmp_path / "clean")
-
-        def cells(root):
-            return {(e, m): {p.name: p.read_bytes() for p in (root / f"eta{e!r}_{m}").iterdir()}
-                    for e in etas for m in ("none", "true_matrix")}
-
-        estimates = []  # the galc_slr correction matrices made in this process
-        training_matrix, gold_set = harness.training_matrix, harness._gold_set
-
-        def recorded(report, form):
-            estimates.append(training_matrix(report, form))
-            return estimates[-1]
-
-        def poisoned(gold, noisy, correction):
-            combined, mode = gold_set(gold, noisy, correction)
-            if any(correction is e for e in estimates):
-                mode = model.CorrectedMode(np.full_like(mode.matrix, np.nan), mode.gold_mask)
-            return combined, mode
-
-        entries = []  # the size of each memo the workers prefetch
-        ordered_map = textio.ordered_map
-
-        def spy(fn, items):
-            with contextlib.closing(ordered_map(fn, items)) as memos:
-                for memo in memos:
-                    entries.append(len(memo))
-                    yield memo
-
-        monkeypatch.setattr(textio, "ordered_map", spy)
-        monkeypatch.setattr(harness, "training_matrix", recorded)
-        monkeypatch.setattr(harness, "_gold_set", poisoned)
-        monkeypatch.setattr(textio, "_usable_cpus", lambda: cpus)
-        records = run_sweep(tiny_config(etas=etas), tmp_path / "poisoned")
-        assert [r.method for r in records] == ["none", "true_matrix"] * len(etas)
-        # the silver loop alone: the gold stack that holds galc_slr stores nothing
-        assert entries == ([] if cpus == 1 else [1] * len(etas))
-        out = tmp_path / "poisoned"
-        assert (out / "failures.log").read_text() == "".join(
-            f"eta={e!r} method=galc_slr: pipeline stage 'train-gold' failed: "
-            "non-finite loss at epoch 1, batch 1\n" for e in etas)
-        for e in etas:
-            assert [p.name for p in (out / f"eta{e!r}_galc_slr").iterdir()] == ["resolved.cfg"]
-        assert cells(out) == cells(tmp_path / "clean")
 
     @pytest.mark.parametrize("none_fails", [False, True], ids=["clean", "none-fails"])
     def test_the_wait_for_a_memo_goes_to_the_first_cell_to_finish(self, tmp_path,
@@ -949,29 +761,42 @@ class TestPrefetch:
             [(e, methods[0]) for e in etas]
 
 
-def grid_cells(grid) -> tuple[str, list[tuple[str, str, str]]]:
-    """The table that `grid` (a tuple of sweep noise ratios, or an ablation
-    axis) writes, and each of its cells' (run directory, label, method)."""
-    if isinstance(grid, tuple):
-        return "summary.csv", [(f"eta{e!r}_{m}", f"eta={e!r}", m)
-                               for e in grid for m in harness.SWEEP_METHODS]
-    axis = harness.ABLATIONS[grid]
-    return f"ablation_{grid}.csv", [
-        (axis.rundir.format(value=value, group=group, method=m), group, m)
-        for value, group in zip(axis.values, axis.groups) for m in axis.methods]
+def grid_cells(grid) -> tuple[str | None, list[tuple[str, str, str, int]]]:
+    """The table that `grid`, an (axis, noise ratios) pair with "sweep" for
+    an axis, writes (None for an ablation axis at two ratios, which
+    ablation_at runs), and each of its cells' (run directory, label, method,
+    group): groups number the runs of cells that share a noise ratio and a
+    silver split, which only the trusted fraction changes, in cell order."""
+    axis, etas = grid
+    if axis == "sweep":
+        table = "summary.csv"
+        cells = [(f"eta{e!r}_{m}", f"eta={e!r}", m, (e, None))
+                 for e in etas for m in harness.SWEEP_METHODS]
+    else:
+        ab = harness.ABLATIONS[axis]
+        table = f"ablation_{axis}.csv" if len(etas) == 1 else None
+        cells = [(ab.rundir.format(value=value, group=group, method=m) if table else
+                  f"eta{e!r}_{group}_{m}", group if table else f"eta={e!r} {group}", m,
+                  (e, value if ab.field == "trusted_fraction" else None))
+                 for value, group in zip(ab.values, ab.groups) for e in etas for m in ab.methods]
+    keys = list(dict.fromkeys(key for *_, key in cells))
+    return table, [(rundir, label, m, keys.index(key)) for rundir, label, m, key in cells]
 
 
 def run_grid(grid, out) -> None:
     """Run `grid` (see grid_cells) on a config small enough for a property's
-    examples, at noise ratio 0.3 for an ablation."""
-    cfg = tiny_config(etas=grid if isinstance(grid, tuple) else (0.3,))
+    examples."""
+    axis, etas = grid
+    cfg = tiny_config(etas=etas if axis == "sweep" else (0.3,))
     cfg.gen = dataclasses.replace(cfg.gen, n=500)
     cfg.silver = cfg.gold = TrainConfig(epochs=2, batch_size=32, lr=2e-3)
-    cfg.ablation_eta = 0.3
-    if isinstance(grid, tuple):
+    cfg.ablation_eta = etas[0]
+    if axis == "sweep":
         run_sweep(cfg, out)
+    elif len(etas) == 1:
+        run_ablation(cfg, axis, out)
     else:
-        run_ablation(cfg, grid, out)
+        ablation_at(cfg, axis, etas, out)
 
 
 def tree_files(root) -> dict[str, bytes]:
@@ -979,52 +804,128 @@ def tree_files(root) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def instrument(mp, root, failing_write=None) -> SimpleNamespace:
+    """Record what this process, and no worker it forks, does while a grid
+    runs under `root`: `events`, ("write", path relative to root) for each
+    textio.write_lines call and (stage, run directory) for each
+    harness._train_stage call, in order; `batches`, the _Objective.loss
+    calls made in each such stage; `calls`, a Counter of the calls to
+    noise.inject, the regulators, the GALC-SLR estimate and `forward`, and,
+    as "ordered_map", of the items textio.ordered_map is handed. With
+    `failing_write` w, the w-th write runs out of disk after one line."""
+    seen = SimpleNamespace(events=[], batches=Counter(), calls=Counter(), stage=None)
+
+    def here() -> bool:
+        return not multiprocessing.current_process().daemon
+
+    write_lines, train_stage = textio.write_lines, harness._train_stage
+    loss, ordered_map = model._Objective.loss, textio.ordered_map
+
+    def write(path, lines):
+        if here():
+            if sum(kind == "write" for kind, _ in seen.events) == failing_write:
+                lines = out_of_space_after_one(lines, path)
+            seen.events.append(("write", Path(path).relative_to(root).as_posix()))
+        write_lines(path, lines)
+
+    def stage(cfg, out, name, *rest):
+        if here():
+            seen.stage = (name, out.name)
+            seen.events.append(seen.stage)
+        return train_stage(cfg, out, name, *rest)
+
+    def batch(self, *args, **kwargs):
+        if here():
+            seen.batches[seen.stage] += 1
+        return loss(self, *args, **kwargs)
+
+    def mapped(fn, items):
+        seen.calls.update(ordered_map=len(items))
+        return ordered_map(fn, items)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            if here():
+                seen.calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    mp.setattr(textio, "write_lines", write)
+    mp.setattr(harness, "_train_stage", stage)
+    mp.setattr(model._Objective, "loss", batch)
+    mp.setattr(textio, "ordered_map", mapped)
+    # every site the harness's stages reach these through
+    for owner, attr, name in ((noise, "inject", "noise.inject"),
+                              (estimator, "compute_regulators", "regulators"),
+                              (estimator, "estimate_galc_slr", "estimate"),
+                              (model, "forward", "forward"), (estimator, "forward", "forward")):
+        mp.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    return seen
+
+
 @st.composite
 def faulted_grids(draw):
-    """A tiny grid, a count of usable CPUs and one fault: None, ("exit", g)
+    """A tiny grid, a count of usable CPUs, one fault and whether the grid
+    runs over an earlier clean run of itself. The fault is None, ("exit", g)
     for the worker of group g (mod the group count) dying before it sends its
-    memo, or ("diverge", m) for every gold loop of method m, which has a
-    correction matrix, turning non-finite at its first batch."""
+    memo, ("diverge", m) for every gold loop of method m, which has a
+    correction matrix, turning non-finite at its first batch, ("estimate",
+    "galc_slr") for estimator.compute_regulators raising, or ("write", w) for
+    this process's w-th write (mod the serial run's count) running out of
+    disk after one line."""
     grid = draw(st.one_of(
-        st.sets(st.sampled_from((0.0, 0.3, 0.5)), min_size=1).map(lambda s: tuple(sorted(s))),
-        st.sampled_from(("trusted", "limit"))))
+        st.sets(st.sampled_from((0.0, 0.3, 0.5)), min_size=1).map(
+            lambda s: ("sweep", tuple(sorted(s)))),
+        st.sampled_from((("trusted", (0.3,)), ("limit", (0.3,)), ("limit", (0.0, 0.3))))))
     cpus = draw(st.sampled_from((1, 2)))
-    corrected = sorted({m for _, _, m in grid_cells(grid)[1]} - {"none"})
-    faults = [st.none(), st.tuples(st.just("diverge"), st.sampled_from(corrected))]
+    corrected = sorted({m for _, _, m, _ in grid_cells(grid)[1]} - {"none"})
+    faults = [st.none(), st.tuples(st.just("diverge"), st.sampled_from(corrected)),
+              st.just(("estimate", "galc_slr")), st.tuples(st.just("write"), st.integers(0, 99))]
     if cpus == 2:  # one CPU forks no worker
         faults.append(st.tuples(st.just("exit"), st.integers(0, 2)))
-    return grid, cpus, draw(st.one_of(faults))
+    return grid, cpus, draw(st.one_of(faults)), draw(st.booleans())
 
 
 @pytest.fixture(scope="module")
 def serial_grid(tmp_path_factory):
-    """A function giving the files of a grid (see run_grid) run with one
-    usable CPU and no fault, run once per grid."""
-    runs = {}
-
-    def run(grid) -> dict[str, bytes]:
-        if grid not in runs:
-            out = tmp_path_factory.mktemp("serial")
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(textio, "_usable_cpus", lambda: 1)
-                run_grid(grid, out)
-            runs[grid] = tree_files(out)
-        return runs[grid]
+    """A function giving what a grid (see run_grid) run with one usable CPU
+    and no fault does (see instrument), with its files as `files`; each grid
+    runs once."""
+    @functools.cache
+    def run(grid) -> SimpleNamespace:
+        out = tmp_path_factory.mktemp("serial")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(textio, "_usable_cpus", lambda: 1)
+            seen = instrument(mp, out)
+            run_grid(grid, out)
+        seen.files = tree_files(out)
+        assert seen.calls["noise.inject"] and seen.calls["regulators"] and seen.batches
+        return seen
     return run
+
+
+REASONS = {"estimate": re.escape("pipeline stage 'estimate' failed: regulators unavailable"),
+           "diverge": re.escape("pipeline stage 'train-gold' failed: "
+                                "non-finite loss at epoch 1, batch 1")}
 
 
 class TestGridEquivalence:
     """However a grid's loops reach a cell (from a forked worker's memo,
     inline, in a stack, or inline again after a worker died), the cell gets
     the bytes of the same grid run serially with no fault, or, if it fails,
-    keeps only its resolved.cfg. Write faults are TestInterruptedWrites'."""
+    keeps only its resolved.cfg, and this process trains only the loops
+    that no worker ran for it."""
 
     @staticmethod
     def inject(mp, fault) -> None:
-        """Patch in `fault` (see faulted_grids)."""
-        if fault is None:
-            return
-        kind, arg = fault
+        """Patch in `fault` (see faulted_grids) but a write fault, which
+        instrument makes."""
+        kind, arg = fault or (None, None)
+        if kind == "estimate":
+            def unavailable(model, pool):
+                raise ValueError("regulators unavailable")
+
+            mp.setattr(estimator, "compute_regulators", unavailable)  # the workers' too
         if kind == "exit":
             ordered_map = textio.ordered_map
 
@@ -1037,6 +938,7 @@ class TestGridEquivalence:
                 return ordered_map(run, items)
 
             mp.setattr(textio, "ordered_map", dying)
+        if kind != "diverge":
             return
         estimates = []  # the galc_slr matrices made in this process
         training_matrix = harness.training_matrix
@@ -1047,9 +949,8 @@ class TestGridEquivalence:
             return matrix
 
         def method(m) -> str:
-            if m is None:
-                return "none"
-            return "galc_slr" if any(m is e for e in estimates) else "true_matrix"
+            return "none" if m is None else \
+                "galc_slr" if any(m is e for e in estimates) else "true_matrix"
 
         loss = model._Objective.loss
 
@@ -1063,42 +964,115 @@ class TestGridEquivalence:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(drawn=faulted_grids())
-    @example(drawn=((0.0, 0.3, 0.5), 2, ("exit", 1)))
-    @example(drawn=("trusted", 2, ("exit", 0)))
-    @example(drawn=((0.0, 0.3), 2, ("diverge", "galc_slr")))
+    @example(drawn=(("sweep", (0.0, 0.3)), 2, None, False))
+    @example(drawn=(("trusted", (0.3,)), 2, None, False))
+    @example(drawn=(("limit", (0.3,)), 2, None, False))
+    @example(drawn=(("limit", (0.0, 0.3)), 2, None, False))
+    @example(drawn=(("sweep", (0.0, 0.3)), 2, ("exit", 1), False))
+    @example(drawn=(("sweep", (0.0, 0.3, 0.5)), 2, ("exit", 1), False))
+    @example(drawn=(("trusted", (0.3,)), 2, ("exit", 0), False))
+    @example(drawn=(("sweep", (0.0, 0.3)), 1, ("diverge", "galc_slr"), False))
+    @example(drawn=(("sweep", (0.0, 0.3)), 2, ("diverge", "galc_slr"), False))
+    @example(drawn=(("sweep", (0.3,)), 1, ("estimate", "galc_slr"), True))
+    @example(drawn=(("sweep", (0.0, 0.3)), 2, ("estimate", "galc_slr"), True))
+    @example(drawn=(("trusted", (0.3,)), 1, ("estimate", "galc_slr"), False))
+    @example(drawn=(("trusted", (0.3,)), 2, ("estimate", "galc_slr"), True))
+    @example(drawn=(("sweep", (0.0, 0.3)), 2, ("write", 7), True))   # a cell's resolved.cfg
+    @example(drawn=(("sweep", (0.0, 0.3)), 1, ("write", 47), False))  # summary.csv
     def test_each_cell_finishes_with_the_serial_bytes_or_keeps_only_its_config(
             self, tmp_path_factory, serial_grid, drawn):
-        grid, cpus, fault = drawn
-        clean = serial_grid(grid)
+        grid, cpus, fault, rerun = drawn
+        kind, arg = fault or (None, None)
+        serial = serial_grid(grid)
+        clean = serial.files
+        table, cells = grid_cells(grid)
         out = tmp_path_factory.mktemp("grid")
+        cut_short = ("gold_model.mlpm", "metrics.csv", "silver_model.mlpm", "true_matrix.csv")
+        before = dict(clean, **{f"{rundir}/{name}.partial": b"cut short\n"
+                                for rundir, *_ in cells for name in cut_short}) if rerun else {}
+        for name, data in before.items():
+            (out / name).parent.mkdir(exist_ok=True)
+            (out / name).write_bytes(data)
+        at = [i for i, (what, _) in enumerate(serial.events) if what == "write"]
+        w = arg % len(at) if kind == "write" else None  # the index of the failing write
+        cut = len(serial.events) if w is None else at[w]
+        failed_write = None if w is None else serial.events[cut][1]
+        failed_cell = (failed_write or "").rpartition("/")[0]  # "" for the grid's own file
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(textio, "_usable_cpus", lambda: cpus)
             self.inject(mp, fault)
-            run_grid(grid, out)
-        files = tree_files(out)
-        table, cells = grid_cells(grid)
-        failing = {(label, m) for _, label, m in cells if fault == ("diverge", m)}
-        assert not [name for name in files if name.endswith(".partial")]
-        for rundir, label, m in cells:
-            mine = {name: data for name, data in files.items() if name.startswith(f"{rundir}/")}
-            if (label, m) in failing:
-                assert list(mine) == [f"{rundir}/resolved.cfg"]
+            seen = instrument(mp, out, w)
+            if failed_write and not failed_cell:
+                with pytest.raises(OSError, match=re.escape(str(out / failed_write))):
+                    run_grid(grid, out)
             else:
-                assert mine == {name: data for name, data in clean.items()
-                                if name.startswith(f"{rundir}/")}
-        log = files.get("failures.log", b"").decode().splitlines()
-        named = {tuple(line.partition(": ")[0].split(" method=")) for line in log}
-        assert len(log) == len(named) and named == failing
-        header, *rows = clean[table].decode().splitlines()
-
-        def cell(row):
-            first, second = row.split(",")[:2]
-            return (f"eta={second}", first) if isinstance(grid, tuple) else (first, second)
-
-        assert files[table].decode().splitlines() == [
-            header, *(row for row in rows if cell(row) not in failing)]
+                run_grid(grid, out)
+        files = tree_files(out)
+        if failed_write == "resolved.cfg":  # the grid's first write: nothing has changed
+            assert files == before
+            return
+        failing = {rundir for rundir, _, m, _ in cells
+                   if fault in (("diverge", m), ("estimate", m)) or rundir == failed_cell}
+        assert not [name for name in files if name.endswith(".partial")]
+        for rundir, *_ in cells:
+            theirs = {name: data for name, data in clean.items() if name.startswith(f"{rundir}/")}
+            config = f"{rundir}/resolved.cfg"
+            if rundir in failing:  # without its own resolved.cfg: none, or the earlier run's
+                theirs = {} if failed_write == config and not rerun else {config: clean[config]}
+            assert {name: data for name, data in files.items()
+                    if name.startswith(f"{rundir}/")} == theirs
+        log = [line.split(": ", 1) for line in files.get("failures.log", b"").decode().splitlines()]
+        assert [name for name, _ in log] == [f"{label} method={m}" for rundir, label, m, _ in cells
+                                             if rundir in failing]
+        reason = REASONS.get(kind, "")
+        if failed_write:
+            reason = "(pipeline stage '[a-z-]+' failed: )?" + re.escape(
+                str(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(out / failed_write))))
+        assert all(re.fullmatch(reason, why) for _, why in log)
+        if table and failed_write != table:  # one row per finished cell, in cell order
+            header, *rows = clean[table].decode().splitlines()
+            assert files[table].decode().splitlines() == [
+                header, *(row for row, (rundir, *_) in zip(rows, cells) if rundir not in failing)]
+        if failing and grid[0] != "sweep":  # an ablation's bar chart needs every cell
+            assert f"ablation_{grid[0]}.svg" not in files
         if not failing:
-            assert files == clean
+            assert files.items() <= clean.items() if failed_write else files == clean
+        assert sum(seen.batches.values()) == self.batches_here(serial, cells, cpus, fault,
+                                                               failed_cell, cut)
+        groups = len({g for *_, g in cells})
+        assert seen.calls.pop("ordered_map", 0) == (groups if cpus == 2 and groups > 1 else 0)
+        if kind in (None, "exit"):  # the stages still make every call
+            assert seen.calls == serial.calls
+
+    @staticmethod
+    def batches_here(serial, cells, cpus, fault, failed_cell, cut) -> int:
+        """The batches that this process trains: with one CPU or one group,
+        every loop that a cell reaches, once per memo; else the loops of the
+        groups from a dead worker's on, and the gold loops of a group that
+        holds a diverging cell, whose stack stores nothing. A diverging loop
+        trains one batch. A cell reaches only its silver loop when its
+        estimate fails, and the loops of the serial run's (stage, run
+        directory) events before its failed write."""
+        kind, arg = fault or (None, None)
+
+        def reaches(rundir, m, stage) -> bool:
+            if fault == ("estimate", m):
+                return stage == "silver"
+            return rundir != failed_cell or (stage, rundir) in serial.events[:cut]
+
+        groups = {}
+        for rundir, _, m, g in cells:
+            groups.setdefault(g, []).append((rundir, m))
+        forks = cpus == 2 and len(groups) > 1
+        batches = 0
+        for g, members in groups.items():
+            alone = not forks or (kind == "exit" and g >= arg % len(groups))
+            if alone and any(reaches(r, m, "silver") for r, m in members):
+                batches += sum(serial.batches["silver", r] for r, _ in members)
+            if alone or any(fault == ("diverge", m) for _, m in members):
+                batches += sum(1 if fault == ("diverge", m) else serial.batches["gold", r]
+                               for r, m in members if reaches(r, m, "gold"))
+        return batches
 
 
 @pytest.fixture(scope="module")
@@ -1106,22 +1080,18 @@ def ablation(tmp_path_factory):
     """Run an ablation axis once on the tiny config at eta 0.3, in a directory
     that holds the failures.log of an earlier run; returns (config, output
     directory, records, prepare_data calls)."""
-    runs = {}
-
+    @functools.cache
     def run(axis):
-        if axis not in runs:
-            cfg = tiny_config(etas=(0.3,))
-            cfg.ablation_eta = 0.3
-            out = tmp_path_factory.mktemp(axis)
-            (out / "failures.log").write_text("L10 method=galc_slr: an earlier failure\n")
-            calls = []
-            with pytest.MonkeyPatch.context() as mp:
-                prepare = harness.prepare_data
-                mp.setattr(harness, "prepare_data",
-                           lambda c: calls.append(c) or prepare(c))
-                records = run_ablation(cfg, axis, out)
-            runs[axis] = (cfg, out, records, len(calls))
-        return runs[axis]
+        cfg = tiny_config(etas=(0.3,))
+        cfg.ablation_eta = 0.3
+        out = tmp_path_factory.mktemp(axis)
+        (out / "failures.log").write_text("L10 method=galc_slr: an earlier failure\n")
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            prepare = harness.prepare_data
+            mp.setattr(harness, "prepare_data", lambda c: calls.append(c) or prepare(c))
+            records = run_ablation(cfg, axis, out)
+        return cfg, out, records, len(calls)
     return run
 
 
@@ -1164,40 +1134,6 @@ class TestRunAblation:
     def test_clean_ablation_removes_an_earlier_failures_log(self, ablation):
         _, out, _, _ = ablation("limit")
         assert not (out / "failures.log").exists()
-
-    def test_failed_cells_are_skipped_and_logged(self, ablation, tmp_path, monkeypatch):
-        def fail(model, pool):
-            raise ValueError("regulators unavailable")
-
-        monkeypatch.setattr(estimator, "compute_regulators", fail)
-        cfg = tiny_config(etas=(0.3,))
-        cfg.ablation_eta = 0.3
-        records = run_ablation(cfg, "trusted", tmp_path)
-        assert [(r.method, r.final.map) for r in records] == [
-            (r.method, r.final.map) for r in ablation("trusted")[2] if r.method == "true_matrix"]
-        # the cells that finished give the bytes of a clean ablation's cells
-        clean = (ablation("trusted")[1] / "ablation_trusted.csv").read_text().splitlines()
-        assert (tmp_path / "ablation_trusted.csv").read_text().splitlines() == [
-            row for row in clean if ",galc_slr," not in row]
-        assert (tmp_path / "failures.log").read_text().splitlines() == [
-            f"{label} method=galc_slr: pipeline stage 'estimate' failed: regulators unavailable"
-            for label in ("tf=0.05", "tf=0.1")]
-        assert not (tmp_path / "ablation_trusted.svg").exists()
-
-    def test_failed_rerun_removes_the_earlier_svg(self, ablation, tmp_path, monkeypatch):
-        cfg, clean, _, _ = ablation("trusted")
-        shutil.copytree(clean, tmp_path / "rerun")
-        assert (tmp_path / "rerun" / "ablation_trusted.svg").exists()
-
-        def fail(model, pool):
-            raise ValueError("regulators unavailable")
-
-        monkeypatch.setattr(estimator, "compute_regulators", fail)
-        assert len(run_ablation(cfg, "trusted", tmp_path / "rerun")) == 2
-        assert (tmp_path / "rerun" / "failures.log").exists()
-        assert not list((tmp_path / "rerun").glob("*.svg"))
-        for failed in ("tf0.05_galc_slr", "tf0.1_galc_slr"):
-            assert [p.name for p in (tmp_path / "rerun" / failed).iterdir()] == ["resolved.cfg"]
 
     def test_failed_preparation_leaves_no_earlier_outputs(self, ablation, tmp_path,
                                                            monkeypatch):
