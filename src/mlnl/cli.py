@@ -4,7 +4,8 @@ Staged subcommands operate on a run directory (--out): gen-data writes the
 split dataset files and resolved.cfg, whose settings the later stages run
 with; inject-noise corrupts the silver split, train-silver and train-gold
 produce checkpoints and metrics, estimate writes the corruption matrix CSVs.
-Each first removes its own and every later stage's files (harness.RUN_FILES).
+Each first checks its arguments, then removes its own and every later
+stage's files (harness.RUN_FILES); gen-data removes an earlier gen-data's too.
 sweep and ablate orchestrate full experiment grids, and plot redraws a
 sweep's SVG plots from the files in its directory.
 """
@@ -71,14 +72,14 @@ def _check_shapes(paths, inputs) -> None:
 
 def _cmd_gen_data(args, cfg: ExperimentConfig) -> int:
     data = harness.prepare_data(cfg)  # a config that cannot be prepared changes nothing
-    # the later stages would read an earlier run's files beside this run's data
-    harness.clear_files(cfg.out, harness.RUN_FILES)
+    datasets = {"dataset_full.mlnl": data.full, "test.mlnl": data.test, "gold.mlnl": data.gold,
+                "silver_clean.mlnl": data.silver_clean, "singles_pool.mlnl": data.singles_pool}
+    # the later stages would read an earlier run's files beside this run's
+    # data, or, if a write fails, beside part of it
+    harness.clear_files(cfg.out, ("resolved.cfg", *datasets, *harness.RUN_FILES))
     out = harness.run_dir(cfg, cfg.out)
-    datagen.write_dataset(data.full, out / "dataset_full.mlnl")
-    datagen.write_dataset(data.test, out / "test.mlnl")
-    datagen.write_dataset(data.gold, out / "gold.mlnl")
-    datagen.write_dataset(data.silver_clean, out / "silver_clean.mlnl")
-    datagen.write_dataset(data.singles_pool, out / "singles_pool.mlnl")
+    for name, dataset in datasets.items():
+        datagen.write_dataset(dataset, out / name)
     print(f"generated N={data.full.n} K={data.full.num_classes} "
           f"gold={data.gold.n} silver={data.silver_clean.n} "
           f"singles_pool={data.singles_pool.n} test={data.test.n} -> {out}")

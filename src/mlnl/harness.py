@@ -290,33 +290,40 @@ def run_dir(cfg: ExperimentConfig, outdir) -> Path:
 # `out`, so the same inputs give the same bytes however the stages are
 # strung together. A file is valid only beside the files it was computed
 # from, so each stage first clears its own RUN_FILES and every later one's:
-# they match each file a stage or the staged CLI writes after gen-data, in
-# pipeline order, and the `<file>.partial` a killed write leaves.
-RUN_FILES = ("true_matrix.csv*", "silver_noisy.mlnl*", "empirical_matrix.csv*", "flips.csv*",
-             "silver_model.mlpm*", "silver_metrics.csv*", "chat*", "gold_model.mlpm*",
-             "metrics.csv*", "eval.csv*")
+# they name each file a stage or the staged CLI writes after gen-data, in
+# pipeline order. A stage checks its arguments before it clears anything.
+RUN_FILES = ("true_matrix.csv", "silver_noisy.mlnl", "empirical_matrix.csv", "flips.csv",
+             "silver_model.mlpm", "silver_metrics.csv", "chat.csv", "chat_raw.csv",
+             "chat_scaled.csv", "chat_info.txt", "gold_model.mlpm", "metrics.csv", "eval.csv")
 
 
-def clear_files(out, patterns) -> None:
-    """Remove the files in the directory `out` that match the glob `patterns`."""
-    for pattern in patterns:
-        for path in Path(out).glob(pattern):
-            path.unlink()
+def clear_files(out, names) -> None:
+    """Remove each of the files `names` in the directory `out` and the
+    `<name>.partial` that a killed write of it leaves, where they exist."""
+    for name in names:
+        for path in (Path(out) / name, Path(out) / f"{name}.partial"):
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+                path.unlink()
 
 
-def _noisy_split(cfg: ExperimentConfig, silver_clean: Dataset, eta: float):
-    """The silver split corrupted at noise ratio `eta`, its FlipLog and the
-    symmetric matrix at `eta`."""
-    spec = NoiseSpec(eta, seed=RandomStream(cfg.seed).derive_seed("noise"), mode=cfg.noise_mode)
+def _noise_spec(cfg: ExperimentConfig, eta: float) -> NoiseSpec:
+    """The injection settings at noise ratio `eta`; a ratio outside [0,1) raises."""
+    return NoiseSpec(eta, seed=RandomStream(cfg.seed).derive_seed("noise"), mode=cfg.noise_mode)
+
+
+def _noisy_split(silver_clean: Dataset, spec: NoiseSpec):
+    """The silver split corrupted by `spec`, its FlipLog and the symmetric
+    matrix at the spec's noise ratio."""
     noisy, log = noise.inject(silver_clean, spec)
-    return noisy, log, noise.symmetric_matrix(silver_clean.num_classes, eta)
+    return noisy, log, noise.symmetric_matrix(silver_clean.num_classes, spec.eta)
 
 
 def inject_noise(cfg: ExperimentConfig, out: Path, silver_clean: Dataset, eta: float):
     """Corrupt the silver split at noise ratio `eta` and write the symmetric
     matrix at `eta` to true_matrix.csv; returns (noisy, FlipLog, that matrix)."""
+    spec = _noise_spec(cfg, eta)  # before an earlier run is removed
     clear_files(out, RUN_FILES)
-    noisy, log, true_c = _noisy_split(cfg, silver_clean, eta)
+    noisy, log, true_c = _noisy_split(silver_clean, spec)
     noise.write_matrix(true_c, out / "true_matrix.csv")
     return noisy, log, true_c
 
@@ -335,7 +342,7 @@ def _job(cfg: ExperimentConfig, stage: str, data: Dataset, loss_mode) -> tuple:
 
 def _train_stage(cfg: ExperimentConfig, out: Path, stage: str, data: Dataset, loss_mode,
                  test: Dataset, metrics_file: str, memo: dict | None):
-    clear_files(out, RUN_FILES[RUN_FILES.index(f"{stage}_model.mlpm*"):])
+    clear_files(out, RUN_FILES[RUN_FILES.index(f"{stage}_model.mlpm"):])
     model, history = train(*_job(cfg, stage, data, loss_mode), eval_data=test, memo=memo)
     save_model(model, out / f"{stage}_model.mlpm")
     write_metrics_csv(out / metrics_file, history)
@@ -362,7 +369,7 @@ def estimate_correction(cfg: ExperimentConfig, out: Path, method: str,
                         silver_noisy: Dataset | None):
     """The correction matrix `method` trains the gold model with, and the
     estimation report behind it (written to chat.csv and chat_* once the
-    RUN_FILES from chat* on are cleared); returns (matrix or None, report or None).
+    RUN_FILES from chat.csv on are cleared); returns (matrix or None, report or None).
 
     galc_slr reads the silver model, the single-label pool and the
     estimation set (gold, or silver_noisy when cfg.estimation_set is
@@ -370,7 +377,7 @@ def estimate_correction(cfg: ExperimentConfig, out: Path, method: str,
     `true_matrix`, the matrix inject_noise wrote, which the others ignore.
     """
     _check_method(method)  # before an earlier estimate is removed
-    clear_files(out, RUN_FILES[RUN_FILES.index("chat*"):])
+    clear_files(out, RUN_FILES[RUN_FILES.index("chat.csv"):])
     matrix, report = _correction(cfg, method, true_matrix, gold, silver_model, singles_pool,
                                  silver_noisy)
     if report is not None:
@@ -485,7 +492,7 @@ def _prefetch(group) -> dict:
     memo: dict = {}
     first_cfg, eta, _, first = group[0]
     with contextlib.suppress(Exception):
-        noisy, _, true_c = _noisy_split(first_cfg, first.silver_clean, eta)
+        noisy, _, true_c = _noisy_split(first.silver_clean, _noise_spec(first_cfg, eta))
         silver, _ = train(*_job(first_cfg, "silver", noisy, "asl"), memo=memo)
         jobs = []
         for sub, _, method, data in group:
@@ -527,11 +534,11 @@ def _prefetched(runs, groups):
 def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, RunRecord]]:
     """Run each cell (config, eta, method, run directory, label) through
     run_pipeline under `cfg`'s run directory `outdir`, once an earlier grid's
-    files (those matching the glob patterns `outputs`, and failures.log) are
-    removed and every split is prepared, once per run of cells that share a
-    config. A failed cell is skipped, named in failures.log and left by
-    run_pipeline with no RUN_FILES file beside its resolved.cfg; returns the
-    (label, record) of every cell that finished, in cell order.
+    files (`outputs` and failures.log) are removed and every split is
+    prepared, once per run of cells that share a config. A failed cell is
+    skipped, named in failures.log and left by run_pipeline with no
+    RUN_FILES file beside its resolved.cfg; returns the (label, record) of
+    every cell that finished, in cell order.
 
     Cells with the same noise ratio and silver split (by content), which is
     all that grids vary of the inject and silver loop's inputs, form a group
@@ -578,7 +585,8 @@ def _run_grid(cfg: ExperimentConfig, outdir, cells, outputs) -> list[tuple[str, 
 def run_sweep(cfg: ExperimentConfig, outdir) -> list[RunRecord]:
     """Grid over noise ratios and SWEEP_METHODS; emits summary.csv and SVG plots."""
     cells = [(cfg, e, m, f"eta{e!r}_{m}", f"eta={e!r}") for e in cfg.etas for m in SWEEP_METHODS]
-    records = [rec for _, rec in _run_grid(cfg, outdir, cells, ("summary.csv", "sweep_*.svg"))]
+    records = [rec for _, rec in _run_grid(cfg, outdir, cells, (
+        "summary.csv", *(f"sweep_{m}.svg" for m in ("map", "cf1", "of1", "memorization"))))]
     textio.write_lines(Path(outdir) / "summary.csv", [SUMMARY_HEADER, *(
         f"{r.method},{r.eta!r},{r.final.map!r},{r.final.cf1!r},{r.final.of1!r},"
         f"{'' if r.frobenius_to_true is None else repr(r.frobenius_to_true)}" for r in records)])

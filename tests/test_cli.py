@@ -4,6 +4,7 @@ import errno
 import functools
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,30 +16,55 @@ import pytest
 from mlnl import cli, estimator, textio
 from mlnl.cli import main
 from mlnl.datagen import Dataset, read_dataset, write_dataset
-from mlnl.harness import parse_config, run_pipeline
+from mlnl.harness import RUN_FILES, parse_config, run_pipeline
 from mlnl.model import init_model, save_model
 from mlnl.noise import read_matrix
 
 
+CONFIG = "\n".join([
+    "gen.n = 700",
+    "gen.d = 10",
+    "gen.k = 5",
+    "gen.mean_labels = 2.2",
+    "gen.feature_noise_sigma = 1.2",
+    "gen.correlation_strength = 0.5",
+    "noise.eta = 0.3",
+    "split.trusted_fraction = 0.15",
+    "model.hidden = 12",
+    "silver.epochs = 2",
+    "gold.epochs = 2",
+    "seed = 4",
+]) + "\n"
+
+# The staged run, stage by stage, with {run} for its directory.
+STAGES = {"gen-data": "gen-data", "inject-noise": "inject-noise --eta 0.3",
+          "train-silver": "train-silver", "estimate": "estimate --method galc-slr",
+          "train-gold": "train-gold --correction {run}/chat.csv",
+          "evaluate": "evaluate --model {run}/gold_model.mlpm --data {run}/test.mlnl"}
+
+
 @pytest.fixture()
 def cfg_file(tmp_path):
-    text = "\n".join([
-        "gen.n = 700",
-        "gen.d = 10",
-        "gen.k = 5",
-        "gen.mean_labels = 2.2",
-        "gen.feature_noise_sigma = 1.2",
-        "gen.correlation_strength = 0.5",
-        "noise.eta = 0.3",
-        "split.trusted_fraction = 0.15",
-        "model.hidden = 12",
-        "silver.epochs = 2",
-        "gold.epochs = 2",
-        "seed = 4",
-    ]) + "\n"
     path = tmp_path / "exp.cfg"
-    path.write_text(text)
+    path.write_text(CONFIG)
     return path
+
+
+@pytest.fixture(scope="module")
+def staged_run(tmp_path_factory):
+    """A function that copies the run of STAGES at CONFIG, as it stood after
+    the named stage, to `<root>/run` and returns that directory; the stages
+    run once."""
+    base = tmp_path_factory.mktemp("staged")
+    (base / "exp.cfg").write_text(CONFIG)
+    for stage, argv in STAGES.items():
+        run(["--config", base / "exp.cfg", "--out", base / "run",
+             *argv.format(run=base / "run").split()])
+        shutil.copytree(base / "run", base / stage)
+
+    def copy(root, stage):
+        return Path(shutil.copytree(base / stage, root / "run"))
+    return copy
 
 
 def run(args):
@@ -57,55 +83,41 @@ def write_overridden(cfg_file, path, *lines):
     path.write_text("\n".join([*kept, *lines]) + "\n")
 
 
-class TestStagedWorkflow:
-    def test_full_staged_run(self, tmp_path, cfg_file, capsys):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        for name in ("dataset_full.mlnl", "test.mlnl", "gold.mlnl",
-                     "silver_clean.mlnl", "singles_pool.mlnl", "resolved.cfg"):
-            assert (out / name).exists()
+def tree(root) -> dict[str, bytes | None]:
+    """Every file under `root` with its bytes, and every directory with None."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
 
-        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
-        noisy = read_dataset(out / "silver_noisy.mlnl")
-        clean = read_dataset(out / "silver_clean.mlnl")
+
+class TestStagedWorkflow:
+    def test_full_staged_run(self, tmp_path, staged_run, capsys):
+        """Each stage adds its own files to the run directory."""
+        adds = {"gen-data": ["dataset_full.mlnl", "gold.mlnl", "resolved.cfg",
+                             "silver_clean.mlnl", "singles_pool.mlnl", "test.mlnl"],
+                "inject-noise": ["empirical_matrix.csv", "flips.csv", "silver_noisy.mlnl",
+                                 "true_matrix.csv"],
+                "train-silver": ["silver_metrics.csv", "silver_model.mlpm"],
+                "estimate": ["chat.csv", "chat_info.txt", "chat_raw.csv", "chat_scaled.csv"],
+                "train-gold": ["gold_model.mlpm", "metrics.csv"], "evaluate": ["eval.csv"]}
+        names = []
+        for stage, new in adds.items():
+            out = staged_run(tmp_path / stage, stage)
+            names = sorted([*names, *new])
+            assert sorted(p.name for p in out.iterdir()) == names, stage
+        noisy, clean = (read_dataset(out / f"silver_{tag}.mlnl") for tag in ("noisy", "clean"))
         assert noisy.tag == "noisy"
         np.testing.assert_array_equal(noisy.cardinalities(), clean.cardinalities())
-        assert (out / "true_matrix.csv").exists()
-        assert (out / "empirical_matrix.csv").exists()
-        assert (out / "flips.csv").read_text().startswith("sample,from,to")
+        assert (out / "flips.csv").read_text().startswith("sample,from,to\n")
+        assert (out / "metrics.csv").read_text().startswith("epoch,split,map,cf1,of1,loss\n")
+        capsys.readouterr()
+        run(["--out", out, *STAGES["evaluate"].format(run=out).split()])
+        assert "map=" in capsys.readouterr().out
 
-        run(["--config", cfg_file, "--out", out, "train-silver"])
-        assert (out / "silver_model.mlpm").exists()
-        assert (out / "silver_metrics.csv").exists()
-
-        run(["--config", cfg_file, "--out", out, "estimate", "--method", "galc-slr"])
-        assert (out / "chat.csv").exists()
-        assert (out / "chat_raw.csv").exists()
-        assert (out / "chat_scaled.csv").exists()
-        assert (out / "chat_info.txt").exists()
-
-        run(["--config", cfg_file, "--out", out, "train-gold",
-             "--correction", out / "chat.csv"])
-        assert (out / "gold_model.mlpm").exists()
-        lines = (out / "metrics.csv").read_text().splitlines()
-        assert lines[0] == "epoch,split,map,cf1,of1,loss"
-
-        run(["--config", cfg_file, "--out", out, "evaluate",
-             "--model", out / "gold_model.mlpm", "--data", out / "test.mlnl"])
-        msg = capsys.readouterr().out
-        assert "map=" in msg
-        assert (out / "eval.csv").exists()
-
-    def test_gen_data_removes_an_earlier_runs_stage_files(self, tmp_path, cfg_file, capsys):
+    def test_gen_data_removes_an_earlier_runs_stage_files(self, tmp_path, staged_run, cfg_file,
+                                                          capsys):
         """A second gen-data leaves only its own files, so the next stage
         finds no earlier run's noisy split to train on."""
-        out = tmp_path / "run"
-        for argv in (["gen-data"], ["inject-noise"], ["train-silver"],
-                     ["estimate", "--method", "galc-slr"], ["train-gold", "--correction",
-                                                            out / "chat.csv"],
-                     ["evaluate", "--model", out / "gold_model.mlpm", "--data",
-                      out / "test.mlnl"]):
-            run(["--config", cfg_file, "--out", out, "--seed", 3, *argv])
+        out = staged_run(tmp_path, "evaluate")
         for name in ("metrics.csv", "flips.csv", "eval.csv"):  # a killed write's leftovers
             (out / f"{name}.partial").write_text("cut short\n")
         run(["--config", cfg_file, "--out", out, "--seed", 9, "gen-data"])
@@ -119,16 +131,27 @@ class TestStagedWorkflow:
         assert "Traceback" not in err
         assert not (out / "silver_model.mlpm").exists()
 
-    def test_inject_noise_removes_every_later_stages_files(self, tmp_path, cfg_file, capsys):
+    def test_no_step_removes_a_file_it_does_not_own(self, tmp_path, cfg_file):
+        """gen-data, every stage and a sweep into one directory remove their
+        own files and the `.partial` a killed write of one leaves, but no file
+        whose name only begins or ends like one of theirs."""
+        out = tmp_path / "run"
+        out.mkdir()
+        mine = {name: b"mine\n" for name in ("chatter_notes.md", "chat.py", "metrics.csv.bak",
+                                              "sweep_notes.svg")}
+        for name, data in mine.items():
+            (out / name).write_bytes(data)
+        for name in (*RUN_FILES, "test.mlnl", "resolved.cfg"):  # a killed write's leftovers
+            (out / f"{name}.partial").write_text("cut short\n")
+        for argv in (*STAGES.values(), "sweep"):
+            run(["--config", cfg_file, "--out", out, *argv.format(run=out).split()])
+            assert tree(out).items() >= mine.items(), argv
+            assert not list(out.rglob("*.partial")), argv
+
+    def test_inject_noise_removes_every_later_stages_files(self, tmp_path, staged_run, capsys):
         """A second inject-noise leaves gen-data's files and its own, so the
         estimate finds no silver model trained at the earlier noise ratio."""
-        out = tmp_path / "run"
-        for argv in (["gen-data"], ["inject-noise"], ["train-silver"],
-                     ["estimate", "--method", "galc-slr"],
-                     ["train-gold", "--correction", out / "chat.csv"],
-                     ["evaluate", "--model", out / "gold_model.mlpm", "--data",
-                      out / "test.mlnl"]):
-            run(["--config", cfg_file, "--out", out, *argv])
+        out = staged_run(tmp_path, "evaluate")
         run(["--out", out, "inject-noise", "--eta", 0.2])
         assert sorted(p.name for p in out.iterdir()) == [
             "dataset_full.mlnl", "empirical_matrix.csv", "flips.csv", "gold.mlnl",
@@ -141,15 +164,12 @@ class TestStagedWorkflow:
         assert "Traceback" not in err
         assert not list(out.glob("chat*"))
 
-    def test_train_silver_removes_the_estimate_and_the_gold_model(self, tmp_path, cfg_file,
+    def test_train_silver_removes_the_estimate_and_the_gold_model(self, tmp_path, staged_run,
                                                                   capsys):
         """A silver model trained after an estimate leaves no correction
         matrix estimated from the silver model it replaced."""
-        out = tmp_path / "run"
-        for argv in (["gen-data"], ["inject-noise"], ["train-silver"],
-                     ["estimate", "--method", "galc-slr"],
-                     ["train-gold", "--correction", out / "chat.csv"], ["train-silver"]):
-            run(["--config", cfg_file, "--out", out, *argv])
+        out = staged_run(tmp_path, "train-gold")
+        run(["--out", out, "train-silver"])
         assert not [p.name for p in out.iterdir()
                     if p.name.startswith(("chat", "gold_model.mlpm", "metrics.csv"))]
         capsys.readouterr()
@@ -160,18 +180,13 @@ class TestStagedWorkflow:
         assert "Traceback" not in err
         assert not (out / "gold_model.mlpm").exists()
 
-    def test_train_gold_baseline_correction_none(self, tmp_path, cfg_file):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise"])
+    def test_train_gold_baseline_correction_none(self, tmp_path, staged_run, cfg_file):
+        out = staged_run(tmp_path, "inject-noise")
         run(["--config", cfg_file, "--out", out, "train-gold", "--correction", "none"])
         assert (out / "gold_model.mlpm").exists()
 
-    def test_estimate_glc_and_true(self, tmp_path, cfg_file):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise"])
-        run(["--config", cfg_file, "--out", out, "train-silver"])
+    def test_estimate_glc_and_true(self, tmp_path, staged_run, cfg_file):
+        out = staged_run(tmp_path, "train-silver")
         run(["--config", cfg_file, "--out", out, "estimate", "--method", "glc"])
         assert read_matrix(out / "chat.csv").k == 5
         run(["--config", cfg_file, "--out", out, "estimate", "--method", "true"])
@@ -179,20 +194,16 @@ class TestStagedWorkflow:
         assert cm.kind == "true_row_stochastic"
         assert (out / "chat.csv").read_bytes() == (out / "true_matrix.csv").read_bytes()
 
-    def test_estimate_true_after_glc_leaves_only_chat_csv(self, tmp_path, cfg_file):
-        out = tmp_path / "run"
-        for argv in (["gen-data"], ["inject-noise"], ["train-silver"],
-                     ["estimate", "--method", "glc"]):
-            run(["--config", cfg_file, "--out", out, *argv])
+    def test_estimate_true_after_glc_leaves_only_chat_csv(self, tmp_path, staged_run, cfg_file):
+        out = staged_run(tmp_path, "train-silver")
+        run(["--config", cfg_file, "--out", out, "estimate", "--method", "glc"])
         assert sorted(p.name for p in out.glob("chat*")) == [
             "chat.csv", "chat_info.txt", "chat_raw.csv", "chat_scaled.csv"]
         run(["--config", cfg_file, "--out", out, "estimate", "--method", "true"])
         assert [p.name for p in out.glob("chat*")] == ["chat.csv"]
 
-    def test_true_matrix_without_eta_is_copied(self, tmp_path, cfg_file, capsys):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise"])
+    def test_true_matrix_without_eta_is_copied(self, tmp_path, staged_run, cfg_file, capsys):
+        out = staged_run(tmp_path, "inject-noise")
         true_csv = out / "true_matrix.csv"
         lines = true_csv.read_text().splitlines()
         true_csv.write_text("# kind=true_row_stochastic K=5\n" + "\n".join(lines[1:]) + "\n")
@@ -225,23 +236,6 @@ class TestStagedWorkflow:
         assert {name: (out / name).read_bytes() for name in given} == given
         run(["--seed", 4, "--out", out, "estimate", "--method", "glc"])
 
-    @pytest.mark.parametrize("flags, command, given, saved, model", [
-        (["--config", "three.cfg"], ["train-silver"], "--config gives silver.epochs = 3", "2",
-         "silver_model.mlpm"),
-        (["--seed", "5"], ["train-gold", "--correction", "none"], "--seed gives seed = 5", "4",
-         "gold_model.mlpm")], ids=["config", "seed"])
-    def test_a_setting_that_differs_from_gen_data_is_rejected(
-            self, tmp_path, cfg_file, capsys, monkeypatch, flags, command, given, saved, model):
-        monkeypatch.chdir(tmp_path)
-        run(["--config", cfg_file, "--out", "run", "gen-data"])
-        run(["--config", cfg_file, "--out", "run", "inject-noise"])
-        write_overridden(cfg_file, tmp_path / "three.cfg", "silver.epochs = 3")
-        capsys.readouterr()
-        assert main([*flags, "--out", "run", *command]) == 1
-        resolved = Path("run", "resolved.cfg")
-        assert capsys.readouterr().err == f"error: {given}, but {resolved} has {saved}\n"
-        assert not Path("run", model).exists()
-
 
 class TestSweepAndPlot:
     def test_sweep_then_replot(self, tmp_path, cfg_file):
@@ -260,71 +254,6 @@ class TestSweepAndPlot:
             fh.write("\n")  # a blank line is skipped, as every reader skips it
         run(["--out", out, "plot"])
         assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == svgs
-
-    def test_plot_without_results_exits_one(self, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        out.mkdir()
-        (out / "summary.csv").write_text("method,eta,map,cf1,of1,frobenius_to_true\n")
-        assert main(["--out", str(out), "plot"]) == 1
-        err = capsys.readouterr().err
-        assert f"{out / 'summary.csv'}: no data rows" in err
-        assert "Traceback" not in err
-        assert list(out.glob("*.svg")) == []
-
-    def test_plot_names_the_line_of_a_bad_byte(self, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        out.mkdir()
-        (out / "summary.csv").write_bytes(b"method,eta,map,cf1,of1,frobenius_to_true\n"
-                                          b"none,0.0,0.5,0.5,0.5\xff,\n")
-        assert main(["--out", str(out), "plot"]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {out / 'summary.csv'}:2: " in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("text, lineno, problem", [
-        ("method,eta,map\nnone,0.0,0.5\n", 1, "expected the header "),
-        ("none,0.0,0.5,0.5,0.5\n", 2, "expected 6 fields, got 5"),
-        ("glc,0.0,0.5,0.5,0.5,\n", 2, "method must be one of "),
-        ("none,0.0,nan,0.5,0.5,\n", 2, "map must be finite, got nan"),
-        ("galc_slr,0.0,0.5,0.5,0.5,not-a-number\n", 2,
-         "frobenius_to_true must be a number, got 'not-a-number'"),
-        ("galc_slr,0.0,0.5,0.5,0.5,inf\n", 2, "frobenius_to_true must be finite, got inf"),
-        ("none,zero,0.5,0.5,0.5,\n", 2, "eta must be a number, got 'zero'"),
-        ("none,0.4,0.5,0.5,0.5,\nnone,0.4,0.6,0.6,0.6,\n", 3,
-         "method none at eta 0.4 repeats line 2"),
-    ], ids=["header", "fields", "method", "nan-map", "text-frobenius", "inf-frobenius",
-            "text-eta", "repeated-cell"])
-    def test_plot_names_the_line_of_a_bad_summary(self, tmp_path, capsys, text, lineno,
-                                                  problem):
-        out = tmp_path / "sweep"
-        out.mkdir()
-        if lineno > 1:
-            text = "method,eta,map,cf1,of1,frobenius_to_true\n" + text
-        (out / "summary.csv").write_text(text)
-        assert main(["--out", str(out), "plot"]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {out / 'summary.csv'}:{lineno}: {problem}" in err
-        assert "Traceback" not in err
-        assert list(out.glob("*.svg")) == []
-
-    @pytest.mark.parametrize("row, problem", [
-        ("2,test,inf,0.4,0.4,0.8", "map must be finite, got inf"),
-        ("one,test,0.4,0.4,0.4,0.8", "epoch must be an integer, got 'one'"),
-        ("1,test,0.4,0.4,0.4,0.8", "expected epoch 2, got 1"),
-    ], ids=["inf-map", "text-epoch", "repeated-epoch"])
-    def test_plot_names_the_line_of_a_non_finite_epoch_score(self, tmp_path, capsys, row,
-                                                             problem):
-        out = tmp_path / "sweep"
-        (out / "eta0.3_none").mkdir(parents=True)
-        (out / "summary.csv").write_text("method,eta,map,cf1,of1,frobenius_to_true\n"
-                                         "none,0.0,0.5,0.5,0.5,\nnone,0.3,0.4,0.4,0.4,\n")
-        metrics = out / "eta0.3_none" / "metrics.csv"
-        metrics.write_text(f"epoch,split,map,cf1,of1,loss\n1,test,0.3,0.3,0.3,0.9\n{row}\n")
-        assert main(["--out", str(out), "plot"]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {metrics}:3: {problem}" in err
-        assert "Traceback" not in err
-        assert list(out.glob("*.svg")) == []
 
     def test_failed_cell_makes_the_sweep_exit_one(self, tmp_path, cfg_file, capsys,
                                                   monkeypatch):
@@ -377,337 +306,245 @@ class TestSweepAndPlot:
         assert (a / "dataset_full.mlnl").read_bytes() == (b / "dataset_full.mlnl").read_bytes()
 
 
-class TestErrors:
-    def test_bad_config_returns_nonzero(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("noise.eta = 2.0\n")
-        assert main(["--config", str(bad), "gen-data"]) == 1
-        assert "error:" in capsys.readouterr().err
+def text(name, content):
+    """An edit that writes `content`, text or bytes, to `<root>/<name>`."""
+    def edit(root):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    return edit
 
-    def test_repeated_config_key_exits_one(self, tmp_path, cfg_file, capsys):
-        cfg = tmp_path / "twice.cfg"
-        cfg.write_text(cfg_file.read_text() + "seed = 5\n")
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "gen-data"]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {cfg}:13: key 'seed' repeats line 12" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "run").exists()
 
-    def test_non_finite_config_value_exits_one_without_traceback(self, tmp_path, cfg_file,
-                                                                  capsys):
-        cfg = tmp_path / "nan.cfg"
-        write_overridden(cfg_file, cfg, "gen.mean_labels = nan")
-        out = tmp_path / "run"
-        assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 1
-        err = capsys.readouterr().err
-        assert "nan.cfg:13: gen.mean_labels must be in [2,inf), got nan" in err
-        assert "Traceback" not in err
-        assert not out.exists()
+def lines_of(name, change):
+    """An edit that replaces the lines of `<root>/<name>` by `change(lines)`."""
+    def edit(root):
+        (root / name).write_text("\n".join(change((root / name).read_text().splitlines())) + "\n")
+    return edit
 
-    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
-    def test_seed_outside_u64_exits_one(self, tmp_path, cfg_file, capsys, seed):
-        out = tmp_path / "run"
-        assert main(["--config", str(cfg_file), "--out", str(out), "--seed", seed,
-                     "gen-data"]) == 1
-        err = capsys.readouterr().err
-        assert f"error: seed must be in [0,2**64), got {seed}" in err
-        assert "Traceback" not in err
-        assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
-    def test_unusable_out_exits_one_without_traceback(self, tmp_path, cfg_file, capsys, where):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory\n")
-        out = blocker if where == "existing-file" else blocker / "sub"
-        code = main(["--config", str(cfg_file), "--out", str(out), "gen-data"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error:" in err
-        assert "Traceback" not in err
-        assert blocker.read_text() == "not a directory\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "exp.cfg"]
+def config(name, *lines):
+    """An edit that writes CONFIG with `lines` (see write_overridden) to `<root>/<name>`."""
+    return lambda root: write_overridden(root / "exp.cfg", root / name, *lines)
 
-    def test_true_matrix_of_another_k_exits_one(self, tmp_path, cfg_file, capsys):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise"])
-        true_csv = out / "true_matrix.csv"
-        true_csv.write_text("# kind=true_row_stochastic K=4 eta=0.0\n" + "".join(
-            ",".join("1.0" if i == j else "0.0" for j in range(4)) + "\n" for i in range(4)))
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), "estimate", "--method", "true"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert (f"error: {out / 'gold.mlnl'} has 10 features and 5 classes, "
-                f"but {true_csv} has 4 classes") in err
-        assert "Traceback" not in err
-        assert not (out / "chat.csv").exists()
 
-    @pytest.mark.parametrize("eta", ["nan", "7"])
-    def test_true_matrix_with_an_eta_out_of_range_exits_one(self, tmp_path, cfg_file, capsys,
-                                                            eta):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise"])
-        true_csv = out / "true_matrix.csv"
-        lines = true_csv.read_text().splitlines()
-        true_csv.write_text(f"# kind=true_row_stochastic K=5 eta={eta}\n" + "\n".join(lines[1:])
-                            + "\n")
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), "estimate", "--method", "true"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert f"error: {true_csv}:1: eta must be in [0,1), got {float(eta)!r}" in err
-        assert "Traceback" not in err
-        assert not (out / "chat.csv").exists()
+def checkpoint(name, layers, change=lambda lines: lines):
+    """An edit that saves a seeded model of `layers` to `<root>/<name>`, its
+    lines replaced by `change(lines)`."""
+    def edit(root):
+        save_model(init_model(layers, "tanh", 1.0, seed=1), root / name)
+        lines_of(name, change)(root)
+    return edit
 
-    def test_missing_file_reported(self, tmp_path, capsys):
-        assert main(["--out", str(tmp_path), "train-silver"]) == 1
-        assert "error:" in capsys.readouterr().err
 
-    def test_truncated_checkpoint_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        ckpt = out / "model.mlpm"
-        save_model(init_model([10, 12, 5], "tanh", 1.0, seed=1), ckpt)
-        ckpt.write_text("\n".join(ckpt.read_text().splitlines()[:3]) + "\n")
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), "evaluate",
-                     "--model", str(ckpt), "--data", str(out / "test.mlnl")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "model.mlpm:4: checkpoint ends" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("value", ["inf", "nan"])
-    def test_non_finite_checkpoint_parameter_exits_one(self, tmp_path, cfg_file, capsys, value):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        ckpt = out / "model.mlpm"
-        save_model(init_model([10, 12, 5], "tanh", 1.0, seed=1), ckpt)
-        lines = ckpt.read_text().splitlines()
-        lines[1] = value + " " + lines[1].split(" ", 1)[1]
-        ckpt.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), "evaluate",
-                     "--model", str(ckpt), "--data", str(out / "test.mlnl")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert f"error: {ckpt}:2: non-finite parameter" in err
-        assert "Traceback" not in err
-        assert not (out / "eval.csv").exists()
-
-    def test_non_finite_feature_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        data = out / "test.mlnl"
-        lines = data.read_text().splitlines()
-        row = next(i for i, ln in enumerate(lines) if "|" in ln)
-        lines[row] = "nan " + lines[row].split(" ", 1)[1]
-        data.write_text("\n".join(lines) + "\n")
-        ckpt = out / "model.mlpm"
-        save_model(init_model([10, 12, 5], "tanh", 1.0, seed=1), ckpt)
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), "evaluate",
-                     "--model", str(ckpt), "--data", str(data)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert f"test.mlnl:{row + 1}: features must be finite" in err
-        assert "Traceback" not in err
-
-    def test_bad_matrix_row_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
-        bad = out / "bad.csv"
-        rows = ["1.0,0.0,0.0,0.0,0.0"] * 5
-        rows[3] = "0.9,0.2,0.0,0.0,0.0"
-        bad.write_text("# kind=true_row_stochastic K=5\n" + "\n".join(rows) + "\n")
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), "train-gold",
-                     "--correction", str(bad)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "bad.csv:5: row 3 does not sum to 1" in err
-        assert "Traceback" not in err
-
-    def test_correction_without_rows_exits_one(self, tmp_path, cfg_file, capsys):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
-        bare = out / "bare.csv"
-        bare.write_text("# kind=true_row_stochastic K=5\n")
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), "train-gold",
-                     "--correction", str(bare)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert f"{bare}: no data rows" in err
-        assert "Traceback" not in err
-
-    def test_correction_of_another_k_names_its_file(self, tmp_path, cfg_file, capsys):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
-        chat = out / "chat.csv"
-        chat.write_text("# kind=true_row_stochastic K=4\n" + "".join(
-            ",".join("1.0" if i == j else "0.0" for j in range(4)) + "\n" for i in range(4)))
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), "train-gold",
-                     "--correction", str(chat)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert (f"error: {out / 'gold.mlnl'} has 10 features and 5 classes, "
-                f"but {chat} has 4 classes") in err
-        assert "Traceback" not in err
-        assert not (out / "gold_model.mlpm").exists()
-
-    @pytest.mark.parametrize("layers", [[7, 12, 5], [10, 12, 4]], ids=["features", "classes"])
-    def test_model_and_data_of_other_shapes_are_named(self, tmp_path, cfg_file, capsys,
-                                                      layers):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        ckpt, data = out / "model.mlpm", out / "test.mlnl"
-        save_model(init_model(layers, "tanh", 1.0, seed=1), ckpt)
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), "evaluate",
-                     "--model", str(ckpt), "--data", str(data)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert (f"error: {ckpt} takes {layers[0]} features and {layers[-1]} classes, "
-                f"but {data} has 10 and 5") in err
-        assert "Traceback" not in err
-        assert not (out / "eval.csv").exists()
-
-    @staticmethod
-    def widen(path, features=0, classes=0):
-        """Rewrite the dataset file `path` with extra features and classes."""
-        ds = read_dataset(path)
+def widened(name, features=0, classes=0):
+    """An edit that rewrites the dataset `<root>/<name>` with extra features and classes."""
+    def edit(root):
+        ds = read_dataset(root / name)
         write_dataset(Dataset(np.pad(ds.features, ((0, 0), (0, features))),
-                              np.pad(ds.labels, ((0, 0), (0, classes))), ds.tag), path)
+                              np.pad(ds.labels, ((0, 0), (0, classes))), ds.tag), root / name)
+    return edit
 
-    @pytest.mark.parametrize("command, widened, extra, named", [
-        (["train-gold", "--correction", "none"], "gold.mlnl", {"classes": 1},
-         ("gold.mlnl", "10 features and 6 classes", "silver_noisy.mlnl", "10 and 5")),
-        (["train-silver"], "test.mlnl", {"features": 1},
-         ("silver_noisy.mlnl", "10 features and 5 classes", "test.mlnl", "11 and 5")),
-    ], ids=["gold-classes", "test-features"])
-    def test_inputs_of_other_shapes_are_named(self, tmp_path, cfg_file, capsys, command,
-                                              widened, extra, named):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
-        self.widen(out / widened, **extra)
+
+def both(*edits):
+    """An edit that makes each of `edits` in turn."""
+    return lambda root: [edit(root) for edit in edits]
+
+
+def identity(k, extra=""):
+    """The text of a K x K identity matrix file, its header ending in `extra`."""
+    return f"# kind=true_row_stochastic K={k}{extra}\n" + "".join(
+        ",".join("1.0" if i == j else "0.0" for j in range(k)) + "\n" for i in range(k))
+
+
+def diverging(root):
+    """gen-data and inject-noise at a config whose silver training overflows:
+    features of scale 1e4 give gradient entries above 1.8, so one SGD step
+    with lr = 1e308 overflows parameters to inf."""
+    config("diverge.cfg", "silver.optimizer = sgd", "silver.lr = 1e308",
+           "silver.batch_size = 100000", "gen.feature_noise_sigma = 1e4")(root)
+    for step in ("gen-data", "inject-noise --eta 0.3"):
+        run(["--config", root / "diverge.cfg", "--out", root / "run", *step.split()])
+
+
+SUMMARY = "method,eta,map,cf1,of1,frobenius_to_true\n"
+
+
+def failing(id, argv, message, stage=None, edit=None, clears=None):
+    """A row of FAILURES: `argv` and `message` name the row's root as {root}
+    and its run directory as {run} (`<root>/run`), a copy of the staged run
+    after `stage` if one is given, which `edit` then changes. `clears` is the
+    first of the RUN_FILES that the command may remove once it has checked
+    its arguments and read its files; it may remove every later one too."""
+    return pytest.param(argv, message, stage, edit, clears, id=id)
+
+
+EVALUATE = "--out {run} evaluate --model {run}/model.mlpm --data {run}/test.mlnl"
+ESTIMATE_TRUE = "--config {root}/exp.cfg --out {run} estimate --method true"
+TRAIN_GOLD = "--config {root}/exp.cfg --out {run} train-gold --correction"
+FAILURES = [
+    failing("bad_config_returns_nonzero", "--config {root}/bad.cfg --out {run} gen-data",
+            "{root}/bad.cfg:1: noise.eta value 2.0 outside [0,1)",
+            edit=text("bad.cfg", "noise.eta = 2.0\n")),
+    failing("repeated_config_key_exits_one", "--config {root}/twice.cfg --out {run} gen-data",
+            "{root}/twice.cfg:13: key 'seed' repeats line 12",
+            edit=text("twice.cfg", CONFIG + "seed = 5\n")),
+    failing("non_finite_config_value_exits_one_without_traceback",
+            "--config {root}/nan.cfg --out {run} gen-data",
+            "{root}/nan.cfg:13: gen.mean_labels must be in [2,inf), got nan",
+            edit=config("nan.cfg", "gen.mean_labels = nan")),
+    *(failing(f"seed_outside_u64_exits_one-{seed}",
+              f"--config {{root}}/exp.cfg --out {{run}} --seed {seed} gen-data",
+              f"seed must be in [0,2**64), got {seed}") for seed in ("-1", "18446744073709551616")),
+    failing("unusable_out_exits_one_without_traceback-existing-file",
+            "--config {root}/exp.cfg --out {root}/blocker gen-data",
+            "[Errno 17] File exists: '{root}/blocker'", edit=text("blocker", "not a directory\n")),
+    failing("unusable_out_exits_one_without_traceback-under-a-file",
+            "--config {root}/exp.cfg --out {root}/blocker/sub gen-data",
+            "[Errno 20] Not a directory: '{root}/blocker/sub'",
+            edit=text("blocker", "not a directory\n")),
+    failing("true_matrix_of_another_k_exits_one", ESTIMATE_TRUE,
+            "{run}/gold.mlnl has 10 features and 5 classes, but {run}/true_matrix.csv has 4 "
+            "classes", "inject-noise", text("run/true_matrix.csv", identity(4, " eta=0.0"))),
+    *(failing(f"true_matrix_with_an_eta_out_of_range_exits_one-{eta}", ESTIMATE_TRUE,
+              f"{{run}}/true_matrix.csv:1: eta must be in [0,1), got {float(eta)!r}",
+              "inject-noise", lines_of("run/true_matrix.csv", lambda lines, eta=eta: [
+                  f"# kind=true_row_stochastic K=5 eta={eta}", *lines[1:]]))
+      for eta in ("nan", "7")),
+    failing("missing_file_reported", "--out {root} train-silver",
+            "[Errno 2] No such file or directory: '{root}/resolved.cfg'"),
+    failing("truncated_checkpoint_exits_one_without_traceback", EVALUATE,
+            "{run}/model.mlpm:4: checkpoint ends", "gen-data",
+            checkpoint("run/model.mlpm", [10, 12, 5], lambda lines: lines[:3])),
+    *(failing(f"non_finite_checkpoint_parameter_exits_one-{value}", EVALUATE,
+              "{run}/model.mlpm:2: non-finite parameter", "gen-data",
+              checkpoint("run/model.mlpm", [10, 12, 5], lambda lines, value=value: [
+                  lines[0], value + " " + lines[1].split(" ", 1)[1], *lines[2:]]))
+      for value in ("inf", "nan")),
+    failing("non_finite_feature_exits_one_without_traceback", EVALUATE,
+            "{run}/test.mlnl:3: features must be finite", "gen-data", both(
+                checkpoint("run/model.mlpm", [10, 12, 5]),
+                lines_of("run/test.mlnl", lambda lines: [  # its first sample's line
+                    *lines[:2], "nan " + lines[2].split(" ", 1)[1], *lines[3:]]))),
+    failing("bad_matrix_row_exits_one_without_traceback", TRAIN_GOLD + " {run}/bad.csv",
+            "{run}/bad.csv:5: row 3 does not sum to 1", "inject-noise",
+            text("run/bad.csv", "# kind=true_row_stochastic K=5\n" + "1.0,0.0,0.0,0.0,0.0\n" * 3
+                 + "0.9,0.2,0.0,0.0,0.0\n1.0,0.0,0.0,0.0,0.0\n")),
+    failing("correction_without_rows_exits_one", TRAIN_GOLD + " {run}/bare.csv",
+            "{run}/bare.csv: no data rows", "inject-noise",
+            text("run/bare.csv", "# kind=true_row_stochastic K=5\n")),
+    failing("correction_of_another_k_names_its_file", TRAIN_GOLD + " {run}/chat.csv",
+            "{run}/gold.mlnl has 10 features and 5 classes, but {run}/chat.csv has 4 classes",
+            "inject-noise", text("run/chat.csv", identity(4))),
+    *(failing(f"model_and_data_of_other_shapes_are_named-{name}", EVALUATE,
+              f"{{run}}/model.mlpm takes {layers[0]} features and {layers[-1]} classes, "
+              "but {run}/test.mlnl has 10 and 5", "gen-data", checkpoint("run/model.mlpm", layers))
+      for name, layers in (("features", [7, 12, 5]), ("classes", [10, 12, 4]))),
+    failing("inputs_of_other_shapes_are_named-gold-classes", TRAIN_GOLD + " none",
+            "{run}/gold.mlnl has 10 features and 6 classes, but {run}/silver_noisy.mlnl has 10 "
+            "and 5", "inject-noise", widened("run/gold.mlnl", classes=1)),
+    failing("inputs_of_other_shapes_are_named-test-features",
+            "--config {root}/exp.cfg --out {run} train-silver",
+            "{run}/silver_noisy.mlnl has 10 features and 5 classes, but {run}/test.mlnl has 11 "
+            "and 5", "inject-noise", widened("run/test.mlnl", features=1)),
+    *(failing(f"missing_test_split_exits_one-{argv.split()[0]}",
+              f"--config {{root}}/exp.cfg --out {{run}} {argv}",
+              "[Errno 2] No such file or directory: '{run}/test.mlnl'", "inject-noise",
+              lambda root: (root / "run" / "test.mlnl").unlink())
+      for argv in ("train-silver", "train-gold --correction none")),
+    *(failing(f"huge_dataset_header-{counts}",
+              "--out {run} evaluate --model {root}/model.mlpm --data {root}/huge.mlnl",
+              "{root}/huge.mlnl:2: ", edit=both(
+                  text("huge.mlnl", f"# tag=clean\nMLNL v1 {counts}\n" + "0.5 1 2 | 0 3\n" * 6),
+                  checkpoint("model.mlpm", [3, 4, 4])))
+      for counts in ("99999999999999 3 4", "6 99999999999999 4", "6 3 99999999999999")),
+    failing("config_too_large_to_allocate_exits_one",
+            "--config {root}/huge.cfg --out {run} gen-data", "{root}/huge.cfg:13: gen.n must be "
+            "at most", edit=config("huge.cfg", "gen.n = 99999999999999")),
+    failing("feature_count_too_large_to_allocate_exits_one",  # a MemoryError, not at path:line
+            "--config {root}/wide.cfg --out {run} gen-data", "Unable to allocate ",
+            edit=config("wide.cfg", "gen.d = 99999999999999")),
+    *(failing(f"empty_silver_split_exits_one_at_gen_data{suffix}",
+              "--config {root}/all-gold.cfg --out {run} gen-data",
+              "trusted_fraction 0.999 leaves no silver samples of ", stage,
+              config("all-gold.cfg", "split.trusted_fraction = 0.999"))
+      for suffix, stage in (("", None), ("-over-a-run", "evaluate"))),
+    failing("empty_test_split_exits_one_at_gen_data",
+            "--config {root}/no-test.cfg --out {run} gen-data",
+            "test_fraction 0.01 leaves no multi-label test samples of 40",
+            edit=text("no-test.cfg", "gen.n = 40\ngen.d = 4\ngen.k = 4\ngen.mean_labels = 2.0\n"
+                      "data.test_fraction = 0.01\n")),
+    failing("empty_training_set_exits_one_without_traceback",
+            "--config {root}/exp.cfg --out {run} train-silver",
+            "cannot train on an empty dataset", "evaluate",
+            text("run/silver_noisy.mlnl", "# tag=noisy\nMLNL v1 0 10 5\n"), "silver_model.mlpm"),
+    failing("diverging_training_exits_one", "--config {root}/diverge.cfg --out {run} "
+            "train-silver", "non-finite parameters after epoch 1", edit=diverging,
+            clears="silver_model.mlpm"),
+    *(failing(f"a_setting_that_differs_from_gen_data_is_rejected-{id}", f"{flags} --out {{run}} "
+              f"{argv}", f"{given}, but {{run}}/resolved.cfg has {saved}", "inject-noise",
+              config("three.cfg", "silver.epochs = 3"))
+      for id, flags, argv, given, saved in (
+          ("config", "--config {root}/three.cfg", "train-silver",
+           "--config gives silver.epochs = 3", "2"),
+          ("seed", "--seed 5", "train-gold --correction none", "--seed gives seed = 5", "4"))),
+    *(failing(f"inject_noise_rejects_an_eta_before_removing_anything-{eta}",
+              f"--out {{run}} inject-noise --eta {eta}",
+              f"eta must be in [0,1), got {float(eta)!r}", "evaluate") for eta in ("7", "nan")),
+    failing("plot_without_results_exits_one", "--out {run} plot",
+            "{run}/summary.csv: no data rows", edit=text("run/summary.csv", SUMMARY)),
+    failing("plot_names_the_line_of_a_bad_byte", "--out {run} plot", "{run}/summary.csv:2: ",
+            edit=text("run/summary.csv", SUMMARY.encode() + b"none,0.0,0.5,0.5,0.5\xff,\n")),
+    *(failing(f"plot_bad_summary-{id}", "--out {run} plot",
+              f"{{run}}/summary.csv:{lineno}: {problem}",
+              edit=text("run/summary.csv", (SUMMARY if lineno > 1 else "") + rows))
+      for id, rows, lineno, problem in (
+          ("header", "method,eta,map\nnone,0.0,0.5\n", 1, "expected the header "),
+          ("fields", "none,0.0,0.5,0.5,0.5\n", 2, "expected 6 fields, got 5"),
+          ("method", "glc,0.0,0.5,0.5,0.5,\n", 2, "method must be one of "),
+          ("nan-map", "none,0.0,nan,0.5,0.5,\n", 2, "map must be finite, got nan"),
+          ("text-frobenius", "galc_slr,0.0,0.5,0.5,0.5,not-a-number\n", 2,
+           "frobenius_to_true must be a number, got 'not-a-number'"),
+          ("inf-frobenius", "galc_slr,0.0,0.5,0.5,0.5,inf\n", 2,
+           "frobenius_to_true must be finite, got inf"),
+          ("text-eta", "none,zero,0.5,0.5,0.5,\n", 2, "eta must be a number, got 'zero'"),
+          ("repeated-cell", "none,0.4,0.5,0.5,0.5,\nnone,0.4,0.6,0.6,0.6,\n", 3,
+           "method none at eta 0.4 repeats line 2"))),
+    *(failing(f"plot_epoch_score-{id}", "--out {run} plot",
+              f"{{run}}/eta0.3_none/metrics.csv:3: {problem}", edit=both(
+                  text("run/summary.csv",
+                       SUMMARY + "none,0.0,0.5,0.5,0.5,\nnone,0.3,0.4,0.4,0.4,\n"),
+                  text("run/eta0.3_none/metrics.csv",
+                       f"epoch,split,map,cf1,of1,loss\n1,test,0.3,0.3,0.3,0.9\n{row}\n")))
+      for id, row, problem in (
+          ("inf-map", "2,test,inf,0.4,0.4,0.8", "map must be finite, got inf"),
+          ("text-epoch", "one,test,0.4,0.4,0.4,0.8", "epoch must be an integer, got 'one'"),
+          ("repeated-epoch", "1,test,0.4,0.4,0.4,0.8", "expected epoch 2, got 1"))),
+]
+
+
+class TestErrors:
+    @pytest.mark.parametrize("argv, message, stage, edit, clears", FAILURES)
+    def test_exits_one(self, tmp_path, staged_run, capsys, argv, message, stage, edit, clears):
+        """The command exits 1 with one `error: ` line that holds `message`
+        and no traceback, and the row's tree is as it was, less its own
+        files: none for a command that fails on its arguments or on a file it
+        reads, else exactly the RUN_FILES from `clears` on that it held."""
+        (tmp_path / "exp.cfg").write_text(CONFIG)
+        if stage:
+            staged_run(tmp_path, stage)
+        if edit:
+            edit(tmp_path)
+        before = tree(tmp_path)
         capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), *command])
+        fill = functools.partial(str.format, root=tmp_path, run=tmp_path / "run")
+        with np.errstate(over="ignore"):  # the overflow of diverging_training_exits_one
+            code = main(fill(argv).split())
         err = capsys.readouterr().err
         assert code == 1
-        first, first_shape, second, second_shape = named
-        assert (f"error: {out / first} has {first_shape}, "
-                f"but {out / second} has {second_shape}") in err
-        assert "Traceback" not in err
-        assert not list(out.glob("*.mlpm"))
-
-    @pytest.mark.parametrize("command", [["train-silver"], ["train-gold", "--correction", "none"]],
-                             ids=["train-silver", "train-gold"])
-    def test_missing_test_split_exits_one(self, tmp_path, cfg_file, capsys, command):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        run(["--config", cfg_file, "--out", out, "inject-noise", "--eta", 0.3])
-        (out / "test.mlnl").unlink()
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), *command])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert str(out / "test.mlnl") in err
-        assert "Traceback" not in err
-        assert not list(out.glob("*.mlpm"))
-
-    @pytest.mark.parametrize("counts", ["99999999999999 3 4", "6 99999999999999 4",
-                                        "6 3 99999999999999"])
-    def test_huge_dataset_header_exits_one_without_traceback(self, tmp_path, cfg_file, capsys,
-                                                            counts):
-        data = tmp_path / "huge.mlnl"
-        data.write_text(f"# tag=clean\nMLNL v1 {counts}\n" + "0.5 1 2 | 0 3\n" * 6)
-        ckpt = tmp_path / "model.mlpm"
-        save_model(init_model([3, 4, 4], "tanh", 1.0, seed=1), ckpt)
-        code = main(["--config", str(cfg_file), "--out", str(tmp_path / "run"), "evaluate",
-                     "--model", str(ckpt), "--data", str(data)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert f"error: {data}:2: " in err
-        assert "Traceback" not in err
-
-    def test_config_too_large_to_allocate_exits_one(self, tmp_path, cfg_file, capsys):
-        cfg = tmp_path / "huge.cfg"
-        write_overridden(cfg_file, cfg, "gen.n = 99999999999999")
-        code = main(["--config", str(cfg), "--out", str(tmp_path / "run"), "gen-data"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith(f"error: {cfg}:13: gen.n must be at most")
-        assert "Traceback" not in err
-
-    def test_empty_silver_split_exits_one_at_gen_data(self, tmp_path, cfg_file, capsys):
-        # a trusted fraction this close to 1 would leave the silver split empty
-        out = tmp_path / "run"
-        cfg = tmp_path / "all-gold.cfg"
-        write_overridden(cfg_file, cfg, "split.trusted_fraction = 0.999")
-        code = main(["--config", str(cfg), "--out", str(out), "gen-data"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: trusted_fraction 0.999 leaves no silver samples of ")
-        assert "Traceback" not in err
-        assert not (out / "silver_clean.mlnl").exists()
-        # nor does it touch the files of an earlier gen-data, which a later
-        # inject-noise would read beside its resolved.cfg
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        before = {p: p.read_bytes() for p in out.rglob("*")}
-        assert main(["--config", str(cfg), "--out", str(out), "gen-data"]) == 1
-        assert {p: p.read_bytes() for p in out.rglob("*")} == before
-
-    def test_empty_test_split_exits_one_at_gen_data(self, tmp_path, capsys):
-        # 1% of 40 samples rounds to a test split of none
-        out = tmp_path / "run"
-        cfg = tmp_path / "no-test.cfg"
-        cfg.write_text("gen.n = 40\ngen.d = 4\ngen.k = 4\ngen.mean_labels = 2.0\n"
-                       "data.test_fraction = 0.01\n")
-        code = main(["--config", str(cfg), "--out", str(out), "gen-data"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: test_fraction 0.01 leaves no multi-label test samples "
-                              "of 40")
-        assert "Traceback" not in err
-        assert not list(out.glob("*.mlnl"))
-
-    def test_empty_training_set_exits_one_without_traceback(self, tmp_path, cfg_file, capsys):
-        out = tmp_path / "run"
-        run(["--config", cfg_file, "--out", out, "gen-data"])
-        (out / "silver_noisy.mlnl").write_text("# tag=noisy\nMLNL v1 0 10 5\n")
-        capsys.readouterr()
-        code = main(["--config", str(cfg_file), "--out", str(out), "train-silver"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error: cannot train on an empty dataset" in err
-        assert "Traceback" not in err
-        assert not (out / "silver_model.mlpm").exists()
-
-    def test_diverging_training_exits_one(self, tmp_path, cfg_file, capsys):
-        # features of scale 1e4 give gradient entries above 1.8, so one SGD
-        # step with lr = 1e308 overflows parameters to inf
-        out = tmp_path / "run"
-        cfg = tmp_path / "diverge.cfg"
-        write_overridden(cfg_file, cfg, "silver.optimizer = sgd", "silver.lr = 1e308",
-                         "silver.batch_size = 100000", "gen.feature_noise_sigma = 1e4")
-        run(["--config", cfg, "--out", out, "gen-data"])
-        run(["--config", cfg, "--out", out, "inject-noise", "--eta", 0.3])
-        capsys.readouterr()
-        with np.errstate(over="ignore"):
-            code = main(["--config", str(cfg), "--out", str(out), "train-silver"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error: non-finite parameters after epoch 1" in err
-        assert "Traceback" not in err
-        assert not (out / "silver_model.mlpm").exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n"), err
+        assert fill(message) in err and "Traceback" not in err
+        mine = set() if clears is None else {f"run/{name}" for name in
+                                            RUN_FILES[RUN_FILES.index(clears):]}
+        assert tree(tmp_path) == {name: data for name, data in before.items() if name not in mine}
 
 
 def out_of_space_after_one(lines, path):
@@ -721,8 +558,8 @@ class TestInterruptedWrites:
     """A write that stops early leaves no file behind: when the k-th
     textio.write_lines call runs out of disk after one line, the subcommand
     exits 1 naming that file, no `*.partial` is left, and every file present
-    holds the bytes of a clean run. Each dataset is one chunk, so every line
-    is produced in this process."""
+    holds the bytes of a clean run, also over an earlier gen-data at another
+    seed. Each dataset is one chunk, so every line is produced in this process."""
 
     STEPS = (["gen-data"], ["inject-noise", "--eta", "0.3"])
 
@@ -742,15 +579,15 @@ class TestInterruptedWrites:
         monkeypatch.setattr(textio, "write_lines", write_lines)
         return writes
 
-    def staged(self, cfg, where, capsys, monkeypatch) -> tuple[list[int], str]:
-        """Run STEPS up to the first that fails, with `--out run` in the new
+    def staged(self, cfg, where, capsys, monkeypatch, steps=STEPS) -> tuple[list[int], str]:
+        """Run `steps` up to the first that fails, with `--out run` in the
         directory `where`, so resolved.cfg reads the same in every run; their
         exit codes and stderr."""
-        where.mkdir()
+        where.mkdir(exist_ok=True)
         monkeypatch.chdir(where)
         capsys.readouterr()
         codes = []
-        for step in self.STEPS:
+        for step in steps:
             codes.append(main(["--config", str(cfg), "--out", "run", *step]))
             if codes[-1]:
                 break
@@ -767,6 +604,9 @@ class TestInterruptedWrites:
         assert count >= 10
 
         for failing in range(count):
+            writes.failing = -1
+            assert self.staged(cfg, tmp_path / f"fail{failing}", capsys, monkeypatch,
+                               [["--seed", "8", "gen-data"]])[0] == [0]
             writes.calls.clear()
             writes.failing = failing
             codes, err = self.staged(cfg, tmp_path / f"fail{failing}", capsys, monkeypatch)

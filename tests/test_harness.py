@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import functools
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -808,12 +809,13 @@ def instrument(mp, root, failing_write=None) -> SimpleNamespace:
     """Record what this process, and no worker it forks, does while a grid
     runs under `root`: `events`, ("write", path relative to root) for each
     textio.write_lines call and (stage, run directory) for each
-    harness._train_stage call, in order; `batches`, the _Objective.loss
-    calls made in each such stage; `calls`, a Counter of the calls to
+    harness._train_stage call, in order; `keys`, the trajectory key of each
+    such stage's batch loop; `batches`, the _Objective.loss calls made in
+    each such stage; `calls`, a Counter of the calls to
     noise.inject, the regulators, the GALC-SLR estimate and `forward`, and,
     as "ordered_map", of the items textio.ordered_map is handed. With
     `failing_write` w, the w-th write runs out of disk after one line."""
-    seen = SimpleNamespace(events=[], batches=Counter(), calls=Counter(), stage=None)
+    seen = SimpleNamespace(events=[], keys={}, batches=Counter(), calls=Counter(), stage=None)
 
     def here() -> bool:
         return not multiprocessing.current_process().daemon
@@ -828,11 +830,13 @@ def instrument(mp, root, failing_write=None) -> SimpleNamespace:
             seen.events.append(("write", Path(path).relative_to(root).as_posix()))
         write_lines(path, lines)
 
-    def stage(cfg, out, name, *rest):
+    def stage(cfg, out, name, data, loss_mode, *rest):
         if here():
             seen.stage = (name, out.name)
             seen.events.append(seen.stage)
-        return train_stage(cfg, out, name, *rest)
+            seen.keys[seen.stage] = model._trajectory_key(
+                model._Cell.of(*harness._job(cfg, name, data, loss_mode)))
+        return train_stage(cfg, out, name, data, loss_mode, *rest)
 
     def batch(self, *args, **kwargs):
         if here():
@@ -863,20 +867,26 @@ def instrument(mp, root, failing_write=None) -> SimpleNamespace:
     return seen
 
 
+# Every grid that faulted_grids draws: a sweep at 1-3 of three noise
+# ratios, or an ablation axis (the limit axis at one or two ratios).
+GRIDS = (*(("sweep", etas) for etas in ((0.0,), (0.3,), (0.5,), (0.0, 0.3), (0.0, 0.5),
+                                       (0.3, 0.5), (0.0, 0.3, 0.5))),
+         ("trusted", (0.3,)), ("limit", (0.3,)), ("limit", (0.0, 0.3)))
+
+
 @st.composite
 def faulted_grids(draw):
-    """A tiny grid, a count of usable CPUs, one fault and whether the grid
-    runs over an earlier clean run of itself. The fault is None, ("exit", g)
-    for the worker of group g (mod the group count) dying before it sends its
-    memo, ("diverge", m) for every gold loop of method m, which has a
-    correction matrix, turning non-finite at its first batch, ("estimate",
-    "galc_slr") for estimator.compute_regulators raising, or ("write", w) for
-    this process's w-th write (mod the serial run's count) running out of
-    disk after one line."""
-    grid = draw(st.one_of(
-        st.sets(st.sampled_from((0.0, 0.3, 0.5)), min_size=1).map(
-            lambda s: ("sweep", tuple(sorted(s)))),
-        st.sampled_from((("trusted", (0.3,)), ("limit", (0.3,)), ("limit", (0.0, 0.3))))))
+    """One of GRIDS, a count of usable CPUs, one fault and whether the grid
+    runs over an earlier clean run of itself. The grid is drawn whole from
+    one list: a set of noise ratios reaches one sweep through many draws,
+    which repeated examples. The fault is None, ("exit", g) for the worker
+    of group g (mod the group count) dying before it sends its memo,
+    ("diverge", m) for every gold loop of method m, which has a correction
+    matrix, turning non-finite at its first batch, ("estimate", "galc_slr")
+    for estimator.compute_regulators raising, or ("write", w) for this
+    process's w-th write (mod the serial run's count) running out of disk
+    after one line."""
+    grid = draw(st.sampled_from(GRIDS))
     cpus = draw(st.sampled_from((1, 2)))
     corrected = sorted({m for _, _, m, _ in grid_cells(grid)[1]} - {"none"})
     faults = [st.none(), st.tuples(st.just("diverge"), st.sampled_from(corrected)),
@@ -979,6 +989,7 @@ class TestGridEquivalence:
     @example(drawn=(("trusted", (0.3,)), 2, ("estimate", "galc_slr"), True))
     @example(drawn=(("sweep", (0.0, 0.3)), 2, ("write", 7), True))   # a cell's resolved.cfg
     @example(drawn=(("sweep", (0.0, 0.3)), 1, ("write", 47), False))  # summary.csv
+    @example(drawn=(("limit", (0.3,)), 1, ("write", 11), False))  # L50 shares a gold loop
     def test_each_cell_finishes_with_the_serial_bytes_or_keeps_only_its_config(
             self, tmp_path_factory, serial_grid, drawn):
         grid, cpus, fault, rerun = drawn
@@ -1047,13 +1058,17 @@ class TestGridEquivalence:
     @staticmethod
     def batches_here(serial, cells, cpus, fault, failed_cell, cut) -> int:
         """The batches that this process trains: with one CPU or one group,
-        every loop that a cell reaches, once per memo; else the loops of the
-        groups from a dead worker's on, and the gold loops of a group that
-        holds a diverging cell, whose stack stores nothing. A diverging loop
-        trains one batch. A cell reaches only its silver loop when its
-        estimate fails, and the loops of the serial run's (stage, run
-        directory) events before its failed write."""
+        every loop that a cell reaches, once per memo, by the first cell of a
+        group to reach it; else the loops of the groups from a dead worker's
+        on, and the gold loops of a group that holds a diverging cell, whose
+        stack stores nothing. A diverging loop trains one batch and stores
+        nothing. A cell reaches only its silver loop when its estimate fails,
+        and the loops of the serial run's (stage, run directory) events
+        before its failed write."""
         kind, arg = fault or (None, None)
+        loops = {}  # the batches of each distinct loop, by trajectory key
+        for stage, key in serial.keys.items():
+            loops[key] = max(loops.get(key, 0), serial.batches[stage])
 
         def reaches(rundir, m, stage) -> bool:
             if fault == ("estimate", m):
@@ -1067,11 +1082,18 @@ class TestGridEquivalence:
         batches = 0
         for g, members in groups.items():
             alone = not forks or (kind == "exit" and g >= arg % len(groups))
-            if alone and any(reaches(r, m, "silver") for r, m in members):
-                batches += sum(serial.batches["silver", r] for r, _ in members)
-            if alone or any(fault == ("diverge", m) for _, m in members):
-                batches += sum(1 if fault == ("diverge", m) else serial.batches["gold", r]
-                               for r, m in members if reaches(r, m, "gold"))
+            diverging = any(fault == ("diverge", m) for _, m in members)
+            memo = set()  # the keys of the loops the group's memo holds
+            for (rundir, m), stage in itertools.product(members, ("silver", "gold")):
+                key = serial.keys[stage, rundir]
+                if not (alone or stage == "gold" and diverging) or key in memo or \
+                        not reaches(rundir, m, stage):
+                    continue
+                if stage == "gold" and fault == ("diverge", m):
+                    batches += 1
+                else:
+                    batches += loops[key]
+                    memo.add(key)
         return batches
 
 
