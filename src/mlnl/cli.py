@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args, _load_config(args))
+        with textio.one_blas_thread():
+            return args.run(args, _load_config(args))
     except (ValueError, RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

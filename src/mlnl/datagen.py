@@ -29,6 +29,7 @@ _WRITE_CHUNK_ROWS = 1024  # dataset rows are formatted this many at a time
 _READ_RANGE_BYTES = 1 << 20  # a dataset is parsed in byte ranges of at least this size
 MAX_CLASSES = 1000  # bounds a config's or a dataset header's K; the largest K in use is 20
 MAX_SAMPLES = 1_000_000  # bounds a config's n; the largest n in use is 30000
+MAX_FEATURES = 1000  # bounds a config's d; the largest d in use is 32
 
 
 @dataclass(eq=False)
@@ -95,7 +96,7 @@ class GenConfig(Settings):
     """Controls for the synthetic generator."""
 
     n: int = rule(_count_up_to(MAX_SAMPLES))
-    d: int = rule(integer(Interval(1)))
+    d: int = rule(_count_up_to(MAX_FEATURES))
     k: int = rule(_count_up_to(MAX_CLASSES))
     mean_labels_per_sample: float = rule(Interval(2.0), default=2.4)
     feature_noise_sigma: float = rule(Interval(0.0, lo_open=True), default=0.8)

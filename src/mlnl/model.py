@@ -338,7 +338,9 @@ class _Objective:
 def _loss_inputs(mode, n: int, k: int) -> tuple[np.ndarray, np.ndarray | None]:
     """What the loss mode `mode` trains `n` samples of `k` classes on: which
     samples fit M^T p (none in "asl" mode, all of a CorrectedMode without a
-    gold mask, else those its mask leaves out) and M (None in "asl" mode)."""
+    gold mask, else those its mask leaves out) and M (None in "asl" mode).
+    An M equal to the identity gives every sample's M^T p its own p, so it
+    reads as "asl" mode and shares the plain loop's memo entry."""
     if isinstance(mode, str) and mode == "asl":
         return np.zeros(n, dtype=bool), None
     if not isinstance(mode, CorrectedMode):
@@ -350,6 +352,8 @@ def _loss_inputs(mode, n: int, k: int) -> tuple[np.ndarray, np.ndarray | None]:
     m = np.asarray(mode.matrix, dtype=np.float64)
     if m.shape != (k, k):
         raise ValueError(f"correction matrix shape {m.shape} does not match K={k}")
+    if np.array_equal(m, np.eye(k)):
+        return np.zeros(n, dtype=bool), None
     return ~gold_mask, m
 
 

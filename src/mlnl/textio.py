@@ -6,6 +6,7 @@ large file's formatting or parsing over the cores."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import sys
@@ -83,6 +84,32 @@ def _usable_cpus() -> int:
 def _multiprocessing():
     import multiprocessing  # here, not at the top: most runs never fork
     return multiprocessing
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore its earlier
+    thread count: the lab's matrices are small, so more threads only spin.
+    Forked workers inherit the count. Does nothing where numpy bundles no
+    OpenBLAS with `scipy_openblas_set_num_threads64_`."""
+    import ctypes  # here, not at the top: `import mlnl` loads no library
+    import glob
+
+    import numpy
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    lib = next((lib for lib in map(ctypes.CDLL, glob.glob(os.path.join(libs, "*openblas*")))
+                if hasattr(lib, "scipy_openblas_set_num_threads64_")), None)
+    if lib is None:
+        yield
+        return
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def worker_limit() -> int:

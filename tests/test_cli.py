@@ -1,5 +1,7 @@
 import argparse
 import ast
+import contextlib
+import ctypes
 import errno
 import functools
 import os
@@ -13,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mlnl import cli, estimator, textio
+from mlnl import cli, datagen, estimator, harness, textio
 from mlnl.cli import main
 from mlnl.datagen import Dataset, read_dataset, write_dataset
 from mlnl.harness import RUN_FILES, parse_config, run_pipeline
@@ -459,9 +461,9 @@ FAILURES = [
     failing("config_too_large_to_allocate_exits_one",
             "--config {root}/huge.cfg --out {run} gen-data", "{root}/huge.cfg:13: gen.n must be "
             "at most", edit=config("huge.cfg", "gen.n = 99999999999999")),
-    failing("feature_count_too_large_to_allocate_exits_one",  # a MemoryError, not at path:line
-            "--config {root}/wide.cfg --out {run} gen-data", "Unable to allocate ",
-            edit=config("wide.cfg", "gen.d = 99999999999999")),
+    failing("feature_count_too_large_to_allocate_exits_one",
+            "--config {root}/wide.cfg --out {run} gen-data", "{root}/wide.cfg:13: gen.d must be "
+            "at most", edit=config("wide.cfg", "gen.d = 99999999999999")),
     *(failing(f"empty_silver_split_exits_one_at_gen_data{suffix}",
               "--config {root}/all-gold.cfg --out {run} gen-data",
               "trusted_fraction 0.999 leaves no silver samples of ", stage,
@@ -545,6 +547,66 @@ class TestErrors:
         mine = set() if clears is None else {f"run/{name}" for name in
                                             RUN_FILES[RUN_FILES.index(clears):]}
         assert tree(tmp_path) == {name: data for name, data in before.items() if name not in mine}
+
+    def test_a_memory_error_exits_one(self, tmp_path, cfg_file, capsys, monkeypatch):
+        """No row of FAILURES reaches main as a MemoryError; one raised in a
+        stage still exits 1 with one error line."""
+        def too_large(cfg):
+            raise MemoryError("Unable to allocate 1.78 PiB for an array")
+
+        monkeypatch.setattr(datagen, "generate", too_large)
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "run"), "gen-data"]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 1.78 PiB for an array\n"
+
+
+class TestBlasThreads:
+    """The CLI runs every subcommand with one OpenBLAS thread and restores
+    the caller's count after it, as a sweep at two threads gets the same bytes."""
+
+    @pytest.fixture()
+    def lib(self):
+        """numpy's bundled OpenBLAS, set to two threads for the test."""
+        libs = (ctypes.CDLL(str(p)) for p in
+                (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+        lib = next((lib for lib in libs if hasattr(lib, "scipy_openblas_set_num_threads64_")),
+                   None)
+        if lib is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        yield lib
+        lib.scipy_openblas_set_num_threads64_(before)
+
+    def test_a_sweep_runs_on_one_thread_with_the_bytes_of_two(self, tmp_path, cfg_file, lib,
+                                                               monkeypatch):
+        seen, run_sweep = [], harness.run_sweep
+
+        def sweep(*args):
+            seen.append(lib.scipy_openblas_get_num_threads64_())
+            return run_sweep(*args)
+
+        monkeypatch.setattr(harness, "run_sweep", sweep)
+        trees = []
+        for where, threads in (("two", contextlib.nullcontext), ("one", textio.one_blas_thread)):
+            monkeypatch.setattr(textio, "one_blas_thread", threads)
+            (tmp_path / where).mkdir()
+            monkeypatch.chdir(tmp_path / where)  # `--out sw`, so resolved.cfg reads the same
+            assert main(["--config", str(cfg_file), "--out", "sw", "sweep"]) == 0
+            trees.append(tree(tmp_path / where))
+        assert seen == [2, 1] and lib.scipy_openblas_get_num_threads64_() == 2
+        assert trees[0] == trees[1]
+
+    def test_a_failed_subcommand_restores_the_count(self, tmp_path, lib):
+        assert main(["--out", str(tmp_path), "train-silver"]) == 1  # no resolved.cfg
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+
+    def test_a_forked_worker_runs_on_one_thread(self, lib, monkeypatch):
+        monkeypatch.setattr(textio, "_usable_cpus", lambda: 2)
+        with textio.one_blas_thread():
+            counts = list(textio.ordered_map(
+                lambda i: (lib.scipy_openblas_get_num_threads64_(), os.getpid()), range(2)))
+        assert [count for count, _ in counts] == [1, 1]
+        assert os.getpid() not in {pid for _, pid in counts}
 
 
 def out_of_space_after_one(lines, path):

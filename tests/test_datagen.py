@@ -270,12 +270,6 @@ class TestDatasetFile:
         write_dataset(noisy, path)
         assert read_dataset(path).tag == "noisy"
 
-    def test_unknown_tag_cites_its_line(self, tmp_path):
-        path = tmp_path / "dirty.mlnl"
-        path.write_text("# tag=dirty\nMLNL v1 1 2 2\n0.5 1.0 | 0\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: unknown tag 'dirty'$"):
-            read_dataset(path)
-
     def test_wellformed_header_parses(self, tmp_path):
         text = ("# a comment\n"
                 "MLNL v1 3 2 4\n"
@@ -287,47 +281,6 @@ class TestDatasetFile:
         ds = read_dataset(path)
         assert ds.n == 3 and ds.num_features == 2 and ds.num_classes == 4
         assert ds.labels[0].tolist() == [1, 0, 1, 0]
-
-    def test_label_index_out_of_range_cites_line(self, tmp_path):
-        path = tmp_path / "bad.mlnl"
-        path.write_text("MLNL v1 1 2 4\n0.0 0.0 | 4\n")
-        with pytest.raises(ValueError, match=":2.*out of range"):
-            read_dataset(path)
-
-    def test_wrong_feature_count_cites_line(self, tmp_path):
-        path = tmp_path / "bad2.mlnl"
-        path.write_text("MLNL v1 1 3 2\n0.0 0.0 | 1\n")
-        with pytest.raises(ValueError, match=":2.*expected 3 features"):
-            read_dataset(path)
-
-    def test_malformed_header(self, tmp_path):
-        path = tmp_path / "bad3.mlnl"
-        path.write_text("MLXX v1 1 1 1\n0.0 | 0\n")
-        with pytest.raises(ValueError, match="malformed header"):
-            read_dataset(path)
-
-    def test_descending_labels_rejected(self, tmp_path):
-        path = tmp_path / "bad4.mlnl"
-        path.write_text("MLNL v1 1 1 3\n0.0 | 2 1\n")
-        with pytest.raises(ValueError, match="ascending"):
-            read_dataset(path)
-
-    @pytest.mark.parametrize("token", ["nan", "1e999", "-inf"])
-    def test_non_finite_feature_cites_line(self, tmp_path, token):
-        path = tmp_path / "nonfinite.mlnl"
-        path.write_text(f"# tag=clean\nMLNL v1 3 2 2\n0.5 1.0 | 0\n\n0.5 {token} | 1\n1.0 1.0 | 0\n")
-        with pytest.raises(ValueError, match=r"nonfinite\.mlnl:5: features must be finite"):
-            read_dataset(path)
-
-    @pytest.mark.parametrize("counts,problem", [
-        ("99999999999999 3 4", "99999999999999 rows of 3 features cannot fit in a file of"),
-        ("6 99999999999999 4", "6 rows of 99999999999999 features cannot fit in a file of"),
-        ("6 3 99999999999999", "class count 99999999999999 exceeds the limit of")])
-    def test_header_too_large_to_allocate_cites_header_line(self, tmp_path, counts, problem):
-        path = tmp_path / "huge.mlnl"
-        path.write_text(f"# tag=clean\n\nMLNL v1 {counts}\n" + "0.5 1 2 | 0 3\n" * 6)
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {problem}"):
-            read_dataset(path)
 
     def test_class_count_limit_is_shared_by_config_and_file(self, tmp_path):
         assert GenConfig(n=10, d=2, k=MAX_CLASSES).k == MAX_CLASSES
@@ -375,9 +328,3 @@ class TestDatasetFile:
         path = tmp_path / "tight.mlnl"
         path.write_bytes(b"MLNL v1 2 3 1\n0 0 0|0\n0 0 0|0")
         assert read_dataset(path).features.shape == (2, 3)
-
-    def test_comment_after_header_rejected(self, tmp_path):
-        path = tmp_path / "bad5.mlnl"
-        path.write_text("MLNL v1 1 1 2\n# late comment\n0.0 | 0\n")
-        with pytest.raises(ValueError, match="before the header"):
-            read_dataset(path)

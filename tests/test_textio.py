@@ -1,9 +1,11 @@
-"""The shared text-file layer, and a fuzz of every reader built on it.
+"""The shared text-file layer, and a table and a fuzz of every reader built on it.
 
-Each reader must either parse a file or raise a ValueError whose message
-starts with the file's path; a file it parses must survive a write and a
-second read unchanged. The dataset reader, which parses byte ranges on
-several processes, must also agree with its one-pass reference twin.
+Each malformed file of the table must raise exactly its `path:line: message`
+(or `path: message`). Under the fuzz, each reader must either parse a file
+or raise a ValueError whose message starts with the file's path; a file it
+parses must survive a write and a second read unchanged. The dataset
+reader, which parses byte ranges on several processes, must also agree with
+its one-pass reference twin.
 """
 
 import multiprocessing
@@ -11,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from mlnl import datagen, harness, textio
 from mlnl.datagen import (FILE_MAGIC, FILE_VERSION, MAX_CLASSES, Dataset, read_dataset,
                           write_dataset)
 from mlnl.harness import parse_config, render_config
-from mlnl.model import init_model, load_model, save_model
+from mlnl.model import load_model, save_model
 from mlnl.noise import read_matrix, write_matrix
 
 
@@ -92,43 +95,6 @@ class TestNumberedLines:
         assert str(textio.located("f", None, ValueError("whole"))) == "f: whole"
 
 
-# Per format: its reader, a valid file whose `#` comment holds a character
-# that `str.splitlines` would end a line at, a line of it and the same line
-# made bad, and the error that bad line gives.
-LINE_RULE_CASES = {
-    "dataset": (read_dataset, "# made by\u2028hand\nMLNL v1 2 2 2\n0.5 1 | 0\n1 2 | 1\n",
-                "1 2 | 1", "1 x | 1", "could not convert string to float: 'x'"),
-    "config": (parse_config, "# a\x0cb comment\nseed = 3\n", "seed = 3", "bogus = 3",
-               "unknown key 'bogus'"),
-    "matrix": (read_matrix, "# kind=true_row_stochastic K=2\x0ceta=0.1\n0.9,0.1\n0.1,0.9\n",
-               "0.1,0.9", "0.1,x", "could not convert string to float: 'x'"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(LINE_RULE_CASES))
-def test_comment_keeps_its_separators_and_errors_keep_grep_line_numbers(tmp_path, name):
-    read, text, good, bad, problem = LINE_RULE_CASES[name]
-    path = tmp_path / name
-    path.write_bytes(text.encode("utf-8"))
-    read(path)  # the comment's separator does not end its line
-    path.write_bytes(text.replace(good, bad).encode("utf-8"))
-    grep_line = text.split("\n").index(good) + 1  # as `grep -n` numbers it
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{grep_line}: "
-                                         rf"{re.escape(problem)}$"):
-        read(path)
-
-
-# One tiny valid file per format, with its reader, its writer and a key that
-# compares two parsed objects byte for byte.
-_CHECKPOINT = init_model([2, 3, 2], "relu", 1.0, seed=5)
-
-
-def _checkpoint_text(tmp_path_factory):
-    path = tmp_path_factory.mktemp("ckpt") / "m.mlpm"
-    save_model(_CHECKPOINT, path)
-    return path.read_text()
-
-
 def _write_summary(rows, path):
     textio.write_lines(path, [harness.SUMMARY_HEADER, *(
         f"{method},{eta!r},{s['map']!r},{s['cf1']!r},{s['of1']!r}," for method, eta, s in rows)])
@@ -139,39 +105,186 @@ def _write_epochs(rows, path):
         f"{epoch},test,{score!r},0.0,0.0,0.0" for epoch, score in rows)])
 
 
+class Format(NamedTuple):
+    """One file format: a tiny valid file, its reader and writer, a key that
+    compares two parsed objects byte for byte, and malformed files, each
+    (id, its text, or an (old, new) edit of `text` that replaces the one
+    `old`, the line cited or None for the whole file, the whole message)."""
+
+    text: str
+    read: Callable
+    write: Callable
+    key: Callable
+    malformed: list
+
+
 FORMATS = {
-    "dataset": (
+    "dataset": Format(
         "# tag=noisy\nMLNL v1 3 2 3\n0.5 -1.25 | 0 2\n\n1e-300 2 | 1\n-0 0.125 | 0 1 2\n",
         read_dataset, write_dataset,
         lambda ds: (ds.tag, ds.features.shape, ds.features.tobytes(), ds.labels.shape,
-                    ds.labels.tobytes())),
-    "matrix": (
+                    ds.labels.tobytes()), [
+            ("unknown-tag", ("tag=noisy", "tag=dirty"), 1, "unknown tag 'dirty'"),
+            ("no-header", "# tag=clean\n\n", None, "no header line found"),
+            ("malformed-header", "MLXX v1 1 1 1\n0.0 | 0\n", 1, "malformed header 'MLXX v1 1 1 1'"),
+            ("header-counts", ("v1 3 2 3", "v1 3 two 3"), 2, "header counts must be integers"),
+            ("header-dimensions", ("v1 3 2 3", "v1 3 0 3"), 2, "invalid header dimensions"),
+            *((f"header-too-large-{field}", "# tag=clean\n\nMLNL v1 " + counts + "\n"
+               + "0.5 1 2 | 0 3\n" * 6, 3, problem) for field, counts, problem in (
+                ("n", "99999999999999 3 4",
+                 "99999999999999 rows of 3 features cannot fit in a file of 124 bytes"),
+                ("d", "6 99999999999999 4",
+                 "6 rows of 99999999999999 features cannot fit in a file of 124 bytes"),
+                ("k", "6 3 99999999999999", "class count 99999999999999 exceeds the limit of 1000"))),
+            ("late-comment", "MLNL v1 1 1 2\n# late comment\n0.0 | 0\n", 2,
+             "comments are only allowed before the header"),
+            ("more-rows", ("0 1 2\n", "0 1 2\n1 1 | 0\n"), 7, "more than 3 data rows"),
+            ("fewer-rows", ("-0 0.125 | 0 1 2\n", ""), None, "expected 3 data rows, found 2"),
+            ("no-separator", ("1e-300 2 |", "1e-300 2"), 5, "missing '|' separator"),
+            ("feature-count", "MLNL v1 1 3 2\n0.0 0.0 | 1\n", 2, "expected 3 features, got 2"),
+            ("feature-text", "# made by\u2028hand\nMLNL v1 2 2 2\n0.5 1 | 0\n1 x | 1\n", 4,
+             "could not convert string to float: 'x'"),  # U+2028 ends no line
+            ("not-utf8", b"MLNL v1 1 1 2\n0 | \xff0\n", 2, "not UTF-8 text (invalid start byte)"),
+            *((f"non-finite-{token}", ("1e-300 2", f"1e-300 {token}"), 5,
+               "features must be finite") for token in ("nan", "1e999", "-inf")),
+            ("label-text", ("| 0 2", "| 0 b"), 3, "unparsable label indices '0 b'"),
+            ("no-labels", ("2 | 1", "2 |"), 5, "sample has no positive labels"),
+            ("descending-labels", "MLNL v1 1 1 3\n0.0 | 2 1\n", 2,
+             "label indices must be strictly ascending"),
+            ("label-out-of-range", "MLNL v1 1 2 4\n0.0 0.0 | 4\n", 2,
+             "label index 4 out of range [0, 4)"),
+        ]),
+    "matrix": Format(
         "# kind=true_row_stochastic K=3 eta=0.25\n0.75,0.125,0.125\n0.125,0.75,0.125\n"
         "0.125,0.125,0.75\n",
         read_matrix, write_matrix,
-        lambda cm: (cm.kind, repr(cm.eta), cm.matrix.shape, cm.matrix.tobytes())),
-    "checkpoint": (
-        None, load_model, save_model,
+        lambda cm: (cm.kind, repr(cm.eta), cm.matrix.shape, cm.matrix.tobytes()), [
+            ("empty", "", None, "no data rows"),
+            ("header-only", "# kind=estimated_raw K=2\n", None, "no data rows"),
+            ("not-square", "0.5,0.5\n", None, "matrix is not square ((1, 2))"),
+            ("unknown-kind", ("=true_row_stochastic", "=banana"), 1, "unknown kind 'banana'"),
+            ("header-k", ("K=3", "K=5"), 1, "header says K=5, but the matrix has 3 rows"),
+            ("k-text", ("K=3", "K=abc"), 1, "K must be an integer, got 'abc'"),
+            ("eta-text", ("eta=0.25", "eta=zz"), 1, "eta must be a number, got 'zz'"),
+            *((f"eta-{eta}", ("eta=0.25", f"eta={eta}"), 1, f"eta must be in [0,1), got {shown}")
+              for eta, shown in (("nan", "nan"), ("7", "7.0"), ("-0.5", "-0.5"), ("1.0", "1.0"))),
+            ("repeated-k", ("K=3 eta=0.25", "K=5 K=3 eta=0.9 eta=0.25 color=blue"), 1,
+             "header field 'K' repeats"),
+            ("repeated-eta", ("eta=0.25", "eta=0.9 eta=0.25"), 1, "header field 'eta' repeats"),
+            ("repeated-kind", ("K=3", "kind=estimated_raw K=3"), 1,
+             "header field 'kind' repeats"),
+            ("unknown-field", ("eta=0.25", "eta=0.25 color=blue"), 1,
+             "unknown header field 'color'"),
+            ("no-equals", ("eta=0.25", "eta=0.25 transposed"), 1,
+             "unknown header field 'transposed'"),
+            ("ragged", ("0.125,0.75,0.125", "0.125,0.75"), 3, "expected 3 values, got 2"),
+            ("value-text", "# kind=true_row_stochastic K=2\x0ceta=0.1\n0.9,0.1\n0.1,x\n", 3,
+             "could not convert string to float: 'x'"),  # \x0c ends no line
+            ("row-sum", "# kind=true_row_stochastic K=3\n1.0,0.0,0.0\n\n0.5,0.25,0.25\n"
+             "0.5,0.5,0.25\n", 5, "row 2 does not sum to 1"),
+            *((f"range-{kind}", f"# kind={kind} K=3\n0.5,0.25,0.25\n0.25,{bad},0.25\n"
+               f"{bad},0.25,0.25\n", 3, problem) for kind, bad, problem in (
+                ("true_row_stochastic", "1.5", "row-stochastic matrix entries must lie in [0, 1]"),
+                ("estimated_scaled", "0.0", "sigmoid-scaled entries must lie strictly in (0, 1)"),
+                ("estimated_raw", "nan", "corruption matrix entries must be finite"))),
+        ]),
+    "checkpoint": Format(
+        "MLPM v1 2 3 2 relu\n0.5 -0.25\n0.125 1.5\n-1 0.75\n0 0.375 -0.5\n0.25 -2 1\n"
+        "2 0 -1.25\n0.0625 -3\n",
+        load_model, save_model,
         lambda m: (m.activation, [(w.shape, w.tobytes(), b.tobytes())
-                                  for w, b in zip(m.weights, m.biases)])),
-    "config": (
+                                  for w, b in zip(m.weights, m.biases)]), [
+            ("empty", "", None, "malformed checkpoint header"),
+            ("malformed-header", "NOPE v1 2 2 tanh\n", 1, "malformed checkpoint header"),
+            ("unknown-activation", ("relu", "gelu"), 1, "unknown activation 'gelu'"),
+            ("layer-text", "MLPM v1 3 four 2 tanh\n", 1, "layer sizes must be integers"),
+            ("empty-layer", ("v1 2 3 2", "v1 2 0 2"), 1, "layer sizes must be >= 1"),
+            ("short-row", ("0.125 1.5", "0.125"), 3, "expected 2 values, got 1"),
+            ("non-finite", ("0.5 -0.25", "0.5 inf"), 2, "non-finite parameter"),
+            ("no-last-row", ("0.25 -2 1\n2 0 -1.25\n0.0625 -3\n", "0.25 -2 1\n"), 7,
+             "checkpoint ends before its last bias line"),
+            ("no-last-bias", ("0.0625 -3\n", ""), 8, "checkpoint ends before its last bias line"),
+            ("trailing-data", ("-3\n", "-3\n0.5 0.5\n"), 9, "data after the last bias line"),
+        ]),
+    "config": Format(
         "# tiny\ngen.n = 300\ngen.k = 4\nnoise.eta = 0.2, 0.4\nnoise.mode = bernoulli\n"
         "model.hidden = 8, 4\nsilver.optimizer = sgd\ndata.single_label_limit = unlimited\n"
         "estimator.method = glc\nasl.margin = 0.05\nseed = 3\nout = runs/x\n",
         parse_config, lambda cfg, path: textio.write_lines(path, render_config(cfg)),
-        render_config),
+        render_config, [
+            ("no-equals", ("seed = 3", "seed 3"), 11, "expected 'key = value', got 'seed 3'"),
+            ("unknown-key", "# comment\ngen.n = 100\nbogus.key = 3\n", 3,
+             "unknown key 'bogus.key'"),
+            ("key-after-comment", "# a\x0cb comment\nbogus = 3\n", 2,
+             "unknown key 'bogus'"),  # \x0c ends no line
+            ("repeated-key", "seed = 1\n# the same key again\nseed = 2\n", 3,
+             "key 'seed' repeats line 1"),
+            ("not-an-integer", "gen.n = many\n", 1,
+             "gen.n: invalid literal for int() with base 10: 'many'"),
+            ("eta-range", "noise.eta = 1.5\n", 1, "noise.eta value 1.5 outside [0,1)"),
+            ("repeated-eta", "gen.k = 5\nnoise.eta = 0.3, 0.3\n", 2,
+             "noise.eta repeats the value 0.3"),
+            ("repeated-zero-eta", "gen.k = 5\nnoise.eta = 0, 0.2, -0.0\n", 2,
+             "noise.eta repeats the value -0.0"),
+            ("seed-negative", "seed = -1\n", 1, "seed must be in [0,2**64), got -1"),
+            ("seed-2**64", "seed = 18446744073709551616\n", 1,
+             "seed must be in [0,2**64), got 18446744073709551616"),
+            ("feature-count", ("gen.k = 4", "gen.k = 4\ngen.d = 99999999999999"), 4,
+             "gen.d must be at most 1000, got 99999999999999"),
+            ("mean-above-k", "gen.k = 2\ngen.mean_labels = 3.0\n", None,
+             "mean_labels_per_sample 3.0 exceeds class count 2"),
+        ]),
     # the sweep CSVs, read with the row parsers that plot_sweep uses
-    "summary": (
+    "summary": Format(
         "method,eta,map,cf1,of1,frobenius_to_true\nnone,0.0,0.5,0.25,0.125,\n"
         "galc_slr,0.4,0.75,0.5,1e-300,0.0625\ntrue_matrix,0.4,0.625,-0,1,0.0\n",
         lambda path: harness._read_csv(path, harness.SUMMARY_HEADER, harness._summary_row),
-        _write_summary, repr),
-    "metrics": (
+        _write_summary, repr, [
+            ("empty", "", 1, "expected the header 'method,eta,map,cf1,of1,frobenius_to_true'"),
+            ("header", (",frobenius_to_true", ""), 1,
+             "expected the header 'method,eta,map,cf1,of1,frobenius_to_true'"),
+            ("no-rows", "method,eta,map,cf1,of1,frobenius_to_true\n", None, "no data rows"),
+            ("fields", ("0.125,\n", "0.125\n"), 2, "expected 6 fields, got 5"),
+            ("method", ("none,", "glc,"), 2,
+             "method must be one of ('none', 'galc_slr', 'true_matrix'), got 'glc'"),
+            ("eta-text", ("none,0.0", "none,zero"), 2, "eta must be a number, got 'zero'"),
+            ("nan-map", ("0.75,", "nan,"), 3, "map must be finite, got nan"),
+            ("frobenius-text", ("0.0625", "x"), 3, "frobenius_to_true must be a number, got 'x'"),
+            ("repeated-cell", ("true_matrix,0.4", "galc_slr,0.4"), 4,
+             "method galc_slr at eta 0.4 repeats line 3"),
+        ]),
+    "metrics": Format(
         "epoch,split,map,cf1,of1,loss\n1,test,0.5,0.25,0.125,0.75\n"
         "2,test,0.625,0.5,0.25,0.5\n",
         lambda path: harness._read_csv(path, harness.METRICS_HEADER, harness._epoch_row),
-        _write_epochs, repr),
+        _write_epochs, repr, [
+            ("header", ("loss", "lost"), 1,
+             "expected the header 'epoch,split,map,cf1,of1,loss'"),
+            ("no-rows", "epoch,split,map,cf1,of1,loss\n", None, "no data rows"),
+            ("fields", ("0.125,0.75", "0.125"), 2, "expected 6 fields, got 5"),
+            ("epoch-text", ("2,test", "two,test"), 3, "epoch must be an integer, got 'two'"),
+            ("repeated-epoch", ("2,test", "1,test"), 3, "expected epoch 2, got 1"),
+            ("inf-map", ("0.625", "inf"), 3, "map must be finite, got inf"),
+        ]),
 }
+MALFORMED = [(name, row) for name, fmt in FORMATS.items() for row in fmt.malformed]
+
+
+@pytest.mark.parametrize("name, row", MALFORMED, ids=[f"{name}-{row[0]}" for name, row in MALFORMED])
+def test_malformed_file_is_refused_at_its_line(tmp_path, name, row):
+    fmt = FORMATS[name]
+    _, text, line, message = row
+    if isinstance(text, tuple):
+        old, new = text
+        assert fmt.text.count(old) == 1, old
+        text = fmt.text.replace(old, new)
+    path = tmp_path / name
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    with pytest.raises(ValueError) as e:
+        fmt.read(path)
+    assert str(e.value) == (f"{path}: {message}" if line is None else f"{path}:{line}: {message}")
+
+
 POOL = ["", "nan", "1e999", "-1", "99999999999999", "|", "#", "=", ",", "kind=bogus", "eta=x"]
 
 
@@ -194,8 +307,7 @@ def mutants(draw, text):
 
 @pytest.mark.parametrize("name", sorted(FORMATS))
 def test_reader_fuzz(tmp_path_factory, name):
-    text, read, write, key = FORMATS[name]
-    text = text or _checkpoint_text(tmp_path_factory)
+    text, read, write, key, _ = FORMATS[name]
     workdir = tmp_path_factory.mktemp(f"fuzz-{name}")
     path, back = workdir / "mutant", workdir / "written"
 
@@ -366,7 +478,7 @@ def outcome(read, path):
         ds = read(path)
     except ValueError as e:
         return "error", str(e)
-    return "ok", FORMATS["dataset"][3](ds)
+    return "ok", FORMATS["dataset"].key(ds)
 
 
 LONGER_DATASET = ("# first\n# tag=clean\n\nMLNL v1 8 2 4\n" + "".join(
@@ -376,7 +488,7 @@ LONGER_DATASET = ("# first\n# tag=clean\n\nMLNL v1 8 2 4\n" + "".join(
 INSERTS = [b"\xff", b"\r", b"\r\n", "\x85".encode(), "\u2028".encode(), b"\n\n", b"# c\n"]
 
 
-@pytest.mark.parametrize("text", [FORMATS["dataset"][0], LONGER_DATASET],
+@pytest.mark.parametrize("text", [FORMATS["dataset"].text, LONGER_DATASET],
                          ids=["tiny", "longer"])
 def test_dataset_reader_matches_the_reference_in_small_ranges(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("oracle") / "mutant.mlnl"
